@@ -8,12 +8,11 @@ power maximizing that rate subject to a destination outage constraint.
 from .errors import (FasmonError, DomainError, ComputationError,
                      ConstraintInfeasibleError, DegenerateRateError,
                      AccuracyError, ConfigError)
-from .specfun import (QuadratureSpec, bessel_i0, bessel_j, hyp1f2_half,
-                      marcum_q1, lambert_w0, integrate_expweighted)
-from .channel import (SystemParams, DerivedLink, ChannelSample,
-                      correlation_mu, eta_factor, derive_link,
-                      sample_channels, gmax_magnitude)
-from .outage import (RatePoint, SdOutageBreakdown, sd_outage, rate_bounds,
+from .specfun import (QuadratureSpec, bessel_j, hyp1f2_half, marcum_q1,
+                      lambert_w0, integrate_expweighted)
+from .channel import (SystemParams, DerivedLink, correlation_mu, eta_factor,
+                      derive_link)
+from .outage import (RatePoint, sd_outage, rate_bounds,
                      pm_for_rate, rate_for_pm, monitor_outage_true,
                      monitor_outage_bound, monitor_outage_approx,
                      rate_true, rate_bound, rate_approx)
@@ -32,11 +31,11 @@ __all__ = [
     "FasmonError", "DomainError", "ComputationError",
     "ConstraintInfeasibleError", "DegenerateRateError", "AccuracyError",
     "ConfigError",
-    "QuadratureSpec", "bessel_i0", "bessel_j", "hyp1f2_half", "marcum_q1",
+    "QuadratureSpec", "bessel_j", "hyp1f2_half", "marcum_q1",
     "lambert_w0", "integrate_expweighted",
-    "SystemParams", "DerivedLink", "ChannelSample", "correlation_mu",
-    "eta_factor", "derive_link", "sample_channels", "gmax_magnitude",
-    "RatePoint", "SdOutageBreakdown", "sd_outage", "rate_bounds",
+    "SystemParams", "DerivedLink", "correlation_mu", "eta_factor",
+    "derive_link",
+    "RatePoint", "sd_outage", "rate_bounds",
     "pm_for_rate", "rate_for_pm", "monitor_outage_true",
     "monitor_outage_bound", "monitor_outage_approx",
     "rate_true", "rate_bound", "rate_approx",

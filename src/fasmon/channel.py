@@ -84,21 +84,6 @@ class DerivedLink:
             raise DomainError(f"gamma_cap must be positive, got {self.gamma_cap!r}")
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One draw of every channel coefficient.
-
-    h: source->destination; f: monitor->destination; g0: virtual reference
-    port; e: innovations, one per port; g: the mixed port coefficients.
-    """
-
-    h: complex
-    f: complex
-    g0: complex
-    e: np.ndarray
-    g: np.ndarray
-
-
 def correlation_mu(aperture_w: float) -> float:
     """Spatial correlation factor of the port coefficients.
 
@@ -156,26 +141,3 @@ def _sample_port_gains(mu: float, sigma_g2: float, n_ports: int, n_draws: int,
     g0 = _complex_normal(rng, sigma_g2, (n_draws, 1))
     e = _complex_normal(rng, sigma_g2, (n_draws, n_ports))
     return mu * g0 + _mix_weight(mu) * e
-
-
-def sample_channels(params: SystemParams, link: DerivedLink,
-                    rng_stream: np.random.Generator) -> ChannelSample:
-    """Draw one set of channel coefficients from the given stream.
-
-    Requires n_ports >= 2: the correlated-port model is only defined for an
-    actual fluid antenna. Deterministic given the stream state.
-    """
-    if params.n_ports < 2:
-        raise DomainError("sample_channels needs n_ports >= 2; the single-antenna "
-                          "baseline has no port structure to sample")
-    h = complex(_complex_normal(rng_stream, params.sigma_h2, ()))
-    f = complex(_complex_normal(rng_stream, params.sigma_f2, ()))
-    g0 = complex(_complex_normal(rng_stream, params.sigma_g2, ()))
-    e = _complex_normal(rng_stream, params.sigma_g2, params.n_ports)
-    g = link.mu * g0 + _mix_weight(link.mu) * e
-    return ChannelSample(h=h, f=f, g0=g0, e=e, g=g)
-
-
-def gmax_magnitude(sample: ChannelSample) -> float:
-    """Magnitude of the best port: max_k |g_k|."""
-    return float(np.max(np.abs(sample.g)))

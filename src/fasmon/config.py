@@ -99,7 +99,7 @@ def _parse_value(key: str, raw, line: int):
             out = []
             for item in items:
                 try:
-                    out.append(Scheme(str(item)))
+                    out.append(Scheme(item))
                 except ValueError:
                     known = ", ".join(s.value for s in Scheme)
                     raise ConfigError(
@@ -148,13 +148,9 @@ def _read_text(text: str) -> dict:
     return values
 
 
-def _read_json(text: str) -> dict:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON config: {exc}", "", exc.lineno) from None
-    if not isinstance(obj, dict):
-        raise ConfigError("JSON config must be a single object", "", 1)
+def _read_mapping(obj: dict) -> dict:
+    """Canonical keys and normalized values for a mapping of config values.
+    Idempotent, so values that a reader already parsed pass unchanged."""
     values = {}
     for key_raw, val in obj.items():
         key = _canonical(str(key_raw), 0)
@@ -162,6 +158,16 @@ def _read_json(text: str) -> dict:
             raise ConfigError(f"duplicate key {key!r}", key, 0)
         values[key] = _parse_value(key, val, 0)
     return values
+
+
+def _read_json(text: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON config: {exc}", "", exc.lineno) from None
+    if not isinstance(obj, dict):
+        raise ConfigError("JSON config must be a single object", "", 1)
+    return _read_mapping(obj)
 
 
 def _default_sweep(experiment: str):
@@ -205,10 +211,15 @@ def parse_overrides(pairs) -> dict:
 
 
 def resolve_config(file_values: dict, overrides: dict | None = None) -> ExperimentSpec:
-    """Merge defaults, file values, and overrides into an ExperimentSpec."""
+    """Merge defaults, file values, and overrides into an ExperimentSpec.
+
+    Both mappings may hold raw values (as a library caller writes them, for
+    example ``{"schemes": "Passive"}``) or values the readers already parsed.
+    """
     values = dict(_DEFAULTS)
     explicit = set()
     for source in (file_values, overrides or {}):
+        source = _read_mapping(source)
         values.update(source)
         explicit |= set(source)
 

@@ -25,7 +25,7 @@ from .channel import SystemParams, derive_link
 from .config import ExperimentSpec, db_to_linear
 from .errors import FasmonError
 from .mcsim import estimate_monitoring_rate
-from .optimize import Scheme, evaluate_scheme
+from .optimize import evaluate_scheme
 from .outage import RatePoint, rate_approx, rate_bound, rate_for_pm, rate_true
 
 _EXPERIMENT_IDS = {"custom": 0, "fig1": 1, "fig2": 2, "fig3": 3}
@@ -118,15 +118,14 @@ def _scheme_rows(spec: ExperimentSpec, sweep_idx: int, x_value: float) -> list[R
             print(f"fasmon: {spec.sweep_variable}={x_value:g} {scheme.value}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             continue
-        n_ports_mc = 1 if scheme is Scheme.CONVENTIONAL_SINGLE else params.n_ports
         mc_mean, mc_ci = _mc_columns(
-            spec, params, link, RatePoint(result.r_star), n_ports_mc,
+            spec, params, link, RatePoint(result.r_star), result.n_ports,
             row_seed(spec.seed, spec.experiment, sweep_idx, scheme_idx))
         rows.append(ResultRow(
             experiment=spec.experiment, scheme=scheme.value,
             x_name=spec.sweep_variable, x_value=x_value,
             r_star_bits=result.r_star, pm_star_db=_pm_db(result.pm_star),
-            rate_analytic=result.rate_true_at_rstar,
+            rate_analytic=result.rate_true,
             rate_mc_mean=mc_mean, rate_mc_ci95=mc_ci,
             clamped=result.clamped))
     return rows

@@ -11,6 +11,10 @@ through the destination outage constraint):
 * solve_true_grid      - exhaustive grid search on the exact rate (the
                          expensive oracle the other two approximate).
 
+Each solver returns an operating point only. evaluate_scheme looks a scheme up
+in one table (operating-point function, monitor port count) and evaluates the
+exact rate once, at the returned point.
+
 The derivative split is NOT globally single-crossing: g decays to zero at
 large x while h keeps a positive floor for mu > 0, so h - g can go
 + -> - -> + and the best point may sit on the boundary. The bisection solver
@@ -30,10 +34,11 @@ from .channel import DerivedLink, SystemParams, eta_factor
 from .errors import AccuracyError, DomainError
 from .outage import (RatePoint, pm_for_rate, rate_approx, rate_bound,
                      rate_bounds, rate_true)
-from .specfun import QuadratureSpec, lambert_w0
+from .specfun import lambert_w0
 
 _LN2 = math.log(2.0)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BISECT_TOL = 1e-9  # bracket width on R at which bisection stops
 
 
 class Scheme(enum.Enum):
@@ -47,12 +52,12 @@ class Scheme(enum.Enum):
 
 @dataclass(frozen=True)
 class OptResult:
-    """Solver output.
+    """An operating point.
 
     r_star: chosen rate (bits/use); pm_star: jamming power meeting the
-    destination constraint there; objective_value: the scheme's own objective
-    at r_star; rate_true_at_rstar: the exact average monitoring rate at
-    r_star; clamped: whether a band endpoint was returned instead of an
+    destination constraint there; objective_value: the solver's own
+    objective at r_star (nan for the fixed-power schemes, which optimize
+    nothing); clamped: whether a band endpoint was returned instead of an
     interior stationary point; iterations: objective/derivative evaluations
     spent.
     """
@@ -60,7 +65,24 @@ class OptResult:
     r_star: float
     pm_star: float
     objective_value: float
-    rate_true_at_rstar: float
+    clamped: bool
+    iterations: int
+
+
+@dataclass(frozen=True)
+class SchemeResult:
+    """A scheme's operating point and the exact average monitoring rate
+    there.
+
+    rate_true: R (1 - outage) of the scheme's monitor, which selects among
+    n_ports ports (1 for ConventionalSingle); the other fields are the
+    operating point's (see OptResult).
+    """
+
+    r_star: float
+    pm_star: float
+    rate_true: float
+    n_ports: int
     clamped: bool
     iterations: int
 
@@ -97,17 +119,15 @@ def _bound_rate_at(params: SystemParams, link: DerivedLink, r: float) -> float:
     return rate_bound(params, link, RatePoint(r))
 
 
-def solve_bound_bisect(params: SystemParams, link: DerivedLink, tol: float = 1e-9) -> OptResult:
+def solve_bound_bisect(params: SystemParams, link: DerivedLink) -> OptResult:
     """Maximize the bound objective by bisection on sign(h - g).
 
     Scans a 129-point grid over [r_min, r_max] for + -> - derivative sign
-    transitions, bisects each bracket to `tol` on R, extends the interval
+    transitions, bisects each bracket to 1e-9 on R, extends the interval
     upward when the derivative never turns negative inside, and returns the
     best of {interior roots clamped into the band, r_min, r_max} under the
     bound objective. `clamped` is False only when an interior root wins.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     if params.n_ports < 2:
         raise DomainError("solve_bound_bisect needs n_ports >= 2")
     r_min, r_max = rate_bounds(params)
@@ -124,7 +144,7 @@ def solve_bound_bisect(params: SystemParams, link: DerivedLink, tol: float = 1e-
     iterations = 0
     for i in np.flatnonzero((signs[:-1] > 0.0) & (signs[1:] <= 0.0)):
         lo, hi = float(grid[i]), float(grid[i + 1])
-        while hi - lo > tol:
+        while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
             if deriv(mid) > 0.0:
                 lo = mid
@@ -140,7 +160,7 @@ def solve_bound_bisect(params: SystemParams, link: DerivedLink, tol: float = 1e-
         for k in range(1, 6):
             hi = r_max + width * (2.0 ** k)
             if deriv(hi) <= 0.0:
-                while hi - lo > tol:
+                while hi - lo > _BISECT_TOL:
                     mid = 0.5 * (lo + hi)
                     if deriv(mid) > 0.0:
                         lo = mid
@@ -161,7 +181,6 @@ def solve_bound_bisect(params: SystemParams, link: DerivedLink, tol: float = 1e-
         r_star=r_star,
         pm_star=pm_for_rate(params, RatePoint(r_star)),
         objective_value=best_val,
-        rate_true_at_rstar=rate_true(params, link, RatePoint(r_star)),
         clamped=clamped,
         iterations=iterations,
     )
@@ -190,7 +209,6 @@ def solve_closed_form(params: SystemParams, link: DerivedLink) -> OptResult:
         r_star=r_star,
         pm_star=pm_for_rate(params, rp),
         objective_value=rate_approx(params, link, rp),
-        rate_true_at_rstar=rate_true(params, link, rp),
         clamped=clamped,
         iterations=0,
     )
@@ -203,7 +221,6 @@ def _argmax_upward(values) -> int:
 
 
 def solve_true_grid(params: SystemParams, link: DerivedLink,
-                    spec: QuadratureSpec | None = None,
                     grid_points: int = 4096) -> OptResult:
     """Exhaustive maximization of the exact rate on a uniform R grid,
     refined by one golden-section pass inside the winning bracket. Ties
@@ -214,7 +231,7 @@ def solve_true_grid(params: SystemParams, link: DerivedLink,
     grid = np.linspace(r_min, r_max, grid_points)
 
     def objective(r: float) -> float:
-        return rate_true(params, link, RatePoint(r), spec)
+        return rate_true(params, link, RatePoint(r))
 
     values = [objective(float(r)) for r in grid]
     evals = grid_points
@@ -248,45 +265,55 @@ def solve_true_grid(params: SystemParams, link: DerivedLink,
         r_star=best_r,
         pm_star=pm_for_rate(params, RatePoint(best_r)),
         objective_value=best_val,
-        rate_true_at_rstar=best_val,
         clamped=idx in (0, grid_points - 1),
         iterations=evals,
     )
 
 
-def evaluate_scheme(params: SystemParams, link: DerivedLink, scheme: Scheme,
-                    spec: QuadratureSpec | None = None) -> OptResult:
-    """Run one monitoring scheme and report its operating point.
+def _constant_jamming(params: SystemParams, link: DerivedLink) -> OptResult:
+    r_min, _ = rate_bounds(params)
+    return OptResult(r_star=r_min, pm_star=params.p_m_max, objective_value=math.nan,
+                     clamped=False, iterations=0)
+
+
+def _passive(params: SystemParams, link: DerivedLink) -> OptResult:
+    _, r_max = rate_bounds(params)
+    return OptResult(r_star=r_max, pm_star=0.0, objective_value=math.nan,
+                     clamped=False, iterations=0)
+
+
+# scheme -> (operating-point function, whether the monitor has a single port)
+_SCHEMES = {
+    Scheme.PROPOSED_BISECT: (solve_bound_bisect, False),
+    Scheme.PROPOSED_CLOSED_FORM: (solve_closed_form, False),
+    Scheme.TRUE_GRID: (solve_true_grid, False),
+    Scheme.CONSTANT_JAMMING: (_constant_jamming, False),
+    Scheme.PASSIVE: (_passive, False),
+    Scheme.CONVENTIONAL_SINGLE: (solve_closed_form, True),
+}
+
+
+def evaluate_scheme(params: SystemParams, link: DerivedLink,
+                    scheme: Scheme) -> SchemeResult:
+    """Run one monitoring scheme: its operating point and the exact rate there.
 
     ConstantJamming pins p_m = p_m_max (so R = r_min); Passive pins p_m = 0
     (so R = r_max); ConventionalSingle is the single-antenna monitor, whose
-    exact rate R e^{-gamma_th/Gamma} the Lambert-W point maximizes.
+    exact rate R e^{-gamma_th/Gamma} the Lambert-W point maximizes. Every
+    other scheme's rate is rate_true over all n_ports ports.
     """
-    if scheme is Scheme.PROPOSED_BISECT:
-        return solve_bound_bisect(params, link)
-    if scheme is Scheme.PROPOSED_CLOSED_FORM:
-        return solve_closed_form(params, link)
-    if scheme is Scheme.TRUE_GRID:
-        return solve_true_grid(params, link, spec)
-    if scheme is Scheme.CONSTANT_JAMMING:
-        r_min, _ = rate_bounds(params)
-        rp = RatePoint(r_min)
-        value = rate_true(params, link, rp, spec)
-        return OptResult(r_star=r_min, pm_star=params.p_m_max, objective_value=value,
-                         rate_true_at_rstar=value, clamped=False, iterations=0)
-    if scheme is Scheme.PASSIVE:
-        _, r_max = rate_bounds(params)
-        rp = RatePoint(r_max)
-        value = rate_true(params, link, rp, spec)
-        return OptResult(r_star=r_max, pm_star=0.0, objective_value=value,
-                         rate_true_at_rstar=value, clamped=False, iterations=0)
-    if scheme is Scheme.CONVENTIONAL_SINGLE:
-        r_min, r_max = rate_bounds(params)
-        r_bar = lambert_w0(link.gamma_cap) / _LN2
-        r_star = min(max(r_min, r_bar), r_max)
-        rp = RatePoint(r_star)
-        value = rp.rate_r * math.exp(-rp.gamma_th / link.gamma_cap)
-        return OptResult(r_star=r_star, pm_star=pm_for_rate(params, rp),
-                         objective_value=value, rate_true_at_rstar=value,
-                         clamped=r_star != r_bar, iterations=0)
-    raise DomainError(f"unknown scheme {scheme!r}")
+    try:
+        operating_point, single_port = _SCHEMES[scheme]
+    except KeyError:
+        raise DomainError(f"unknown scheme {scheme!r}") from None
+    point = operating_point(params, link)
+    rp = RatePoint(point.r_star)
+    if single_port:
+        n_ports = 1
+        rate = rp.rate_r * math.exp(-rp.gamma_th / link.gamma_cap)
+    else:
+        n_ports = params.n_ports
+        rate = rate_true(params, link, rp)
+    return SchemeResult(r_star=point.r_star, pm_star=point.pm_star, rate_true=rate,
+                        n_ports=n_ports, clamped=point.clamped,
+                        iterations=point.iterations)

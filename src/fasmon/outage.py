@@ -49,36 +49,18 @@ class RatePoint:
             )
 
 
-@dataclass(frozen=True)
-class SdOutageBreakdown:
-    """The two exponential-rate parameters of the destination outage and the
-    resulting success probability. lambda2 is +inf when gamma_th or p_m is 0
-    (no interference term)."""
-
-    lambda1: float
-    lambda2: float
-    success_prob: float
-
-
-def sd_outage(params: SystemParams, rp: RatePoint, p_m: float) -> tuple[float, SdOutageBreakdown]:
+def sd_outage(params: SystemParams, rp: RatePoint, p_m: float) -> float:
     """Destination outage probability under jamming power p_m.
 
         P_out = 1 - exp(-gamma_th sigma_d2 / (p_s sigma_h2))
                     / (1 + gamma_th p_m sigma_f2 / (p_s sigma_h2))
-
-    Returns (outage, breakdown).
     """
     if not (math.isfinite(p_m) and p_m >= 0.0):
         raise DomainError(f"p_m must be finite and >= 0, got {p_m!r}")
     ps_h = params.p_s * params.sigma_h2
     gamma = rp.gamma_th
     success = math.exp(-gamma * params.sigma_d2 / ps_h) / (1.0 + gamma * p_m * params.sigma_f2 / ps_h)
-    breakdown = SdOutageBreakdown(
-        lambda1=1.0 / ps_h,
-        lambda2=(1.0 / (params.sigma_f2 * gamma * p_m)) if gamma > 0.0 and p_m > 0.0 else math.inf,
-        success_prob=success,
-    )
-    return 1.0 - success, breakdown
+    return 1.0 - success
 
 
 def _gamma_min_root(a_coef: float, b_coef: float, delta: float) -> float:
@@ -236,27 +218,23 @@ def monitor_outage_approx(link: DerivedLink, rp: RatePoint, n_ports: int) -> flo
 # Average monitoring rates
 # ---------------------------------------------------------------------------
 
-def rate_true(params: SystemParams, link: DerivedLink, rp: RatePoint,
-              spec: QuadratureSpec | None = None) -> float:
+def rate_true(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
     """R * (1 - exact monitor outage)."""
     if rp.rate_r == 0.0:
         return 0.0
-    return rp.rate_r * (1.0 - monitor_outage_true(link, rp, params.n_ports, spec))
+    return rp.rate_r * (1.0 - monitor_outage_true(link, rp, params.n_ports))
 
 
-def rate_bound(params: SystemParams, link: DerivedLink, rp: RatePoint,
-               spec: QuadratureSpec | None = None) -> float:
-    """R * (1 - outage lower bound); an upper bound on rate_true. The spec
-    argument is accepted for interchangeability and ignored (closed form)."""
+def rate_bound(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
+    """R * (1 - outage lower bound); an upper bound on rate_true."""
     if rp.rate_r == 0.0:
         return 0.0
     return rp.rate_r * (1.0 - monitor_outage_bound(link, rp, params.n_ports))
 
 
-def rate_approx(params: SystemParams, link: DerivedLink, rp: RatePoint,
-                spec: QuadratureSpec | None = None) -> float:
+def rate_approx(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
     """N * R * e^{-gamma_th/Gamma}, the raw approximate rate (also an upper
-    bound on rate_true). The spec argument is ignored (closed form)."""
+    bound on rate_true)."""
     if rp.rate_r == 0.0:
         return 0.0
     return params.n_ports * rp.rate_r * math.exp(-rp.gamma_th / link.gamma_cap)

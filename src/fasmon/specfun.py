@@ -1,7 +1,7 @@
 """Self-contained special-function and quadrature kernel.
 
 Everything here is pure float64 arithmetic with certified truncations: Bessel
-functions I0, J0, J1, the hypergeometric value 1F2(1/2; 1, 3/2; -pi^2 W^2)
+functions J0, J1, the hypergeometric value 1F2(1/2; 1, 3/2; -pi^2 W^2)
 needed by the spatial-correlation model, the first-order Marcum Q-function,
 the principal-branch Lambert W function, and Gauss-Laguerre integration of
 exp(-t)-weighted integrands on [0, inf).
@@ -45,7 +45,9 @@ class QuadratureSpec:
 
     node_count is the starting rule size; refinement doubles it until two
     successive estimates agree within max(abs_tol, rel_tol * |estimate|) or
-    max_refinements doublings have been spent.
+    max_refinements doublings have been spent. Of the outage and rate
+    functions, only monitor_outage_true takes a caller-supplied spec, and it
+    honors that spec strictly (no escalation to a denser rule).
     """
 
     node_count: int = 64
@@ -67,38 +69,6 @@ class QuadratureSpec:
 # ---------------------------------------------------------------------------
 # Bessel functions
 # ---------------------------------------------------------------------------
-
-def bessel_i0(z: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Power series for z <= 20 (all terms positive, no cancellation); the
-    standard asymptotic expansion e^z / sqrt(2 pi z) * sum u_k beyond.
-    Relative error <= 1e-12 on [0, 700]; I0(700) ~ 1.53e302 stays finite.
-    """
-    z = _check_nonneg("z", z)
-    if z <= 20.0:
-        q = z * z / 4.0
-        term = 1.0
-        total = 1.0
-        for k in range(1, 200):
-            term *= q / (k * k)
-            total += term
-            if term < total * 1e-17:
-                break
-        return total
-    # u_k = u_{k-1} * (2k-1)^2 / (8 k z); sum until terms stop helping
-    u = 1.0
-    total = 1.0
-    for k in range(1, 60):
-        nxt = u * (2 * k - 1) ** 2 / (8.0 * k * z)
-        if nxt >= u:  # divergent tail of the asymptotic series
-            break
-        u = nxt
-        total += u
-        if u < total * 1e-17:
-            break
-    return math.exp(z) * total / math.sqrt(2.0 * math.pi * z)
-
 
 def _bessel_j_points(order: int, z: np.ndarray, z_max: float) -> np.ndarray:
     """J_order at an array of points via the integral
@@ -364,23 +334,18 @@ def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _apply_rule(f: Callable[[float], float], n: int) -> float:
+def _apply_rule(f: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     nodes, weights = _laguerre_rule(n)
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape != nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.fromiter((f(t) for t in nodes), dtype=float, count=n)
-    return float(weights @ vals)
+    return float(weights @ np.asarray(f(nodes), dtype=float))
 
 
-def integrate_expweighted(f: Callable[[float], float], spec: QuadratureSpec) -> float:
+def integrate_expweighted(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> float:
     """int_0^inf e^{-t} f(t) dt for bounded f (here always f(t) in [0, 1]).
 
-    Gauss-Laguerre with node doubling per `spec`; f may accept a float or a
-    full node array. Raises AccuracyError (carrying the last two estimates)
-    if the refinement budget runs out before two estimates agree.
+    Gauss-Laguerre with node doubling per `spec`; f takes the array of rule
+    nodes and returns the integrand at each. Raises AccuracyError (carrying
+    the last two estimates) if the refinement budget runs out before two
+    estimates agree.
     """
     n = int(spec.node_count)
     cur = _apply_rule(f, n)

@@ -23,7 +23,7 @@ from .mcsim import estimate_monitor_outage, estimate_sd_outage
 from .optimize import objective_terms, solve_bound_bisect, solve_closed_form
 from .outage import (RatePoint, monitor_outage_approx, monitor_outage_bound,
                      monitor_outage_true, pm_for_rate, rate_bounds, sd_outage)
-from .specfun import bessel_i0, bessel_j, hyp1f2_half, lambert_w0, marcum_q1
+from .specfun import bessel_j, hyp1f2_half, lambert_w0, marcum_q1
 
 # reference values, multiprecision (50-digit) evaluations rounded to double
 _MARCUM_REFS = (
@@ -83,31 +83,11 @@ def _check_lambert_residuals(rng, full):
     return worst <= 1e-12, f"max rel residual {worst:.2e}"
 
 
-def _i0_series_reference(z: float) -> float:
-    # all-positive power series, converges for any z; slow but independent
-    # of the asymptotic branch used at large arguments
-    q = z * z / 4.0
-    term, total = 1.0, 1.0
-    for k in range(1, 400):
-        term *= q / (k * k)
-        total += term
-        if term < total * 1e-18:
-            break
-    return total
-
-
 def _check_bessel_values(rng, full):
     worst = 0.0
     for order, z, ref in _BESSEL_REFS:
         worst = max(worst, abs(bessel_j(order, z) - ref))
-    i0_refs = ((1.0, 1.2660658777520084), (10.0, 2815.7166284662545))
-    worst_i0 = max(abs(bessel_i0(z) - ref) / ref for z, ref in i0_refs)
-    # asymptotic branch against the series continued past the switch point
-    for z in (22.0, 25.0, 40.0):
-        ref = _i0_series_reference(z)
-        worst_i0 = max(worst_i0, abs(bessel_i0(z) - ref) / ref)
-    ok = worst <= 1e-12 and worst_i0 <= 1e-11
-    return ok, f"J abs err {worst:.2e}, I0 rel err {worst_i0:.2e}"
+    return worst <= 1e-12, f"J abs err {worst:.2e}"
 
 
 def _check_confluent_series(rng, full):
@@ -169,10 +149,9 @@ def _check_constraint_residuals(rng, full):
     for r in np.linspace(r_min, r_max, 200):
         rp = RatePoint(float(r))
         p_m = pm_for_rate(params, rp)
-        out, _ = sd_outage(params, rp, p_m)
-        worst = max(worst, abs(out - params.delta))
-    end_lo, _ = sd_outage(params, RatePoint(r_min), params.p_m_max)
-    end_hi, _ = sd_outage(params, RatePoint(r_max), 0.0)
+        worst = max(worst, abs(sd_outage(params, rp, p_m) - params.delta))
+    end_lo = sd_outage(params, RatePoint(r_min), params.p_m_max)
+    end_hi = sd_outage(params, RatePoint(r_max), 0.0)
     worst_end = max(abs(end_lo - params.delta), abs(end_hi - params.delta))
     ok = worst <= 1e-10 and worst_end <= 1e-9
     return ok, f"interior residual {worst:.2e}, endpoint residual {worst_end:.2e}"
@@ -210,7 +189,7 @@ def _check_mc_sd_outage(rng, full):
     n = 10 ** 6 if full else 10 ** 5
     rp = RatePoint(1.5)
     p_m = pm_for_rate(params, rp)
-    analytic, _ = sd_outage(params, rp, p_m)
+    analytic = sd_outage(params, rp, p_m)
     est = estimate_sd_outage(params, rp, p_m, n, int(rng.integers(2 ** 31)))
     sigma = est.half_width_95 / 1.959963984540054
     z = abs(est.mean - analytic) / sigma

@@ -204,10 +204,10 @@ def test_criterion_7_constraint_residuals(acceptance_report, ref_params):
     worst = 0.0
     for r in np.linspace(r_min, r_max, 201):
         rp = RatePoint(float(r))
-        out, _ = sd_outage(ref_params, rp, pm_for_rate(ref_params, rp))
+        out = sd_outage(ref_params, rp, pm_for_rate(ref_params, rp))
         worst = max(worst, abs(out - ref_params.delta))
-    low, _ = sd_outage(ref_params, RatePoint(r_min), ref_params.p_m_max)
-    high, _ = sd_outage(ref_params, RatePoint(r_max), 0.0)
+    low = sd_outage(ref_params, RatePoint(r_min), ref_params.p_m_max)
+    high = sd_outage(ref_params, RatePoint(r_max), 0.0)
     end_res = max(abs(low - ref_params.delta), abs(high - ref_params.delta))
     r_max_direct = math.log2(1.0 - 100.0 * math.log(0.95))
     r_max_err = abs(r_max - r_max_direct)

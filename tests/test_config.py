@@ -92,6 +92,14 @@ class TestSourcesAndPrecedence:
         assert spec.sweep_values == (-10.0, -5.0, 0.0)
         assert spec.schemes == (Scheme.PROPOSED_BISECT, Scheme.PASSIVE)
 
+    def test_library_values_are_parsed(self):
+        assert resolve_config({"schemes": "Passive"}).schemes == (Scheme.PASSIVE,)
+        # values a reader already parsed pass through unchanged
+        parsed = (Scheme.PASSIVE, Scheme.TRUE_GRID)
+        assert resolve_config({"schemes": parsed}).schemes == parsed
+        with pytest.raises(ConfigError):
+            resolve_config({"schemes": "Nope"})
+
     def test_custom_pm_sweep_defaults_to_curves(self, tmp_path):
         text = ("experiment = custom\n"
                 "sweep_variable = p_m_db\n"

@@ -158,10 +158,10 @@ class TestPartialFailure:
     def test_failed_scheme_skipped_with_diagnostic(self, monkeypatch, capsys):
         real = fasmon.experiments.evaluate_scheme
 
-        def flaky(params, link, scheme, spec=None):
+        def flaky(params, link, scheme):
             if scheme is Scheme.PASSIVE:
                 raise ComputationError("synthetic failure")
-            return real(params, link, scheme, spec)
+            return real(params, link, scheme)
 
         monkeypatch.setattr(fasmon.experiments, "evaluate_scheme", flaky)
         spec = _tiny_fig2()

@@ -68,13 +68,13 @@ class TestConfidenceInterval:
 class TestAgainstAnalytic:
     def test_sd_outage(self, ref_params):
         rp = RatePoint(1.5)
-        closed, _ = sd_outage(ref_params, rp, 115.80906)
+        closed = sd_outage(ref_params, rp, 115.80906)
         est = estimate_sd_outage(ref_params, rp, 115.80906, 400_000, seed=2024)
         assert abs(est.mean - closed) <= 3.0 * _sigma(est)
 
     def test_sd_outage_no_jamming(self, ref_params):
         rp = RatePoint(2.0)
-        closed, _ = sd_outage(ref_params, rp, 0.0)
+        closed = sd_outage(ref_params, rp, 0.0)
         est = estimate_sd_outage(ref_params, rp, 0.0, 400_000, seed=2025)
         assert abs(est.mean - closed) <= 3.0 * _sigma(est)
 

@@ -3,7 +3,9 @@
 The bisection solver is checked against a dense evaluation of its own
 objective (same function, exhaustive method); the closed-form solver against
 an exact Lambert-W identity and a numeric stationarity residual; the grid
-solver against a frozen value from the default configuration.
+solver against a frozen value from the default configuration. The scheme
+table is checked for completeness and for one exact-rate evaluation per
+scheme at the solver's operating point.
 """
 
 import dataclasses
@@ -13,12 +15,12 @@ import numpy as np
 import pytest
 
 import fasmon
-from fasmon import (DerivedLink, DomainError, OptResult, RatePoint, Scheme,
-                    derive_link, eta_factor, evaluate_scheme,
-                    monitor_outage_true, objective_terms, pm_for_rate,
-                    rate_approx, rate_bounds, rate_true, solve_bound_bisect,
-                    solve_closed_form, solve_true_grid)
-from fasmon.optimize import _argmax_upward
+from fasmon import (DerivedLink, DomainError, RatePoint, Scheme, derive_link,
+                    eta_factor, evaluate_scheme, monitor_outage_true,
+                    objective_terms, pm_for_rate, rate_approx, rate_bounds,
+                    rate_true, solve_bound_bisect, solve_closed_form,
+                    solve_true_grid)
+from fasmon.optimize import _SCHEMES, _argmax_upward
 
 _LN2 = math.log(2.0)
 
@@ -127,13 +129,9 @@ class TestBoundBisect:
         res = solve_bound_bisect(ref_params, ref_link)
         rp = RatePoint(res.r_star)
         assert res.pm_star == pytest.approx(pm_for_rate(ref_params, rp), rel=1e-12)
-        assert res.rate_true_at_rstar == pytest.approx(
-            rate_true(ref_params, ref_link, rp), rel=1e-12)
-        assert res.objective_value >= res.rate_true_at_rstar - 1e-9
+        assert res.objective_value >= rate_true(ref_params, ref_link, rp) - 1e-9
 
     def test_rejects_bad_input(self, ref_params, ref_link):
-        with pytest.raises(DomainError):
-            solve_bound_bisect(ref_params, ref_link, tol=0.0)
         single = dataclasses.replace(ref_params, n_ports=1)
         with pytest.raises(DomainError):
             solve_bound_bisect(single, ref_link)
@@ -186,9 +184,8 @@ class TestTrueGrid:
         assert abs(res.r_star - GRID_R_REF) <= spacing + 1e-7
         assert res.objective_value == pytest.approx(GRID_VALUE_REF, abs=1e-4)
         assert not res.clamped
-        assert res.objective_value == res.rate_true_at_rstar
-        assert res.rate_true_at_rstar == pytest.approx(
-            rate_true(ref_params, ref_link, RatePoint(res.r_star)), rel=1e-12)
+        assert res.objective_value == rate_true(
+            ref_params, ref_link, RatePoint(res.r_star))
 
     def test_argmax_upward_tie_break(self):
         assert _argmax_upward([1.0, 3.0, 3.0, 2.0]) == 2
@@ -201,25 +198,43 @@ class TestTrueGrid:
 
 
 class TestEvaluateScheme:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_every_scheme_has_a_table_entry(self, scheme):
+        operating_point, single_port = _SCHEMES[scheme]
+        assert callable(operating_point)
+        assert single_port == (scheme is Scheme.CONVENTIONAL_SINGLE)
+
     def test_proposed_routes(self, ref_params, ref_link):
-        assert evaluate_scheme(ref_params, ref_link, Scheme.PROPOSED_BISECT) == \
-            solve_bound_bisect(ref_params, ref_link)
-        assert evaluate_scheme(ref_params, ref_link,
-                               Scheme.PROPOSED_CLOSED_FORM) == \
-            solve_closed_form(ref_params, ref_link)
+        for scheme, solver in ((Scheme.PROPOSED_BISECT, solve_bound_bisect),
+                               (Scheme.PROPOSED_CLOSED_FORM, solve_closed_form)):
+            res = evaluate_scheme(ref_params, ref_link, scheme)
+            point = solver(ref_params, ref_link)
+            assert (res.r_star, res.pm_star, res.clamped, res.iterations) == \
+                (point.r_star, point.pm_star, point.clamped, point.iterations)
+            assert res.rate_true == rate_true(ref_params, ref_link,
+                                              RatePoint(point.r_star))
+            assert res.n_ports == ref_params.n_ports
 
     def test_true_grid_route(self, ref_params, ref_link, monkeypatch):
-        sentinel = OptResult(1.0, 2.0, 3.0, 4.0, False, 5)
-        monkeypatch.setattr(fasmon.optimize, "solve_true_grid",
-                            lambda *a, **k: sentinel)
-        assert evaluate_scheme(ref_params, ref_link, Scheme.TRUE_GRID) is sentinel
+        # a cheap stand-in for the exact rate, looked up where the solver and
+        # evaluate_scheme both find it
+        def fake_rate(params, link, rp):
+            return rp.rate_r * math.exp(-rp.rate_r)
+
+        monkeypatch.setattr(fasmon.optimize, "rate_true", fake_rate)
+        res = evaluate_scheme(ref_params, ref_link, Scheme.TRUE_GRID)
+        point = solve_true_grid(ref_params, ref_link)
+        assert (res.r_star, res.pm_star, res.clamped, res.iterations) == \
+            (point.r_star, point.pm_star, point.clamped, point.iterations)
+        assert res.rate_true == point.objective_value == \
+            fake_rate(ref_params, ref_link, RatePoint(point.r_star))
 
     def test_constant_jamming(self, ref_params, ref_link):
         res = evaluate_scheme(ref_params, ref_link, Scheme.CONSTANT_JAMMING)
         r_min, _ = rate_bounds(ref_params)
         assert res.r_star == r_min
         assert res.pm_star == ref_params.p_m_max
-        assert res.objective_value == pytest.approx(
+        assert res.rate_true == pytest.approx(
             rate_true(ref_params, ref_link, RatePoint(r_min)), rel=1e-12)
 
     def test_passive(self, ref_params, ref_link):
@@ -227,8 +242,15 @@ class TestEvaluateScheme:
         _, r_max = rate_bounds(ref_params)
         assert res.r_star == r_max
         assert res.pm_star == 0.0
-        assert res.objective_value == pytest.approx(
+        assert res.rate_true == pytest.approx(
             rate_true(ref_params, ref_link, RatePoint(r_max)), rel=1e-12)
+
+    def test_single_antenna_shares_closed_form_point(self, ref_params, ref_link):
+        single = evaluate_scheme(ref_params, ref_link, Scheme.CONVENTIONAL_SINGLE)
+        closed = evaluate_scheme(ref_params, ref_link, Scheme.PROPOSED_CLOSED_FORM)
+        assert (single.r_star, single.pm_star, single.clamped) == \
+            (closed.r_star, closed.pm_star, closed.clamped)
+        assert single.n_ports == 1
 
     def test_single_antenna_closed_vs_quadrature(self, ref_params, ref_link):
         # the exponential closed form must match the one-port Marcum-Q
@@ -236,7 +258,7 @@ class TestEvaluateScheme:
         res = evaluate_scheme(ref_params, ref_link, Scheme.CONVENTIONAL_SINGLE)
         rp = RatePoint(res.r_star)
         quad_rate = rp.rate_r * (1.0 - monitor_outage_true(ref_link, rp, 1))
-        assert res.rate_true_at_rstar == pytest.approx(quad_rate, abs=1e-8)
+        assert res.rate_true == pytest.approx(quad_rate, abs=1e-8)
         assert res.r_star == pytest.approx(CLOSED_R_REF, rel=1e-12)
 
     def test_rejects_unknown_scheme(self, ref_params, ref_link):

@@ -61,7 +61,7 @@ class TestSdOutage:
         # condition on the interferer power and integrate it out
         for r, p_m in ((0.8, 50.0), (1.5, 115.80906), (2.2, 800.0), (1.0, 0.0)):
             rp = RatePoint(r)
-            closed, _ = sd_outage(ref_params, rp, p_m)
+            closed = sd_outage(ref_params, rp, p_m)
             p = ref_params
 
             def integrand(y):
@@ -72,17 +72,11 @@ class TestSdOutage:
             assert closed == pytest.approx(1.0 - ref, rel=1e-9, abs=1e-12)
 
     def test_frozen_reference(self, ref_params):
-        closed, _ = sd_outage(ref_params, RatePoint(1.5), 115.80906)
+        closed = sd_outage(ref_params, RatePoint(1.5), 115.80906)
         assert closed == pytest.approx(0.049999998922613911726, rel=1e-12)
 
-    def test_breakdown_fields(self, ref_params):
-        _, br = sd_outage(ref_params, RatePoint(1.0), 100.0)
-        assert 0.0 < br.success_prob < 1.0
-        _, br0 = sd_outage(ref_params, RatePoint(1.0), 0.0)
-        assert math.isinf(br0.lambda2)
-
     def test_zero_rate_never_fails(self, ref_params):
-        out, _ = sd_outage(ref_params, RatePoint(0.0), 500.0)
+        out = sd_outage(ref_params, RatePoint(0.0), 500.0)
         assert out == 0.0
 
 
@@ -94,8 +88,8 @@ class TestRateBand:
 
     def test_endpoints_meet_target(self, ref_params):
         r_min, r_max = rate_bounds(ref_params)
-        lo, _ = sd_outage(ref_params, RatePoint(r_min), ref_params.p_m_max)
-        hi, _ = sd_outage(ref_params, RatePoint(r_max), 0.0)
+        lo = sd_outage(ref_params, RatePoint(r_min), ref_params.p_m_max)
+        hi = sd_outage(ref_params, RatePoint(r_max), 0.0)
         assert lo == pytest.approx(ref_params.delta, abs=1e-9)
         assert hi == pytest.approx(ref_params.delta, abs=1e-9)
 
@@ -112,14 +106,14 @@ class TestRateBand:
         # the constraint must still hold at the band bottom
         strong = dataclasses.replace(ref_params, p_m_max=1e9, sigma_f2=10.0)
         r_min, _ = rate_bounds(strong)
-        out, _ = sd_outage(strong, RatePoint(r_min), strong.p_m_max)
+        out = sd_outage(strong, RatePoint(r_min), strong.p_m_max)
         assert out == pytest.approx(strong.delta, abs=1e-10)
 
     def test_weak_jamming_regime(self, ref_params):
         weak = dataclasses.replace(ref_params, p_m_max=1e-6)
         r_min, r_max = rate_bounds(weak)
         assert r_max - r_min < 1e-5
-        out, _ = sd_outage(weak, RatePoint(r_min), weak.p_m_max)
+        out = sd_outage(weak, RatePoint(r_min), weak.p_m_max)
         assert out == pytest.approx(weak.delta, abs=1e-10)
 
 

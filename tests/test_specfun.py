@@ -13,17 +13,8 @@ import scipy.special as sp
 import scipy.stats
 from scipy.integrate import quad
 
-from fasmon import (AccuracyError, DomainError, QuadratureSpec, bessel_i0,
-                    bessel_j, hyp1f2_half, integrate_expweighted, lambert_w0,
-                    marcum_q1)
-
-# (z, I0(z)) multiprecision references
-I0_REFS = (
-    (0.0, 1.0),
-    (1.0, 1.2660658777520083356),
-    (10.0, 2815.7166284662544715),
-    (700.0, 1.5295933476718737363e302),
-)
+from fasmon import (AccuracyError, DomainError, QuadratureSpec, bessel_j,
+                    hyp1f2_half, integrate_expweighted, lambert_w0, marcum_q1)
 
 # (order, z, Jn(z)) multiprecision references
 J_REFS = (
@@ -60,28 +51,6 @@ MARCUM_REFS = (
     ((25.0, 30.0), 3.150364313692310177e-7),
     ((50.0, 50.0), 0.50398962232005424592),
 )
-
-
-class TestBesselI0:
-    def test_reference_values(self):
-        for z, ref in I0_REFS:
-            assert bessel_i0(z) == pytest.approx(ref, rel=1e-12)
-
-    def test_against_scipy_grid(self):
-        zs = np.linspace(0.0, 700.0, 400)
-        # scaled form sidesteps overflow in the scipy reference
-        ours = np.array([bessel_i0(z) * math.exp(-z) for z in zs])
-        refs = sp.i0e(zs)
-        assert np.max(np.abs(ours - refs) / refs) < 1e-12
-
-    def test_branch_consistency(self):
-        # both sides of the series/asymptotic switch agree with scipy
-        for z in (19.5, 20.0, 20.5, 21.0):
-            assert bessel_i0(z) == pytest.approx(float(sp.i0(z)), rel=1e-13)
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            bessel_i0(-0.1)
 
 
 class TestBesselJ:
@@ -222,26 +191,19 @@ class TestQuadrature:
 
     def test_oscillatory_value(self):
         # integral of e^{-t} cos(t) = 1/2
-        val = integrate_expweighted(math.cos, QuadratureSpec())
+        val = integrate_expweighted(np.cos, QuadratureSpec())
         assert val == pytest.approx(0.5, rel=1e-10)
 
     def test_against_scipy_quad(self):
-        f = lambda t: math.exp(-0.3 * t) / (1.0 + t)
+        f = lambda t: np.exp(-0.3 * t) / (1.0 + t)
         ours = integrate_expweighted(f, QuadratureSpec())
         ref, _ = quad(lambda t: math.exp(-t) * f(t), 0.0, np.inf)
         assert ours == pytest.approx(ref, rel=1e-9)
-
-    def test_vectorized_and_scalar_paths_agree(self):
-        spec = QuadratureSpec()
-        vec = integrate_expweighted(lambda t: 1.0 / (1.0 + t), spec)
-        # float() rejects arrays, forcing the per-node fallback loop
-        scalar = integrate_expweighted(lambda t: 1.0 / (1.0 + float(t)), spec)
-        assert vec == scalar
 
     def test_unresolvable_integrand_raises(self):
         # oscillation far beyond any refinement level in the budget
         spec = QuadratureSpec(node_count=8, rel_tol=1e-12, abs_tol=0.0,
                               max_refinements=2)
         with pytest.raises(AccuracyError) as err:
-            integrate_expweighted(lambda t: math.cos(80.0 * t), spec)
+            integrate_expweighted(lambda t: np.cos(80.0 * t), spec)
         assert err.value.last_estimate != err.value.previous_estimate
