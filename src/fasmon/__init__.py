@@ -8,8 +8,8 @@ power maximizing that rate subject to a destination outage constraint.
 from .errors import (FasmonError, DomainError, ComputationError,
                      ConstraintInfeasibleError, DegenerateRateError,
                      AccuracyError, ConfigError)
-from .specfun import (QuadratureSpec, bessel_j, hyp1f2_half, marcum_q1,
-                      lambert_w0, integrate_expweighted)
+from .specfun import (bessel_j, hyp1f2_half, marcum_q1, lambert_w0,
+                      integrate_expweighted)
 from .channel import (SystemParams, DerivedLink, correlation_mu, eta_factor,
                       derive_link)
 from .outage import (RatePoint, sd_outage, rate_bounds,
@@ -31,8 +31,8 @@ __all__ = [
     "FasmonError", "DomainError", "ComputationError",
     "ConstraintInfeasibleError", "DegenerateRateError", "AccuracyError",
     "ConfigError",
-    "QuadratureSpec", "bessel_j", "hyp1f2_half", "marcum_q1",
-    "lambert_w0", "integrate_expweighted",
+    "bessel_j", "hyp1f2_half", "marcum_q1", "lambert_w0",
+    "integrate_expweighted",
     "SystemParams", "DerivedLink", "correlation_mu", "eta_factor",
     "derive_link",
     "RatePoint", "sd_outage", "rate_bounds",

@@ -16,6 +16,7 @@ it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,12 @@ from .errors import ComputationError, DomainError
 from .specfun import bessel_j, hyp1f2_half
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def _is_finite_real(value) -> bool:
+    # bool is an int subclass but never a physical quantity
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -54,11 +61,12 @@ class SystemParams:
         for name in ("p_s", "p_m_max", "sigma_h2", "sigma_g2", "sigma_f2",
                      "sigma_d2", "sigma_m2", "aperture_w"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (_is_finite_real(value) and value > 0):
                 raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-        if not (0.0 < self.delta < 1.0):
+        if not (_is_finite_real(self.delta) and 0.0 < self.delta < 1.0):
             raise DomainError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if int(self.n_ports) != self.n_ports or self.n_ports < 1:
+        if not (_is_finite_real(self.n_ports) and int(self.n_ports) == self.n_ports
+                and self.n_ports >= 1):
             raise DomainError(f"n_ports must be an integer >= 1, got {self.n_ports!r}")
 
 
@@ -92,7 +100,7 @@ def correlation_mu(aperture_w: float) -> float:
     The radicand is verified to lie within [-1e-12, 1] (quadrature noise can
     push it a hair negative near its zeros); anything worse raises
     ComputationError. The result is clamped into [0, 1). Absolute accuracy is
-    ~1e-12, well inside the 1e-8 target documented in the README.
+    ~1e-12.
     """
     aperture_w = float(aperture_w)
     if not (math.isfinite(aperture_w) and aperture_w > 0.0):

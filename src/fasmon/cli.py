@@ -19,7 +19,7 @@ from .config import parse_config
 from .errors import ConfigError, FasmonError
 from .experiments import expected_row_count, run_experiment
 from .reporting import emit_csv, emit_svg
-from .validation import run_validation
+from .validation import DEFAULT_SEED, run_validation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,8 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val_p = sub.add_parser("validate", help="run the numerical self-check suite")
     val_p.add_argument("--full", action="store_true",
-                       help="larger scans and 10^6 Monte Carlo samples")
-    val_p.add_argument("--seed", type=int, default=12345,
+                       help="the acceptance level: larger scans, 10^6 Monte "
+                            "Carlo samples and the end-to-end sweeps (minutes)")
+    val_p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the randomized checks")
     return parser
 

@@ -14,6 +14,7 @@ experiment fig2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .channel import SystemParams
@@ -71,12 +72,19 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
+def _finite(key: str, value: float, line: int) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value!r}", key, line)
+    return value
+
+
 def _parse_scalar(key: str, raw: str, line: int):
     if key in _FLOAT_KEYS:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{key}: not a number: {raw!r}", key, line) from None
+        return _finite(key, value, line)
     if key in _INT_KEYS:
         try:
             return int(raw)
@@ -107,13 +115,14 @@ def _parse_value(key: str, raw, line: int):
                         key, line) from None
             return tuple(out)
         try:
-            return tuple(float(v) for v in items)
+            values = tuple(float(v) for v in items)
         except (TypeError, ValueError):
             raise ConfigError(f"{key}: expected numbers", key, line) from None
+        return tuple(_finite(key, v, line) for v in values)
     if isinstance(raw, str):
         return _parse_scalar(key, raw.strip(), line)
     if key in _FLOAT_KEYS and isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
+        return _finite(key, float(raw), line)
     if key in _INT_KEYS and isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if key in _STR_KEYS:

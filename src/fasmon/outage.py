@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .channel import DerivedLink, SystemParams, eta_factor
-from .errors import (AccuracyError, ComputationError,
-                     ConstraintInfeasibleError, DegenerateRateError,
-                     DomainError)
-from .specfun import QuadratureSpec, integrate_expweighted, lambert_w0, marcum_q1
+from .errors import (ComputationError, ConstraintInfeasibleError,
+                     DegenerateRateError, DomainError)
+from .specfun import integrate_expweighted, lambert_w0, marcum_q1
 
 _LN2 = math.log(2.0)
 
@@ -152,8 +151,7 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
 # Monitor-side outage
 # ---------------------------------------------------------------------------
 
-def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int,
-                        spec: QuadratureSpec | None = None) -> float:
+def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int) -> float:
     """Exact port-selection outage probability.
 
         int_0^inf e^{-t} [1 - Q1( sqrt(2 mu^2/(1-mu^2)) sqrt(t),
@@ -181,15 +179,7 @@ def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int,
             for t in ts
         ]
 
-    if spec is not None:
-        value = integrate_expweighted(integrand, spec)
-    else:
-        try:
-            value = integrate_expweighted(integrand, QuadratureSpec())
-        except AccuracyError:
-            # mu near 1 with many ports makes the port-selection transition
-            # sharp; a denser starting rule (reaching 2048 nodes) resolves it
-            value = integrate_expweighted(integrand, QuadratureSpec(node_count=128))
+    value = integrate_expweighted(integrand)
     return min(max(value, 0.0), 1.0)
 
 

@@ -1,16 +1,14 @@
 import pytest
 
-from fasmon import SystemParams, derive_link
+from fasmon import derive_link, resolve_config
 
 
 @pytest.fixture(scope="session")
 def ref_params():
-    """The reference setup: 20 dB source power, 30 dB jamming cap, -18 dB
-    cross-link ratio, unit noise variances, delta 0.05, 8 ports, W = 5."""
-    cross = 10.0 ** (-18.0 / 10.0)
-    return SystemParams(p_s=100.0, p_m_max=1000.0, sigma_h2=1.0,
-                        sigma_g2=cross, sigma_f2=cross, sigma_d2=1.0,
-                        sigma_m2=1.0, delta=0.05, n_ports=8, aperture_w=5.0)
+    """The reference setup, which an empty config resolves to: 20 dB source
+    power, 30 dB jamming cap, -18 dB cross-link ratio, unit noise variances,
+    delta 0.05, 8 ports, W = 5."""
+    return resolve_config({}).params
 
 
 @pytest.fixture(scope="session")

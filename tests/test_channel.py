@@ -71,7 +71,9 @@ class TestSystemParams:
         import dataclasses
         bad = [("p_s", 0.0), ("p_m_max", -1.0), ("sigma_h2", 0.0),
                ("sigma_g2", -0.5), ("delta", 0.0), ("delta", 1.0),
-               ("n_ports", 0), ("aperture_w", 0.0)]
+               ("n_ports", 0), ("aperture_w", 0.0),
+               ("n_ports", math.inf), ("n_ports", math.nan),
+               ("delta", "0.05"), ("p_s", True)]
         for field, value in bad:
             with pytest.raises(DomainError):
                 dataclasses.replace(ref_params, **{field: value})

@@ -1,11 +1,13 @@
 """Command-line entry points and their exit-code contract."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import fasmon.channel
-from fasmon import CSV_HEADER, parse_csv
+from fasmon import CSV_HEADER, parse_csv, validation
 from fasmon.cli import main
-from fasmon.validation import run_validation
 
 
 def _cfg(tmp_path, text):
@@ -53,6 +55,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert "mystery" in err and "line 2" in err
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_sweep_value_is_a_config_error(self, tmp_path, capsys, bad):
+        cfg = _cfg(tmp_path, f"experiment = fig3\nsweep_values = 2, {bad}\n")
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "rows.csv")])
+        assert rc == 2
+        assert "key 'sweep_values'" in capsys.readouterr().err
+
     def test_partial_sweep_writes_and_signals(self, tmp_path, capsys):
         # the bisection scheme needs two ports, so the n_ports = 1 point
         # fails while the rest of the sweep completes
@@ -78,26 +87,80 @@ class TestRun:
         assert "cannot write output" in capsys.readouterr().err
 
 
+def _shifted(field, delta):
+    """Stand-in factory: the real result with one field moved by delta."""
+    def stand_in(real):
+        def shifted(*args):
+            result = real(*args)
+            return dataclasses.replace(
+                result, **{field: getattr(result, field) + delta})
+        return shifted
+    return stand_in
+
+
+def _alternating_h(real):
+    def objective_terms(link, n_ports, xs):
+        f, h, g = real(link, n_ports, xs)
+        return f, h * (-1.0) ** np.arange(h.size), g
+    return objective_terms
+
+
+# (module, name the check looks up, stand-in built from the real function,
+#  the one check that must fail). A name patched inside fasmon.validation
+# leaves every other caller of the real function untouched; _mix_weight is
+# read only by the Monte Carlo sampler.
+_SABOTAGE = [
+    (validation, "marcum_q1", lambda real: lambda a, b: real(a, b) + 1e-9,
+     "marcum-q1"),
+    (validation, "lambert_w0", lambda real: lambda x: real(x) * (1.0 + 1e-9),
+     "lambert-w"),
+    (validation, "bessel_j", lambda real: lambda n, z: real(n, z) + 1e-9,
+     "bessel-values"),
+    (validation, "hyp1f2_half", lambda real: lambda w: real(w) * (1.0 + 1e-9),
+     "confluent-series"),
+    (validation, "monitor_outage_bound",
+     lambda real: lambda link, rp, n: validation.monitor_outage_true(link, rp, n) + 1e-6,
+     "outage-directions"),
+    (validation, "objective_terms", _alternating_h, "derivative-sign-pattern"),
+    (validation, "sd_outage", lambda real: lambda *args: real(*args) + 1e-6,
+     "delta-constraint-residuals"),
+    (validation, "solve_closed_form", _shifted("r_star", 1e-3),
+     "closed-form-stationarity"),
+    (validation, "solve_bound_bisect", _shifted("r_star", 1e-2),
+     "bisect-vs-bound-grid"),
+    (validation, "estimate_sd_outage", _shifted("mean", 1e-2), "mc-sd-outage"),
+    (fasmon.channel, "_mix_weight", lambda real: lambda mu: 1.0 - mu,
+     "mc-monitor-outage"),
+]
+
+
 class TestValidate:
     def test_quick_suite_passes(self, capsys):
+        quick = sum(not check.full_only for check in validation.CHECKS)
         rc = main(["validate"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "all 12 checks passed" in out
-        assert out.count("[PASS]") == 12
+        assert f"all {quick} checks passed" in out
+        assert out.count("[PASS]") == quick
 
     def test_seed_flag_accepted(self, capsys):
         assert main(["validate", "--seed", "999"]) == 0
         capsys.readouterr()
 
-    def test_detects_corrupted_channel_model(self, monkeypatch, capsys):
-        # breaking the sampler's residual weight must fail the Monte Carlo
-        # cross-check and nothing upstream of it
-        monkeypatch.setattr(fasmon.channel, "_mix_weight", lambda mu: 1.0 - mu)
-        rc = run_validation(seed=12345)
+    @pytest.mark.parametrize("module, name, stand_in, check", _SABOTAGE,
+                             ids=[case[1] for case in _SABOTAGE])
+    def test_each_check_can_fail(self, monkeypatch, capsys, module, name,
+                                 stand_in, check):
+        monkeypatch.setattr(module, name, stand_in(getattr(module, name)))
+        rc = validation.run_validation()
         out = capsys.readouterr().out
         assert rc == 4
-        assert "[FAIL] mc-monitor-outage" in out
+        assert out.count("[FAIL]") == 1
+        assert f"[FAIL] {check}:" in out
+
+    def test_every_quick_check_is_sabotaged(self):
+        quick = {check.name for check in validation.CHECKS if not check.full_only}
+        assert {case[3] for case in _SABOTAGE} == quick
 
 
 def test_header_is_stable():

@@ -13,8 +13,8 @@ import scipy.special as sp
 import scipy.stats
 from scipy.integrate import quad
 
-from fasmon import (AccuracyError, DomainError, QuadratureSpec, bessel_j,
-                    hyp1f2_half, integrate_expweighted, lambert_w0, marcum_q1)
+from fasmon import (AccuracyError, DomainError, bessel_j, hyp1f2_half,
+                    integrate_expweighted, lambert_w0, marcum_q1)
 
 # (order, z, Jn(z)) multiprecision references
 J_REFS = (
@@ -174,36 +174,25 @@ class TestLambertW0:
 
 
 class TestQuadrature:
-    def test_spec_validation(self):
-        spec = QuadratureSpec()
-        assert spec.node_count == 64
-        with pytest.raises(DomainError):
-            QuadratureSpec(node_count=4)
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=0.0, abs_tol=0.0)
-
     def test_factorial_moments(self):
         # integral of e^{-t} t^k is k!, exact for polynomial degree < 2n
-        spec = QuadratureSpec()
         for k in range(13):
-            val = integrate_expweighted(lambda t, k=k: t ** k, spec)
+            val = integrate_expweighted(lambda t, k=k: t ** k)
             assert val == pytest.approx(float(math.factorial(k)), rel=1e-12)
 
     def test_oscillatory_value(self):
         # integral of e^{-t} cos(t) = 1/2
-        val = integrate_expweighted(np.cos, QuadratureSpec())
+        val = integrate_expweighted(np.cos)
         assert val == pytest.approx(0.5, rel=1e-10)
 
     def test_against_scipy_quad(self):
         f = lambda t: np.exp(-0.3 * t) / (1.0 + t)
-        ours = integrate_expweighted(f, QuadratureSpec())
+        ours = integrate_expweighted(f)
         ref, _ = quad(lambda t: math.exp(-t) * f(t), 0.0, np.inf)
         assert ours == pytest.approx(ref, rel=1e-9)
 
     def test_unresolvable_integrand_raises(self):
-        # oscillation far beyond any refinement level in the budget
-        spec = QuadratureSpec(node_count=8, rel_tol=1e-12, abs_tol=0.0,
-                              max_refinements=2)
+        # oscillation beyond what the 2048-node rule resolves
         with pytest.raises(AccuracyError) as err:
-            integrate_expweighted(lambda t: np.cos(80.0 * t), spec)
+            integrate_expweighted(lambda t: np.cos(80.0 * t))
         assert err.value.last_estimate != err.value.previous_estimate
