@@ -33,12 +33,13 @@ import numpy as np
 from .channel import DerivedLink, SystemParams, eta_factor
 from .errors import AccuracyError, DomainError
 from .outage import (RatePoint, pm_for_rate, rate_approx, rate_bound,
-                     rate_bounds, rate_true)
+                     rate_bounds, rate_true, rates_true)
 from .specfun import lambert_w0
 
 _LN2 = math.log(2.0)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BISECT_TOL = 1e-9  # bracket width on R at which bisection stops
+_GRID_BLOCK = 128  # exact rates per block in solve_true_grid
 
 
 class Scheme(enum.Enum):
@@ -224,22 +225,24 @@ def solve_true_grid(params: SystemParams, link: DerivedLink,
                     grid_points: int = 4096) -> OptResult:
     """Exhaustive maximization of the exact rate on a uniform R grid,
     refined by one golden-section pass inside the winning bracket. Ties
-    prefer the larger R."""
+    prefer the larger R. The grid is evaluated in blocks of _GRID_BLOCK rates;
+    every value equals its one-point rate_true."""
     if grid_points < 1000:
         raise DomainError(f"grid_points must be >= 1000, got {grid_points!r}")
     r_min, r_max = rate_bounds(params)
     grid = np.linspace(r_min, r_max, grid_points)
 
     def objective(r: float) -> float:
-        return rate_true(params, link, RatePoint(r))
+        return float(rates_true(params, link, np.array([r]))[0])
 
-    values = [objective(float(r)) for r in grid]
+    values = np.concatenate([rates_true(params, link, grid[i:i + _GRID_BLOCK])
+                             for i in range(0, grid_points, _GRID_BLOCK)])
     evals = grid_points
     idx = _argmax_upward(values)
 
     lo = float(grid[max(idx - 1, 0)])
     hi = float(grid[min(idx + 1, grid_points - 1)])
-    best_r, best_val = float(grid[idx]), values[idx]
+    best_r, best_val = float(grid[idx]), float(values[idx])
     a, b = lo, hi
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import DerivedLink, SystemParams, eta_factor
 from .errors import (ComputationError, ConstraintInfeasibleError,
                      DegenerateRateError, DomainError)
@@ -151,6 +153,26 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
 # Monitor-side outage
 # ---------------------------------------------------------------------------
 
+def _outage_true(link: DerivedLink, gammas: np.ndarray, n_ports: int) -> np.ndarray:
+    """monitor_outage_true at a block of SNR thresholds gamma_th, one
+    Marcum-Q grid (quadrature nodes x thresholds) per rule. Each threshold's
+    value is the same alone as in any block."""
+    if n_ports < 1:
+        raise DomainError(f"n_ports must be >= 1, got {n_ports!r}")
+    mu = link.mu
+    ratio = gammas / link.gamma_cap
+    if mu == 0.0:
+        return (-np.expm1(-ratio)) ** n_ports
+    one_minus_mu2 = 1.0 - mu * mu
+    a_scale = math.sqrt(2.0 * mu * mu / one_minus_mu2)
+    b_vals = np.sqrt(2.0 * ratio / one_minus_mu2)
+
+    def integrand(ts):
+        return (1.0 - marcum_q1(a_scale * np.sqrt(ts)[:, None], b_vals[None, :])) ** n_ports
+
+    return np.clip(integrate_expweighted(integrand), 0.0, 1.0)
+
+
 def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int) -> float:
     """Exact port-selection outage probability.
 
@@ -160,27 +182,7 @@ def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int) -> float
     evaluated by refined Gauss-Laguerre quadrature. mu = 0 collapses to the
     i.i.d. closed form (1 - e^{-gamma_th/Gamma})^N without quadrature.
     """
-    if n_ports < 1:
-        raise DomainError(f"n_ports must be >= 1, got {n_ports!r}")
-    gamma = rp.gamma_th
-    if gamma == 0.0:
-        return 0.0
-    mu = link.mu
-    ratio = gamma / link.gamma_cap
-    if mu == 0.0:
-        return (-math.expm1(-ratio)) ** n_ports
-    one_minus_mu2 = 1.0 - mu * mu
-    a_scale = math.sqrt(2.0 * mu * mu / one_minus_mu2)
-    b_val = math.sqrt(2.0 * ratio / one_minus_mu2)
-
-    def integrand(ts):
-        return [
-            (1.0 - marcum_q1(a_scale * math.sqrt(t), b_val)) ** n_ports
-            for t in ts
-        ]
-
-    value = integrate_expweighted(integrand)
-    return min(max(value, 0.0), 1.0)
+    return float(_outage_true(link, np.array([rp.gamma_th]), n_ports)[0])
 
 
 def monitor_outage_bound(link: DerivedLink, rp: RatePoint, n_ports: int) -> float:
@@ -213,6 +215,14 @@ def rate_true(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
     if rp.rate_r == 0.0:
         return 0.0
     return rp.rate_r * (1.0 - monitor_outage_true(link, rp, params.n_ports))
+
+
+def rates_true(params: SystemParams, link: DerivedLink, rates: np.ndarray) -> np.ndarray:
+    """rate_true at a block of rates, each equal to its one-point value (the
+    thresholds come from RatePoint, as rate_true's do)."""
+    rates = np.asarray(rates, dtype=float)
+    gammas = np.array([RatePoint(float(r)).gamma_th for r in rates])
+    return rates * (1.0 - _outage_true(link, gammas, params.n_ports))
 
 
 def rate_bound(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:

@@ -9,9 +9,10 @@ through it; ``validate --full`` and tests/test_acceptance.py run the full
 level. Every tolerance, sample count and seed is written once, in the check
 that uses it.
 
-The quick level takes about a second. The full level takes minutes: it adds
-10^6-draw Monte Carlo, wider scans, scans under fixed seeds whose figures
-repeat from run to run, and the fig1, fig2 and fig3 end-to-end sweeps.
+The quick level takes about a second. The full level takes about 20 seconds,
+most of it 10^6-draw Monte Carlo: it adds that, wider scans, scans under
+fixed seeds whose figures repeat from run to run, and the fig1, fig2 and
+fig3 end-to-end sweeps.
 
 These checks deliberately cross implementation routes: quadrature against
 simulation, series against integral identities, closed forms against generic

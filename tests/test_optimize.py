@@ -216,12 +216,16 @@ class TestEvaluateScheme:
             assert res.n_ports == ref_params.n_ports
 
     def test_true_grid_route(self, ref_params, ref_link, monkeypatch):
-        # a cheap stand-in for the exact rate, looked up where the solver and
-        # evaluate_scheme both find it
+        # a cheap stand-in for the exact rate, looked up where the solver
+        # (block of rates) and evaluate_scheme (one rate) find it
         def fake_rate(params, link, rp):
             return rp.rate_r * math.exp(-rp.rate_r)
 
+        def fake_rates(params, link, rates):
+            return np.array([fake_rate(params, link, RatePoint(float(r))) for r in rates])
+
         monkeypatch.setattr(fasmon.optimize, "rate_true", fake_rate)
+        monkeypatch.setattr(fasmon.optimize, "rates_true", fake_rates)
         res = evaluate_scheme(ref_params, ref_link, Scheme.TRUE_GRID)
         point = solve_true_grid(ref_params, ref_link)
         assert (res.r_star, res.pm_star, res.clamped, res.iterations) == \

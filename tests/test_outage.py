@@ -19,6 +19,7 @@ from fasmon import (ConstraintInfeasibleError, DegenerateRateError,
                     monitor_outage_true, pm_for_rate, rate_approx,
                     rate_bound, rate_bounds, rate_for_pm, rate_true,
                     sd_outage)
+from fasmon.outage import _outage_true, rates_true
 
 R_MIN_REF = 0.39114170868809469468
 R_MAX_REF = 2.6157292487448686686
@@ -175,6 +176,19 @@ class TestMonitorOutage:
         rp = RatePoint(2.6157292487448686686)
         value = monitor_outage_true(link, rp, 22)
         assert value == pytest.approx(0.06861206041387832, abs=1e-9)
+
+    def test_block_values_equal_one_point_values(self, ref_params, ref_link):
+        # bitwise: a rate's exact outage may not depend on the block it is in
+        rates = np.linspace(*rate_bounds(ref_params), 37)
+        block = rates_true(ref_params, ref_link, rates)
+        for r, value in zip(rates, block):
+            assert value == rate_true(ref_params, ref_link, RatePoint(float(r)))
+        high = _make_link(0.9781149303682883, 22, 16.342607691885046)
+        rates = np.array([2.4, 2.5, 2.6157292487448686686, 2.7])
+        gammas = np.array([RatePoint(r).gamma_th for r in rates])
+        block = _outage_true(high, gammas, 22)
+        for r, value in zip(rates, block):
+            assert value == monitor_outage_true(high, RatePoint(r), 22)
 
     def test_bound_formula_and_direction(self, ref_link):
         n = 8

@@ -143,6 +143,81 @@ class TestMarcumQ1:
         with pytest.raises(DomainError):
             marcum_q1(1.0, -1.0)
 
+    def test_underflowing_arguments_take_exact_limits(self):
+        # a^2/2 or b^2/2 rounds to 0: the b = 0 and a = 0 limits are exact
+        assert marcum_q1(1.0, 1e-170) == 1.0
+        assert marcum_q1(1e-170, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert marcum_q1(1e-200, 1e-200) == 1.0
+
+    def test_array_grid_against_scipy(self):
+        a = np.linspace(0.0, 50.0, 101)
+        b = np.linspace(0.0, 50.0, 101)
+        q = marcum_q1(a[:, None], b[None, :])
+        assert q.shape == (101, 101)
+        ref = scipy.stats.ncx2.sf(b[None, :] ** 2, 2, a[:, None] ** 2)
+        assert np.max(np.abs(q - ref)) <= 1e-10
+
+    def test_array_pairs_against_scipy(self):
+        rng = np.random.default_rng(15)
+        a = rng.uniform(0.0, 50.0, 400)
+        b = rng.uniform(0.0, 50.0, 400)
+        q = marcum_q1(a, b)
+        assert q.shape == (400,)
+        ref = scipy.stats.ncx2.sf(b * b, 2, a * a)
+        assert np.max(np.abs(q - ref)) <= 1e-10
+
+    def test_windowed_large_lambda_against_scipy(self):
+        # the regime of near-unit port correlation: a = 11 sqrt(t) at the
+        # nodes t of a 2048-node Laguerre rule reaches a^2/2 ~ 5e5, and only
+        # the nodes with |a - b| < 11 take the Poisson sum
+        rng = np.random.default_rng(16)
+        b = rng.uniform(100.0, 900.0, 150)
+        a = b + rng.uniform(-10.9, 10.9, 150)
+        ref = scipy.stats.ncx2.sf(b * b, 2, a * a)
+        assert np.max(np.abs(marcum_q1(a, b) - ref)) <= 1e-10
+        a_nodes = 11.0 * np.sqrt(np.geomspace(1e-3, 4000.0, 400))
+        b_cols = np.array([150.0, 400.0, 800.0])
+        q = marcum_q1(a_nodes[:, None], b_cols[None, :])
+        ref = scipy.stats.ncx2.sf(b_cols[None, :] ** 2, 2, a_nodes[:, None] ** 2)
+        assert np.max(np.abs(q - ref)) <= 1e-10
+
+    def test_array_boundary_identities(self):
+        a = np.array([0.0, 0.3, 1.0, 5.0, 20.0, 50.0, 300.0])
+        b = np.array([0.0, 0.1, 1.0, 3.0, 10.0, 300.0])
+        q = marcum_q1(a[:, None], b[None, :])
+        assert np.all(q[:, 0] == 1.0)
+        np.testing.assert_allclose(q[0, 1:], np.exp(-0.5 * b[1:] ** 2), rtol=1e-14)
+
+    def test_values_do_not_depend_on_the_other_b_values(self):
+        a = np.linspace(0.0, 40.0, 81)
+        b = np.linspace(0.0, 40.0, 17)
+        grid = marcum_q1(a[:, None], b[None, :])
+        for j in (0, 3, 16):
+            assert np.array_equal(marcum_q1(a, b[j]), grid[:, j])
+            assert np.array_equal(marcum_q1(a[:, None], b[None, j:]), grid[:, j:])
+        # elementwise pairs with distinct b: each value as if alone
+        pairs = marcum_q1(a[::5], b[::-1][:a[::5].size])
+        for x, y, q in zip(a[::5], b[::-1], pairs):
+            assert marcum_q1(x, y) == q
+
+    def test_scalar_and_array_returns(self):
+        assert isinstance(marcum_q1(1.0, 2.0), float)
+        assert isinstance(marcum_q1(np.float64(1.0), 2), float)
+        q = marcum_q1(np.array([1.0, 2.0]), 2.0)
+        assert isinstance(q, np.ndarray) and q.shape == (2,)
+        assert marcum_q1(np.ones((3, 1)), np.ones(4)).shape == (3, 4)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_elements(self, bad):
+        with pytest.raises(DomainError):
+            marcum_q1(np.array([1.0, bad, 2.0]), 1.0)
+        with pytest.raises(DomainError):
+            marcum_q1(1.0, np.array([[0.5], [bad]]))
+
+    def test_rejects_shapes_that_do_not_broadcast(self):
+        with pytest.raises(DomainError):
+            marcum_q1(np.ones(3), np.ones(2))
+
 
 class TestLambertW0:
     def test_exact_points(self):
@@ -195,4 +270,26 @@ class TestQuadrature:
         # oscillation beyond what the 2048-node rule resolves
         with pytest.raises(AccuracyError) as err:
             integrate_expweighted(lambda t: np.cos(80.0 * t))
+        assert err.value.last_estimate != err.value.previous_estimate
+
+    def test_block_columns_keep_their_own_estimates(self):
+        # cos(2t) settles at 128 nodes, cos(4t) only at 256; the block runs
+        # the 256-node rule for both, and cos(2t) keeps its 128-node value
+        sizes = []
+
+        def block(t):
+            sizes.append(t.size)
+            return np.stack([np.cos(2.0 * t), np.cos(4.0 * t)], axis=1)
+
+        values = integrate_expweighted(block)
+        assert sizes == [64, 128, 256]
+        assert values.shape == (2,)
+        assert values[0] == integrate_expweighted(lambda t: np.cos(2.0 * t))
+        assert values[1] == integrate_expweighted(lambda t: np.cos(4.0 * t))
+        assert values == pytest.approx([1.0 / 5.0, 1.0 / 17.0], rel=1e-9)
+
+    def test_one_unsettled_column_fails_the_block(self):
+        with pytest.raises(AccuracyError) as err:
+            integrate_expweighted(
+                lambda t: np.stack([t ** 2, np.cos(80.0 * t)], axis=1))
         assert err.value.last_estimate != err.value.previous_estimate
