@@ -12,9 +12,15 @@ integrate_expweighted settles a block of integrals at once, each keeping the
 estimate of its own first agreeing rule pair. Either way, a value is the same
 whether computed alone or in a block.
 
+The Gauss-Laguerre rules (64 to 2048 nodes) are built once per process, in
+O(n^2) time and O(n) memory: asymptotic guesses of the zeros of L_n, refined
+all at once by Halley passes of the rescaled three-term recurrence, with the
+Christoffel weights taken from the same passes.
+
 No intermediate may overflow: large-argument regimes are rescaled internally
-(asymptotic forms, log-space starts, saddle-point Poisson weights) rather
-than returned as infinities.
+(asymptotic forms, log-space starts, saddle-point Poisson weights, the
+power-of-two rescaling of the Laguerre recurrence) rather than returned as
+infinities.
 """
 
 from __future__ import annotations
@@ -377,26 +383,162 @@ _QUAD_REL_TOL = 1e-9
 
 _LAGUERRE_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+# The first zeros of J0 and the magnitudes of the first zeros of Ai, where the
+# McMahon and Airy-zero series below are still off by up to 1e-3
+_J0_ZEROS = np.array([2.404825557695773, 5.520078110286311, 8.653727912911013])
+_AIRY_ZEROS = np.array([2.338107410459767, 4.087949444130971, 5.520559828095515])
+# Newton iterations on Tricomi's t + sin t = c; from t = c/2 they converge
+# monotonically, to 1e-13 for every bulk node of a 2048-node rule
+_TRICOMI_ITERATIONS = 6
+# recurrence steps between two power-of-two rescalings of a pass; 16 steps
+# grow the values by at most (4n + 5)^16 relative, far below overflow
+_RESCALE_STEPS = 16
+# Halley passes over the nodes not yet settled, and the relative step below
+# which a node has settled (the step's rounding floor is about 1e-15)
+_LAGUERRE_PASSES = 4
+_LAGUERRE_STEP_TOL = 1e-14
+_WEIGHT_SUM_TOL = 1e-13
+
+
+def _laguerre_guess(n: int) -> np.ndarray:
+    """Ascending approximations of the n zeros of L_n, relative error below
+    4e-6 for n >= 64 (2.7e-6 at n = 64, 3e-9 at n = 2048).
+
+    With nu = 4n + 2: the bulk takes Tricomi's x = nu sin^2(t/2) -
+    (5u^2 - 4u - 4)/(12 nu), u = 1/cos^2(t/2), where t + sin t =
+    4 pi (k - 1/4)/nu; the m ~ 0.6 sqrt(n) smallest zeros take Gatteschi's
+    Bessel form j^2/nu (1 + (j^2 - 2)/(3 nu^2)) with j the k-th zero of J0,
+    and the m largest the Airy form nu + 2^{2/3} a nu^{1/3} + ... with a the
+    k-th zero of Ai, where each is the more accurate.
+    """
+    nu = 4.0 * n + 2.0
+    k = np.arange(1.0, n + 1.0)
+    c = (4.0 * math.pi / nu) * (k - 0.25)
+    t = 0.5 * c
+    for _ in range(_TRICOMI_ITERATIONS):
+        t -= (t + np.sin(t) - c) / (1.0 + np.cos(t))
+    s = np.sin(0.5 * t) ** 2
+    u = 1.0 / (1.0 - s)
+    x = nu * s - (5.0 * u * u - 4.0 * u - 4.0) / (12.0 * nu)
+    m = min(math.ceil(0.6 * math.sqrt(n)), n // 2)
+    if m:
+        table = min(m, 3)
+        # J0 zeros: McMahon's series in 1/(8 beta), beta = (k - 1/4) pi
+        beta = (k[:m] - 0.25) * math.pi
+        e = 1.0 / (8.0 * beta)
+        j = beta + e * (1.0 - e * e * (124.0 / 3.0 - e * e * (120928.0 / 15.0
+                                                              - e * e * 401743168.0 / 105.0)))
+        j[:table] = _J0_ZEROS[:table]
+        j2 = j * j
+        x[:m] = j2 / nu * (1.0 + (j2 - 2.0) / (3.0 * nu * nu))
+        # Ai zeros a = -T(tau), tau = 3 pi (4k - 1)/8, T its asymptotic series
+        tau = (3.0 * math.pi / 8.0) * (4.0 * k[:m] - 1.0)
+        r = tau ** -2.0
+        a = -tau ** (2.0 / 3.0) * (1.0 + r * (5.0 / 48.0 - r * (5.0 / 36.0 - r * (
+            77125.0 / 82944.0 - r * (108056875.0 / 6967296.0
+                                     - r * 162375596875.0 / 334430208.0)))))
+        a[:table] = -_AIRY_ZEROS[:table]
+        c3 = nu ** (1.0 / 3.0)
+        xa = (nu + 2.0 ** (2.0 / 3.0) * a * c3 + 0.2 * 2.0 ** (4.0 / 3.0) * a * a / c3
+              + (11.0 / 35.0 - 12.0 / 175.0 * a ** 3) / nu
+              + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a ** 4) * 2.0 ** (2.0 / 3.0) / c3 ** 5
+              - (15152.0 / 3031875.0 * a ** 5 + 1088.0 / 121275.0 * a * a)
+              * 2.0 ** (1.0 / 3.0) / c3 ** 7)
+        x[n - m:] = xa[::-1]
+    return x
+
+
+def _laguerre_pass(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of the recurrence at every node x: the Halley step towards
+    the nearest zero of L_n, and the Christoffel weight 1/sum_{k<n} L_k(x)^2.
+
+    The recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1} runs in the
+    difference form D_{k+1} = D_k - x L_k, L_{k+1} = L_k + D_{k+1}/(k+1),
+    D_k = k (L_k - L_{k-1}), where x enters only as a factor, so a small node
+    keeps its relative accuracy. The steps run in blocks of 16 whose L rows
+    are kept, so each block adds its squares to the sum in one call; then L,
+    D and the sum are rescaled per node by a power of two (exactly), and the
+    exponents are added back into the weight, which underflows to 0 only
+    where the true weight does. With u = L_n/L_n' = x L_n/D_n and
+    L_n''/L_n' = (x - 1 - n u)/x from Laguerre's equation, the Halley step is
+    u / (1 - u (x - 1 - n u)/(2x)).
+    """
+    mul, sub, add = np.multiply, np.subtract, np.add
+    block = np.empty((_RESCALE_STEPS + 1, x.size))
+    rows = list(block)  # rows[0] carries L into the block, rows[j] is j steps on
+    rows[0].fill(1.0)
+    diff = np.zeros_like(x)
+    sq_sum = np.ones_like(x)
+    exps = np.zeros(x.shape, dtype=np.int64)
+    tmp = np.empty_like(x)
+    # 0-d arrays: a ufunc takes them faster than Python floats
+    inv = [np.array(1.0 / k) for k in range(1, n)]
+    for k0 in range(0, n - 1, _RESCALE_STEPS):
+        steps = min(_RESCALE_STEPS, n - 1 - k0)
+        for cur, nxt, c in zip(rows, rows[1:steps + 1], inv[k0:k0 + steps]):
+            mul(x, cur, tmp)
+            sub(diff, tmp, diff)
+            mul(diff, c, tmp)
+            add(cur, tmp, nxt)
+        new = block[1:steps + 1]
+        sq_sum += np.einsum("ij,ij->j", new, new)
+        half = np.frexp(sq_sum)[1] >> 1
+        np.ldexp(rows[steps], -half, out=rows[0])
+        np.ldexp(diff, -half, out=diff)
+        np.ldexp(sq_sum, -2 * half, out=sq_sum)
+        exps += half
+    lag = rows[0]
+    sub(diff, x * lag, diff)  # D_n
+    u = x * (lag + diff / n) / diff
+    step = u / (1.0 - u * (x - 1.0 - n * u) / (2.0 * x))
+    return step, np.ldexp(1.0 / sq_sum, -2 * exps)
+
 
 def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Laguerre rule (weight e^{-t}).
+    """Nodes and weights of the n-point Gauss-Laguerre rule (weight e^{-t}),
+    built once per process and returned as read-only arrays.
 
-    Golub-Welsch: eigenvalues of the symmetric tridiagonal Jacobi matrix
-    (diagonal 2i+1, off-diagonal i) are the nodes, squared first eigenvector
-    components the weights. Stable at any practical n, unlike recurrence
-    evaluation of the Laguerre polynomials themselves, which overflows near
-    n = 256.
+    The nodes are the zeros of L_n: every guess from _laguerre_guess is
+    refined together by Halley passes of the three-term recurrence
+    (_laguerre_pass), each pass over the nodes whose last step exceeded
+    1e-14 relative; from these guesses two passes settle every node of the
+    64- to 2048-node rules. A node's weight is the Christoffel value
+    1/sum_{k<n} L_k(x)^2 from the pass in which it settled, so far-out
+    weights underflow to true zeros. This costs O(n^2) time and O(n) memory,
+    where Golub-Welsch (a dense eigendecomposition of the Jacobi matrix)
+    costs O(n^3) and O(n^2), and it keeps the small nodes to about 1e-15
+    relative, where the eigenvalues lose up to 7e-11 at n = 2048. The
+    recurrence values grow like e^{x/2}, so unscaled their squares would
+    overflow from about n = 256 on; rescaled as they run, they never do.
+
+    Raises ComputationError if a node has not settled after 4 passes, if the
+    nodes are not positive and strictly increasing, or if the weights do not
+    sum to 1 within 1e-13.
     """
     rule = _LAGUERRE_RULES.get(n)
     if rule is None:
-        k = np.arange(n, dtype=float)
-        jacobi = np.diag(2.0 * k + 1.0)
-        off = np.arange(1.0, n)
-        idx = np.arange(n - 1)
-        jacobi[idx, idx + 1] = off
-        jacobi[idx + 1, idx] = off
-        nodes, vectors = np.linalg.eigh(jacobi)
-        weights = vectors[0] ** 2
+        nodes = _laguerre_guess(n)
+        weights = np.empty(n)
+        todo = np.arange(n)
+        for _ in range(_LAGUERRE_PASSES):
+            step, weight = _laguerre_pass(nodes[todo], n)
+            nodes[todo] -= step
+            settled = np.abs(step) <= _LAGUERRE_STEP_TOL * nodes[todo]
+            weights[todo[settled]] = weight[settled]
+            todo = todo[~settled]
+            if not todo.size:
+                break
+        else:
+            raise ComputationError(
+                f"{todo.size} of the {n} Gauss-Laguerre nodes did not settle "
+                f"in {_LAGUERRE_PASSES} passes")
+        if not (nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0)):
+            raise ComputationError(
+                f"{n}-point Gauss-Laguerre nodes not positive and strictly increasing")
+        total = math.fsum(weights)
+        if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:
+            raise ComputationError(
+                f"{n}-point Gauss-Laguerre weights sum to {total!r}, not 1")
         nodes.flags.writeable = False
         weights.flags.writeable = False
         rule = (nodes, weights)

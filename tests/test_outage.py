@@ -19,6 +19,7 @@ from fasmon import (ConstraintInfeasibleError, DegenerateRateError,
                     monitor_outage_true, pm_for_rate, rate_approx,
                     rate_bound, rate_bounds, rate_for_pm, rate_true,
                     sd_outage)
+from fasmon import specfun
 from fasmon.outage import _outage_true, rates_true
 
 R_MIN_REF = 0.39114170868809469468
@@ -170,12 +171,21 @@ class TestMonitorOutage:
     def test_zero_threshold(self, ref_link):
         assert monitor_outage_true(ref_link, RatePoint(0.0), 8) == 0.0
 
-    def test_sharp_transition_escalates_rule(self):
+    def test_sharp_transition_needs_the_2048_node_rule(self, monkeypatch):
         # mu near 1 with many ports needs the 2048-node rule to converge
+        sizes = []
+        build = specfun._laguerre_rule
+
+        def recorded(n):
+            sizes.append(n)
+            return build(n)
+
+        monkeypatch.setattr(specfun, "_laguerre_rule", recorded)
         link = _make_link(0.9781149303682883, 22, 16.342607691885046)
         rp = RatePoint(2.6157292487448686686)
         value = monitor_outage_true(link, rp, 22)
         assert value == pytest.approx(0.06861206041387832, abs=1e-9)
+        assert sizes == [64, 128, 256, 512, 1024, 2048]
 
     def test_block_values_equal_one_point_values(self, ref_params, ref_link):
         # bitwise: a rate's exact outage may not depend on the block it is in
