@@ -10,7 +10,8 @@ all circularly-symmetric complex Gaussian, so each g_k keeps variance
 sigma_g2 and the pairwise correlation is controlled by mu alone. The
 sqrt(1 - mu^2) weight is what makes the magnitude of g_k, conditioned on g0,
 exactly Rician; the Monte Carlo module and the outage integrals both rely on
-it.
+it. The Monte Carlo sampler draws the port powers |g_k|^2 directly, in real
+arithmetic on the real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -135,17 +136,39 @@ def _mix_weight(mu: float) -> float:
     return math.sqrt(1.0 - mu * mu)
 
 
-def _complex_normal(rng: np.random.Generator, variance: float, size) -> np.ndarray:
-    scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+def _sample_port_powers(mu: float, sigma_g2: float, n_ports: int, n_draws: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """(n_draws, n_ports) port powers |g_k|^2 of the correlated port model.
 
-
-def _sample_port_gains(mu: float, sigma_g2: float, n_ports: int, n_draws: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """(n_draws, n_ports) correlated port coefficients; n_ports = 1 degrades
-    to plain Rayleigh draws."""
-    if n_ports == 1:
-        return _complex_normal(rng, sigma_g2, (n_draws, 1))
-    g0 = _complex_normal(rng, sigma_g2, (n_draws, 1))
-    e = _complex_normal(rng, sigma_g2, (n_draws, n_ports))
-    return mu * g0 + _mix_weight(mu) * e
+    The generator is consumed as Re g0 (n_draws, 1), Im g0 (n_draws, 1),
+    then Re e (n_draws, n_ports), Im e (n_draws, n_ports), each a block of
+    standard normals in row-major order; n_ports = 1 draws g0 alone, whose
+    power is plain exponential. That order is part of the Monte Carlo
+    reproducibility contract. The parts are mixed and squared in place in
+    the drawn real buffers, with no complex temporaries.
+    """
+    scale = math.sqrt(sigma_g2 / 2.0)
+    re = rng.standard_normal((n_draws, 1))
+    im = rng.standard_normal((n_draws, 1))
+    re *= scale
+    im *= scale
+    if n_ports > 1:
+        # scale first, then weight, as in mu * g0 + w * e on complex
+        # CN(0, sigma_g2) draws: every real and imaginary part then matches
+        # that formula bit for bit, even where the two terms cancel
+        re *= mu
+        im *= mu
+        weight = _mix_weight(mu)
+        e_re = rng.standard_normal((n_draws, n_ports))
+        e_im = rng.standard_normal((n_draws, n_ports))
+        e_re *= scale
+        e_im *= scale
+        e_re *= weight
+        e_im *= weight
+        e_re += re
+        e_im += im
+        re, im = e_re, e_im
+    re *= re
+    im *= im
+    re += im
+    return re

@@ -15,13 +15,14 @@ id, sweep index, scheme index), making every row reproducible in isolation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemParams, derive_link
+from .channel import DerivedLink, SystemParams, derive_link
 from .config import ExperimentSpec, db_to_linear
 from .errors import FasmonError
 from .mcsim import estimate_monitoring_rate
@@ -83,9 +84,9 @@ def _mc_columns(spec: ExperimentSpec, params, link, rate_point: RatePoint,
     return est.mean, est.half_width_95
 
 
-def _curve_rows(spec: ExperimentSpec, sweep_idx: int, x_value: float) -> list[ResultRow]:
+def _curve_rows(spec: ExperimentSpec, link: DerivedLink, sweep_idx: int,
+                x_value: float) -> list[ResultRow]:
     params = spec.params
-    link = derive_link(params)
     p_m = db_to_linear(x_value)
     rate_r = rate_for_pm(params, p_m)
     rp = RatePoint(rate_r)
@@ -131,18 +132,34 @@ def _scheme_rows(spec: ExperimentSpec, sweep_idx: int, x_value: float) -> list[R
     return rows
 
 
+def _report_point_failure(spec: ExperimentSpec, x_value: float,
+                          exc: FasmonError) -> None:
+    print(f"fasmon: {spec.sweep_variable}={x_value:g}: "
+          f"{type(exc).__name__}: {exc}", file=sys.stderr)
+
+
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every sweep point; failed points are reported and skipped.
 
     The caller can compare len(result) with expected_row_count(spec) to
-    detect partial output.
+    detect partial output. A ``p_m_db`` sweep keeps every channel parameter
+    fixed, so its link is derived once for the whole run; if that fails,
+    every point is reported as failed.
     """
-    point_fn = _curve_rows if spec.sweep_variable == "p_m_db" else _scheme_rows
+    if spec.sweep_variable == "p_m_db":
+        try:
+            link = derive_link(spec.params)
+        except FasmonError as exc:
+            for x_value in spec.sweep_values:
+                _report_point_failure(spec, x_value, exc)
+            return []
+        point_fn = functools.partial(_curve_rows, spec, link)
+    else:
+        point_fn = functools.partial(_scheme_rows, spec)
     rows: list[ResultRow] = []
     for sweep_idx, x_value in enumerate(spec.sweep_values):
         try:
-            rows.extend(point_fn(spec, sweep_idx, x_value))
+            rows.extend(point_fn(sweep_idx, x_value))
         except FasmonError as exc:
-            print(f"fasmon: {spec.sweep_variable}={x_value:g}: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            _report_point_failure(spec, x_value, exc)
     return rows

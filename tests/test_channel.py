@@ -1,8 +1,8 @@
 """Channel model: correlation factor, derived link quantities, and sampling.
 
-Distributional checks use fixed seeds and generous test sizes; the magnitude
-laws (Rayleigh marginals, Rician conditionals) come from scipy.stats, which
-shares nothing with the sampler.
+Distributional checks use fixed seeds and generous test sizes; the laws
+(exponential port powers, Rician conditional magnitudes) come from
+scipy.stats, which shares nothing with the sampler.
 """
 
 import math
@@ -13,7 +13,7 @@ import scipy.stats
 
 from fasmon import (ComputationError, DomainError, correlation_mu,
                     eta_factor)
-from fasmon.channel import _complex_normal, _mix_weight, _sample_port_gains
+from fasmon.channel import _mix_weight, _sample_port_powers
 
 # (W, mu(W)) multiprecision references
 MU_REFS = (
@@ -79,30 +79,55 @@ class TestSystemParams:
                 dataclasses.replace(ref_params, **{field: value})
 
 
+def _complex_reference_powers(mu, var, n_ports, n_draws, rng):
+    # the complex-arithmetic form of the port model, drawing in the order
+    # the sampler promises: Re g0, Im g0, Re e, Im e
+    s = math.sqrt(var / 2.0)
+    g0 = s * (rng.standard_normal((n_draws, 1))
+              + 1j * rng.standard_normal((n_draws, 1)))
+    if n_ports == 1:
+        return np.abs(g0) ** 2
+    e = s * (rng.standard_normal((n_draws, n_ports))
+             + 1j * rng.standard_normal((n_draws, n_ports)))
+    return np.abs(mu * g0 + _mix_weight(mu) * e) ** 2
+
+
 class TestSampling:
     def test_shapes_and_determinism(self):
-        g1 = _sample_port_gains(0.4, 1.0, 8, 100, np.random.default_rng(5))
-        g2 = _sample_port_gains(0.4, 1.0, 8, 100, np.random.default_rng(5))
-        assert g1.shape == (100, 8)
-        assert np.array_equal(g1, g2)
+        p1 = _sample_port_powers(0.4, 1.0, 8, 100, np.random.default_rng(5))
+        p2 = _sample_port_powers(0.4, 1.0, 8, 100, np.random.default_rng(5))
+        assert p1.shape == (100, 8)
+        assert np.array_equal(p1, p2)
+        assert np.all(p1 >= 0.0)
+
+    @pytest.mark.parametrize("n_ports", [1, 2, 8, 16])
+    def test_matches_complex_reference(self, n_ports):
+        rng_real = np.random.default_rng(4242)
+        rng_complex = np.random.default_rng(4242)
+        powers = _sample_port_powers(0.6, 0.7, n_ports, 1001, rng_real)
+        ref = _complex_reference_powers(0.6, 0.7, n_ports, 1001, rng_complex)
+        np.testing.assert_allclose(powers, ref, rtol=1e-14, atol=0.0)
+        # both consumed exactly the same stretch of the stream
+        assert rng_real.bit_generator.state == rng_complex.bit_generator.state
 
     def test_port_gain_moments(self):
-        # marginal E|g_k|^2 = sigma_g2; cross-port covariance mu^2 sigma_g2
+        # E|g_k|^2 = sigma_g2, and for jointly complex Gaussian ports
+        # Cov(|g_j|^2, |g_k|^2) = |E g_j g_k*|^2 = mu^4 sigma_g2^2
         rng = np.random.default_rng(97)
         mu, var, n = 0.6, 0.25, 400_000
-        g = _sample_port_gains(mu, var, 4, n, rng)
-        second = np.mean(np.abs(g) ** 2, axis=0)
+        p = _sample_port_powers(mu, var, 4, n, rng)
+        mean = np.mean(p, axis=0)
         tol = 4.0 * var / math.sqrt(n)
-        assert np.all(np.abs(second - var) < tol)
-        cross = np.mean(g[:, 0] * np.conj(g[:, 1])).real
-        assert cross == pytest.approx(mu * mu * var, abs=tol)
+        assert np.all(np.abs(mean - var) < tol)
+        cov = np.mean((p[:, 0] - var) * (p[:, 1] - var))
+        assert cov == pytest.approx(mu ** 4 * var * var,
+                                    abs=6.0 * var * var / math.sqrt(n))
 
-    def test_marginal_is_rayleigh(self):
-        # each port gain is CN(0, var) exactly, so |g_k| is Rayleigh
+    def test_marginal_is_exponential(self):
+        # each port gain is CN(0, var) exactly, so |g_k|^2 is exponential
         rng = np.random.default_rng(31)
-        g = _sample_port_gains(0.3, 1.0, 8, 100_000, rng)
-        mags = np.abs(g[:, 3])
-        res = scipy.stats.kstest(mags, "rayleigh", args=(0.0, math.sqrt(0.5)))
+        p = _sample_port_powers(0.3, 1.0, 8, 100_000, rng)
+        res = scipy.stats.kstest(p[:, 3], "expon", args=(0.0, 1.0))
         assert res.pvalue > 0.01
 
     def test_conditional_is_rician(self):
@@ -112,7 +137,8 @@ class TestSampling:
         for mu in (0.3, 0.9):
             var = 1.0
             g0 = 0.8 - 0.6j
-            e = _complex_normal(rng, var, 100_000)
+            e = math.sqrt(var / 2.0) * (rng.standard_normal(100_000)
+                                        + 1j * rng.standard_normal(100_000))
             mags = np.abs(mu * g0 + _mix_weight(mu) * e)
             s = math.sqrt((1.0 - mu * mu) * var / 2.0)
             b = mu * abs(g0) / s
@@ -121,17 +147,17 @@ class TestSampling:
 
     def test_single_port_column(self):
         rng = np.random.default_rng(8)
-        g = _sample_port_gains(0.7, 2.0, 1, 50_000, rng)
-        assert g.shape == (50_000, 1)
-        mean2 = float(np.mean(np.abs(g) ** 2))
-        assert mean2 == pytest.approx(2.0, abs=4.0 * 2.0 / math.sqrt(50_000))
+        p = _sample_port_powers(0.7, 2.0, 1, 50_000, rng)
+        assert p.shape == (50_000, 1)
+        mean = float(np.mean(p))
+        assert mean == pytest.approx(2.0, abs=4.0 * 2.0 / math.sqrt(50_000))
 
     def test_degenerate_correlation_collapses_ports(self):
         # mu ~ 1: every port follows the reference port almost exactly
         rng = np.random.default_rng(15)
         mu = correlation_mu(1e-9)
-        g = _sample_port_gains(mu, 1.0, 6, 2_000, rng)
-        spread = np.max(np.abs(g - g[:, :1]))
+        p = _sample_port_powers(mu, 1.0, 6, 2_000, rng)
+        spread = np.max(np.abs(p - p[:, :1]))
         assert spread < 1e-3
 
 

@@ -88,6 +88,20 @@ class TestCurveSweep:
             expected = rate_for_pm(spec.params, 10.0 ** (row.x_value / 10.0))
             assert row.r_star_bits == pytest.approx(expected, rel=1e-12)
 
+    def test_link_derived_once_per_run(self, monkeypatch):
+        calls = []
+        real = fasmon.experiments.derive_link
+
+        def counted(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(fasmon.experiments, "derive_link", counted)
+        spec = _spec("experiment=custom", "sweep_variable=p_m_db",
+                     "sweep_values=0,10,20")
+        assert len(run_experiment(spec)) == expected_row_count(spec)
+        assert calls == [spec.params]
+
     def test_bound_dominates_true(self):
         spec = _spec("experiment=fig1")
         rows = run_experiment(spec)
@@ -171,3 +185,15 @@ class TestPartialFailure:
         err = capsys.readouterr().err
         assert "synthetic failure" in err
         assert "Passive" in err
+
+    def test_curve_link_failure_reports_every_point(self, monkeypatch, capsys):
+        def broken(params):
+            raise ComputationError("synthetic link failure")
+
+        monkeypatch.setattr(fasmon.experiments, "derive_link", broken)
+        spec = _spec("experiment=custom", "sweep_variable=p_m_db",
+                     "sweep_values=0,10,20")
+        assert run_experiment(spec) == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"fasmon: p_m_db={x}: ComputationError: synthetic link failure"
+            for x in ("0", "10", "20")]

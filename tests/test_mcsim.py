@@ -42,6 +42,20 @@ class TestReproducibility:
         b = estimate_sd_outage(ref_params, rp, 115.80906, 200_000, seed=8)
         assert a.mean != b.mean
 
+    # best-port hit counts at RatePoint(1.5) over three chunks (two full,
+    # one partial), recorded with the complex-arithmetic sampler; a change
+    # to the draw order, the chunk size or the (seed, chunk) keying moves them
+    @pytest.mark.parametrize("seed, n_ports, hits", [
+        (7, 1, 180186), (7, 8, 12920), (7, 16, 691),
+        (2029, 1, 180054), (2029, 8, 12914), (2029, 16, 667),
+    ])
+    def test_monitor_outage_stream_pinned(self, ref_params, ref_link, seed,
+                                          n_ports, hits):
+        n = 2 * (1 << 17) + 999
+        est = estimate_monitor_outage(ref_params, ref_link, RatePoint(1.5),
+                                      n_ports, n, seed)
+        assert est.mean == hits / n
+
     def test_chunking_invisible_in_metadata(self, ref_params):
         # n above one chunk boundary: fields still reflect the full run
         est = estimate_sd_outage(ref_params, RatePoint(1.0), 50.0,
