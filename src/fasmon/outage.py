@@ -18,7 +18,7 @@ import numpy as np
 from .channel import DerivedLink, SystemParams, eta_factor
 from .errors import (ComputationError, ConstraintInfeasibleError,
                      DegenerateRateError, DomainError)
-from .specfun import integrate_expweighted, lambert_w0, marcum_q1
+from .specfun import _MARCUM_EXIT_GAP, integrate_expweighted, lambert_w0, marcum_q1
 
 _LN2 = math.log(2.0)
 
@@ -60,8 +60,10 @@ def sd_outage(params: SystemParams, rp: RatePoint, p_m: float) -> float:
         raise DomainError(f"p_m must be finite and >= 0, got {p_m!r}")
     ps_h = params.p_s * params.sigma_h2
     gamma = rp.gamma_th
-    success = math.exp(-gamma * params.sigma_d2 / ps_h) / (1.0 + gamma * p_m * params.sigma_f2 / ps_h)
-    return 1.0 - success
+    x = gamma * params.sigma_d2 / ps_h
+    y = gamma * p_m * params.sigma_f2 / ps_h
+    # 1 - e^{-x}/(1 + y) without the cancellation of 1 - e^{-x} at tiny x
+    return (y - math.expm1(-x)) / (1.0 + y)
 
 
 def _gamma_min_root(a_coef: float, b_coef: float, delta: float) -> float:
@@ -96,7 +98,9 @@ def rate_bounds(params: SystemParams) -> tuple[float, float]:
     """
     a_coef = params.sigma_d2 / (params.p_s * params.sigma_h2)
     b_coef = params.p_m_max * params.sigma_f2 / (params.p_s * params.sigma_h2)
-    r_max = math.log2(1.0 - params.p_s * params.sigma_h2 * math.log1p(-params.delta) / params.sigma_d2)
+    # log1p, not log2(1 + x): x can be so small that 1 + x rounds to 1
+    r_max = math.log1p(-params.p_s * params.sigma_h2 * math.log1p(-params.delta)
+                       / params.sigma_d2) / _LN2
     ratio = a_coef / b_coef
     if ratio <= _LAMBERT_FORM_LIMIT:
         arg = ratio * math.exp(ratio) / (1.0 - params.delta)
@@ -155,8 +159,8 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
 
 def _outage_true(link: DerivedLink, gammas: np.ndarray, n_ports: int) -> np.ndarray:
     """monitor_outage_true at a block of SNR thresholds gamma_th, one
-    Marcum-Q grid (quadrature nodes x thresholds) per rule. Each threshold's
-    value is the same alone as in any block."""
+    Marcum-Q grid (quadrature nodes x thresholds) per lattice group of
+    panels. Each threshold's value is the same alone as in any block."""
     if n_ports < 1:
         raise DomainError(f"n_ports must be >= 1, got {n_ports!r}")
     mu = link.mu
@@ -170,7 +174,11 @@ def _outage_true(link: DerivedLink, gammas: np.ndarray, n_ports: int) -> np.ndar
     def integrand(ts):
         return (1.0 - marcum_q1(a_scale * np.sqrt(ts)[:, None], b_vals[None, :])) ** n_ports
 
-    return np.clip(integrate_expweighted(integrand), 0.0, 1.0)
+    # Q1 is exactly 0 (integrand 1) where a_scale u <= b - 11 and exactly 1
+    # (integrand 0) where a_scale u >= b + 11
+    return np.clip(integrate_expweighted(
+        integrand, (b_vals - _MARCUM_EXIT_GAP) / a_scale,
+        (b_vals + _MARCUM_EXIT_GAP) / a_scale, min(1.0, 1.0 / a_scale)), 0.0, 1.0)
 
 
 def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int) -> float:
@@ -179,8 +187,17 @@ def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int) -> float
         int_0^inf e^{-t} [1 - Q1( sqrt(2 mu^2/(1-mu^2)) sqrt(t),
                                   sqrt(2/(1-mu^2)) sqrt(gamma_th/Gamma) )]^N dt
 
-    evaluated by refined Gauss-Laguerre quadrature. mu = 0 collapses to the
-    i.i.d. closed form (1 - e^{-gamma_th/Gamma})^N without quadrature.
+    evaluated in u = sqrt(t), with A = sqrt(2 mu^2/(1-mu^2)) and b the
+    second Marcum argument: the integrand is exactly 1 below
+    u = (b - 11)/A, which gives the closed-form head 1 - e^{-u^2}, and
+    exactly 0 above (b + 11)/A; the rest is integrated by Gauss-Kronrod
+    7/15 panels of width min(1, 1/A), so the step of the integrand at
+    u = b/A, however sharp near mu = 1, spans a fixed number of panels.
+    mu = 0 collapses to the i.i.d. closed form (1 - e^{-gamma_th/Gamma})^N
+    without quadrature. Raises ComputationError where the Marcum kernel
+    would need Poisson weights past a^2/2 = 5e5, that is where b exceeds
+    about 990 (1 - mu^2 below about 2e-5 at gamma_th/Gamma = 10), and
+    AccuracyError if the panels do not settle.
     """
     return float(_outage_true(link, np.array([rp.gamma_th]), n_ports)[0])
 

@@ -3,24 +3,19 @@
 Everything here is pure float64 arithmetic with certified truncations: Bessel
 functions J0, J1, the hypergeometric value 1F2(1/2; 1, 3/2; -pi^2 W^2)
 needed by the spatial-correlation model, the first-order Marcum Q-function,
-the principal-branch Lambert W function, and Gauss-Laguerre integration of
-exp(-t)-weighted integrands on [0, inf).
+the principal-branch Lambert W function, and integration of exp(-t)-weighted
+integrands on [0, inf) by Gauss-Kronrod panels in u = sqrt(t).
 
 The Marcum Q-function and the quadrature take arrays: marcum_q1 evaluates a
-whole grid of (a, b) values as one windowed matrix product, and
-integrate_expweighted settles a block of integrals at once, each keeping the
-estimate of its own first agreeing rule pair. Either way, a value is the same
-whether computed alone or in a block.
-
-The Gauss-Laguerre rules (64 to 2048 nodes) are built once per process, in
-O(n^2) time and O(n) memory: asymptotic guesses of the zeros of L_n, refined
-all at once by Halley passes of the rescaled three-term recurrence, with the
-Christoffel weights taken from the same passes.
+whole grid of (a, b) values as windowed matrix products, each matrix capped
+in size, and integrate_expweighted settles a block of integrals at once on a
+fixed lattice of panels, each integral keeping the estimate of the panel
+width at which it settled. Either way, a value is the same whether computed
+alone or in a block.
 
 No intermediate may overflow: large-argument regimes are rescaled internally
-(asymptotic forms, log-space starts, saddle-point Poisson weights, the
-power-of-two rescaling of the Laguerre recurrence) rather than returned as
-infinities.
+(asymptotic forms, log-space starts, saddle-point Poisson weights) rather
+than returned as infinities.
 """
 
 from __future__ import annotations
@@ -146,6 +141,12 @@ _MARCUM_EXIT_GAP = 11.0
 _POISSON_SIGMAS = 8.4
 _POISSON_PAD = 12.0
 _MASS_TOL = 1e-14
+# the weights' rounding grows like eps * sqrt(a^2/2); past this a^2/2 it
+# reaches the mass tolerance, so the kernel refuses before allocating
+_LAM_MAX = 5e5
+# elements of one Poisson-weight or gamma matrix (1 MiB): larger windows
+# split their rows and columns
+_WORK_CAP = 1 << 17
 
 # ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 for k = 1..15
 _STIRLERR_SMALL = np.array([
@@ -192,10 +193,18 @@ def _poisson_pmf(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
               - 1.0 / (1188.0 * k2)) / k2) / k2) / k2) / kk
     stirlerr = np.where(kk <= 15.0, _STIRLERR_SMALL[np.minimum(kk, 15.0).astype(np.int64)],
                         series)
+    # the formula's operations in its order, in place on two full-size arrays
     dev = kk - lam
-    bd0 = kk * np.log1p(dev / lam) - dev
-    log_p = np.where(k == 0.0, -lam, -stirlerr - bd0 - _HALF_LOG_2PI - 0.5 * np.log(kk))
-    return np.exp(log_p)
+    log_p = dev / lam
+    np.log1p(log_p, out=log_p)
+    log_p *= kk
+    log_p -= dev  # bd0
+    del dev
+    np.subtract(-stirlerr, log_p, out=log_p)
+    log_p -= _HALF_LOG_2PI
+    log_p -= 0.5 * np.log(kk)
+    np.copyto(log_p, -lam, where=k == 0.0)
+    return np.exp(log_p, out=log_p)
 
 
 def _column_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -241,24 +250,37 @@ def _marcum_q1_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     # runs of columns sharing a window (first and stop are nondecreasing in b)
     live_cols = np.flatnonzero(live)
+    top = float(lam[stop[live_cols] - 1].max())
+    if top > _LAM_MAX:
+        raise ComputationError(
+            f"Marcum Q1 needs Poisson weights at a^2/2 = {top:.4g}, past the "
+            f"{_LAM_MAX:g} up to which their rounding passes the mass check")
     edges = np.flatnonzero(np.diff(first[live_cols]) | np.diff(stop[live_cols])) + 1
     for cols in np.split(live_cols, edges):
         r0, r1 = int(first[cols[0]]), int(stop[cols[0]])
-        # the k range holding every active row's Poisson mass
-        k0, k1 = int(k_lo[r0]), int(k_hi[r1 - 1])
-        weights = _poisson_pmf(np.arange(k0, k1 + 1)[None, :], lam[r0:r1, None])
-        mass = weights.sum(axis=1)
-        if mass.min() < 1.0 - _MASS_TOL:
-            raise ComputationError(
-                f"Marcum Q1 captured Poisson mass {mass.min()!r} below 1 - {_MASS_TOL}")
-        # regularized upper gamma Q(k+1, y) = P[Poisson(y) <= k], summed from
-        # the start of each column's own Poisson(y) window
-        starts = y_lo[cols]
-        s0 = min(k0, int(starts.min()))
-        ks = np.arange(s0, k1 + 1)[:, None]
-        terms = np.where(ks >= starts[None, :], _poisson_pmf(ks, y[None, cols]), 0.0)
-        gammas = np.minimum(np.cumsum(terms, axis=0)[k0 - s0:], 1.0)
-        out[r0:r1, cols] = np.clip(_column_products(weights, gammas), 0.0, 1.0)
+        while r0 < r1:
+            # the most rows from r0 whose weight matrix, over the k range
+            # holding their Poisson mass, fits the work cap
+            sizes = np.arange(1, r1 - r0 + 1) * (k_hi[r0:r1] - k_lo[r0] + 1)
+            r_end = r0 + max(1, int(np.count_nonzero(sizes <= _WORK_CAP)))
+            k0, k1 = int(k_lo[r0]), int(k_hi[r_end - 1])
+            weights = _poisson_pmf(np.arange(k0, k1 + 1)[None, :], lam[r0:r_end, None])
+            mass = weights.sum(axis=1)
+            if mass.min() < 1.0 - _MASS_TOL:
+                raise ComputationError(
+                    f"Marcum Q1 captured Poisson mass {mass.min()!r} below 1 - {_MASS_TOL}")
+            # regularized upper gamma Q(k+1, y) = P[Poisson(y) <= k], summed
+            # from the start of each column's own Poisson(y) window, for as
+            # many columns at a time as fit the work cap (the leading zeros
+            # before a column's window add nothing, so no value moves)
+            s0 = min(k0, int(y_lo[cols].min()))
+            ks = np.arange(s0, k1 + 1)[:, None]
+            step = max(1, _WORK_CAP // ks.size)
+            for part in np.split(cols, np.arange(step, cols.size, step)):
+                terms = np.where(ks >= y_lo[part][None, :], _poisson_pmf(ks, y[None, part]), 0.0)
+                gammas = np.minimum(np.cumsum(terms, axis=0)[k0 - s0:], 1.0)
+                out[r0:r_end, part] = np.clip(_column_products(weights, gammas), 0.0, 1.0)
+            r0 = r_end
     return out
 
 
@@ -371,218 +393,121 @@ def lambert_w0(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Laguerre integration
+# Gauss-Kronrod panel integration
 # ---------------------------------------------------------------------------
 
-# The refinement ladder: near-unit port correlation with many ports sharpens
-# the best-port integrand enough to need the 2048-node rule.
-_QUAD_START_NODES = 64
-_QUAD_MAX_NODES = 2048
+# The 15-point Kronrod extension of the 7-point Gauss-Legendre rule on
+# [-1, 1] (QUADPACK's qk15), nodes ascending; the Gauss nodes are the
+# odd-indexed ones
+_GK_NODES = np.array([
+    -0.99145537112081263921, -0.94910791234275852453, -0.86486442335976907279,
+    -0.74153118559939443986, -0.58608723546769113029, -0.40584515137739716691,
+    -0.20778495500789846760, 0.0, 0.20778495500789846760, 0.40584515137739716691,
+    0.58608723546769113029, 0.74153118559939443986, 0.86486442335976907279,
+    0.94910791234275852453, 0.99145537112081263921])
+_KRONROD_WEIGHTS = np.array([
+    0.022935322010529224964, 0.063092092629978553291, 0.10479001032225018384,
+    0.14065325971552591875, 0.16900472663926790283, 0.19035057806478540991,
+    0.20443294007529889241, 0.20948214108472782801, 0.20443294007529889241,
+    0.19035057806478540991, 0.16900472663926790283, 0.14065325971552591875,
+    0.10479001032225018384, 0.063092092629978553291, 0.022935322010529224964])
+_GAUSS_WEIGHTS = np.array([
+    0.12948496616886969327, 0.27970539148927666790, 0.38183005050511894495,
+    0.41795918367346938776, 0.38183005050511894495, 0.27970539148927666790,
+    0.12948496616886969327])
+
+# past u = 6.2 the weight 2u e^{-u^2} is below 3e-16, and its integral
+# e^{-6.2^2} is about 2e-17
+_U_END = 6.2
+# panels per integrand call: f sees the same 120 nodes whatever the block
+_GROUP_PANELS = 8
+# halvings of the panel width before a column that has not settled raises
+_PANEL_HALVINGS = 4
 _QUAD_ABS_TOL = 1e-10
 _QUAD_REL_TOL = 1e-9
 
-_LAGUERRE_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-# The first zeros of J0 and the magnitudes of the first zeros of Ai, where the
-# McMahon and Airy-zero series below are still off by up to 1e-3
-_J0_ZEROS = np.array([2.404825557695773, 5.520078110286311, 8.653727912911013])
-_AIRY_ZEROS = np.array([2.338107410459767, 4.087949444130971, 5.520559828095515])
-# Newton iterations on Tricomi's t + sin t = c; from t = c/2 they converge
-# monotonically, to 1e-13 for every bulk node of a 2048-node rule
-_TRICOMI_ITERATIONS = 6
-# recurrence steps between two power-of-two rescalings of a pass; 16 steps
-# grow the values by at most (4n + 5)^16 relative, far below overflow
-_RESCALE_STEPS = 16
-# Halley passes over the nodes not yet settled, and the relative step below
-# which a node has settled (the step's rounding floor is about 1e-15)
-_LAGUERRE_PASSES = 4
-_LAGUERRE_STEP_TOL = 1e-14
-_WEIGHT_SUM_TOL = 1e-13
+def _group_panels(f, group: int, h: float, first: np.ndarray,
+                  end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod estimates and |Kronrod - Gauss| differences, shape (panels,
+    columns), on the panels of one lattice group of width h, zero on the
+    panels outside a column's range [first, end). Each estimate adds its
+    nodes one at a time (cumsum), so a column's value does not depend on how
+    many columns come with it."""
+    panels = group * _GROUP_PANELS + np.arange(_GROUP_PANELS)
+    u = ((panels[:, None] + 0.5) * h + (0.5 * h) * _GK_NODES[None, :]).ravel()
+    values = np.asarray(f(u * u), dtype=float).reshape(u.size, -1)
+    if values.shape[1] != first.size:
+        raise DomainError(f"the integrand returned {values.shape[1]} columns "
+                          f"for {first.size} integrals")
+    values = (values * (h * u * np.exp(-u * u))[:, None]).reshape(
+        _GROUP_PANELS, _GK_NODES.size, -1)
+    kronrod = np.cumsum(values * _KRONROD_WEIGHTS[:, None], axis=1)[:, -1]
+    gauss = np.cumsum(values[:, 1::2] * _GAUSS_WEIGHTS[:, None], axis=1)[:, -1]
+    inside = (first <= panels[:, None]) & (panels[:, None] < end)
+    return (np.where(inside, kronrod, 0.0),
+            np.where(inside, np.abs(kronrod - gauss), 0.0))
 
 
-def _laguerre_guess(n: int) -> np.ndarray:
-    """Ascending approximations of the n zeros of L_n, relative error below
-    4e-6 for n >= 64 (2.7e-6 at n = 64, 3e-9 at n = 2048).
+def integrate_expweighted(f: Callable[[np.ndarray], np.ndarray], u_lo=0.0,
+                          u_hi=math.inf, width: float = 1.0) -> float | np.ndarray:
+    """int_0^inf e^{-t} f(t) dt for f with values in [0, 1], exactly 1 where
+    sqrt(t) <= u_lo and exactly 0 where sqrt(t) >= u_hi.
 
-    With nu = 4n + 2: the bulk takes Tricomi's x = nu sin^2(t/2) -
-    (5u^2 - 4u - 4)/(12 nu), u = 1/cos^2(t/2), where t + sin t =
-    4 pi (k - 1/4)/nu; the m ~ 0.6 sqrt(n) smallest zeros take Gatteschi's
-    Bessel form j^2/nu (1 + (j^2 - 2)/(3 nu^2)) with j the k-th zero of J0,
-    and the m largest the Airy form nu + 2^{2/3} a nu^{1/3} + ... with a the
-    k-th zero of Ai, where each is the more accurate.
+    In u = sqrt(t) the integral is 1 - e^{-u0^2} + int 2u e^{-u^2} f(u^2) du
+    over [u0, min(u_hi, 6.2)], u0 the lattice point at or below u_lo; beyond
+    6.2 the rest is at most e^{-6.2^2}, about 2e-17. The lattice has panels
+    of the given width anchored at u = 0, each with the Gauss-Kronrod 7/15
+    rule, and f takes the t = u^2 of 8 panels (120 nodes) per call. u_lo
+    and u_hi are scalars for one integral (f returns shape (n,), a float is
+    returned) or arrays of m bounds for m integrals (f returns shape (n, m),
+    an array of m values is returned).
+
+    An integral settles when its panels' |Kronrod - Gauss| differences sum to
+    at most max(1e-10, 1e-9 * |estimate|); an unsettled one is recomputed on
+    the lattice of half the width, up to 4 times. Panels outside an
+    integral's own range add exact zeros, and panels add in lattice order, so
+    an integral gets the same value alone as among others. Raises
+    AccuracyError (carrying the last two estimates of the first unsettled
+    integral) if an integral has not settled at width/16.
     """
-    nu = 4.0 * n + 2.0
-    k = np.arange(1.0, n + 1.0)
-    c = (4.0 * math.pi / nu) * (k - 0.25)
-    t = 0.5 * c
-    for _ in range(_TRICOMI_ITERATIONS):
-        t -= (t + np.sin(t) - c) / (1.0 + np.cos(t))
-    s = np.sin(0.5 * t) ** 2
-    u = 1.0 / (1.0 - s)
-    x = nu * s - (5.0 * u * u - 4.0 * u - 4.0) / (12.0 * nu)
-    m = min(math.ceil(0.6 * math.sqrt(n)), n // 2)
-    if m:
-        table = min(m, 3)
-        # J0 zeros: McMahon's series in 1/(8 beta), beta = (k - 1/4) pi
-        beta = (k[:m] - 0.25) * math.pi
-        e = 1.0 / (8.0 * beta)
-        j = beta + e * (1.0 - e * e * (124.0 / 3.0 - e * e * (120928.0 / 15.0
-                                                              - e * e * 401743168.0 / 105.0)))
-        j[:table] = _J0_ZEROS[:table]
-        j2 = j * j
-        x[:m] = j2 / nu * (1.0 + (j2 - 2.0) / (3.0 * nu * nu))
-        # Ai zeros a = -T(tau), tau = 3 pi (4k - 1)/8, T its asymptotic series
-        tau = (3.0 * math.pi / 8.0) * (4.0 * k[:m] - 1.0)
-        r = tau ** -2.0
-        a = -tau ** (2.0 / 3.0) * (1.0 + r * (5.0 / 48.0 - r * (5.0 / 36.0 - r * (
-            77125.0 / 82944.0 - r * (108056875.0 / 6967296.0
-                                     - r * 162375596875.0 / 334430208.0)))))
-        a[:table] = -_AIRY_ZEROS[:table]
-        c3 = nu ** (1.0 / 3.0)
-        xa = (nu + 2.0 ** (2.0 / 3.0) * a * c3 + 0.2 * 2.0 ** (4.0 / 3.0) * a * a / c3
-              + (11.0 / 35.0 - 12.0 / 175.0 * a ** 3) / nu
-              + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a ** 4) * 2.0 ** (2.0 / 3.0) / c3 ** 5
-              - (15152.0 / 3031875.0 * a ** 5 + 1088.0 / 121275.0 * a * a)
-              * 2.0 ** (1.0 / 3.0) / c3 ** 7)
-        x[n - m:] = xa[::-1]
-    return x
-
-
-def _laguerre_pass(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of the recurrence at every node x: the Halley step towards
-    the nearest zero of L_n, and the Christoffel weight 1/sum_{k<n} L_k(x)^2.
-
-    The recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1} runs in the
-    difference form D_{k+1} = D_k - x L_k, L_{k+1} = L_k + D_{k+1}/(k+1),
-    D_k = k (L_k - L_{k-1}), where x enters only as a factor, so a small node
-    keeps its relative accuracy. The steps run in blocks of 16 whose L rows
-    are kept, so each block adds its squares to the sum in one call; then L,
-    D and the sum are rescaled per node by a power of two (exactly), and the
-    exponents are added back into the weight, which underflows to 0 only
-    where the true weight does. With u = L_n/L_n' = x L_n/D_n and
-    L_n''/L_n' = (x - 1 - n u)/x from Laguerre's equation, the Halley step is
-    u / (1 - u (x - 1 - n u)/(2x)).
-    """
-    mul, sub, add = np.multiply, np.subtract, np.add
-    block = np.empty((_RESCALE_STEPS + 1, x.size))
-    rows = list(block)  # rows[0] carries L into the block, rows[j] is j steps on
-    rows[0].fill(1.0)
-    diff = np.zeros_like(x)
-    sq_sum = np.ones_like(x)
-    exps = np.zeros(x.shape, dtype=np.int64)
-    tmp = np.empty_like(x)
-    # 0-d arrays: a ufunc takes them faster than Python floats
-    inv = [np.array(1.0 / k) for k in range(1, n)]
-    for k0 in range(0, n - 1, _RESCALE_STEPS):
-        steps = min(_RESCALE_STEPS, n - 1 - k0)
-        for cur, nxt, c in zip(rows, rows[1:steps + 1], inv[k0:k0 + steps]):
-            mul(x, cur, tmp)
-            sub(diff, tmp, diff)
-            mul(diff, c, tmp)
-            add(cur, tmp, nxt)
-        new = block[1:steps + 1]
-        sq_sum += np.einsum("ij,ij->j", new, new)
-        half = np.frexp(sq_sum)[1] >> 1
-        np.ldexp(rows[steps], -half, out=rows[0])
-        np.ldexp(diff, -half, out=diff)
-        np.ldexp(sq_sum, -2 * half, out=sq_sum)
-        exps += half
-    lag = rows[0]
-    sub(diff, x * lag, diff)  # D_n
-    u = x * (lag + diff / n) / diff
-    step = u / (1.0 - u * (x - 1.0 - n * u) / (2.0 * x))
-    return step, np.ldexp(1.0 / sq_sum, -2 * exps)
-
-
-def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Laguerre rule (weight e^{-t}),
-    built once per process and returned as read-only arrays.
-
-    The nodes are the zeros of L_n: every guess from _laguerre_guess is
-    refined together by Halley passes of the three-term recurrence
-    (_laguerre_pass), each pass over the nodes whose last step exceeded
-    1e-14 relative; from these guesses two passes settle every node of the
-    64- to 2048-node rules. A node's weight is the Christoffel value
-    1/sum_{k<n} L_k(x)^2 from the pass in which it settled, so far-out
-    weights underflow to true zeros. This costs O(n^2) time and O(n) memory,
-    where Golub-Welsch (a dense eigendecomposition of the Jacobi matrix)
-    costs O(n^3) and O(n^2), and it keeps the small nodes to about 1e-15
-    relative, where the eigenvalues lose up to 7e-11 at n = 2048. The
-    recurrence values grow like e^{x/2}, so unscaled their squares would
-    overflow from about n = 256 on; rescaled as they run, they never do.
-
-    Raises ComputationError if a node has not settled after 4 passes, if the
-    nodes are not positive and strictly increasing, or if the weights do not
-    sum to 1 within 1e-13.
-    """
-    rule = _LAGUERRE_RULES.get(n)
-    if rule is None:
-        nodes = _laguerre_guess(n)
-        weights = np.empty(n)
-        todo = np.arange(n)
-        for _ in range(_LAGUERRE_PASSES):
-            step, weight = _laguerre_pass(nodes[todo], n)
-            nodes[todo] -= step
-            settled = np.abs(step) <= _LAGUERRE_STEP_TOL * nodes[todo]
-            weights[todo[settled]] = weight[settled]
-            todo = todo[~settled]
-            if not todo.size:
-                break
-        else:
-            raise ComputationError(
-                f"{todo.size} of the {n} Gauss-Laguerre nodes did not settle "
-                f"in {_LAGUERRE_PASSES} passes")
-        if not (nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0)):
-            raise ComputationError(
-                f"{n}-point Gauss-Laguerre nodes not positive and strictly increasing")
-        total = math.fsum(weights)
-        if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:
-            raise ComputationError(
-                f"{n}-point Gauss-Laguerre weights sum to {total!r}, not 1")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        rule = (nodes, weights)
-        _LAGUERRE_RULES[n] = rule
-    return rule
-
-
-def _apply_rule(f: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[np.ndarray, bool]:
-    """The n-node estimates of every integral f carries, as a vector, and
-    whether f returned a single integrand (shape (n,))."""
-    nodes, weights = _laguerre_rule(n)
-    values = np.asarray(f(nodes), dtype=float)
-    single = values.ndim == 1
-    return _column_products(weights[None, :], values[:, None] if single else values)[0], single
-
-
-def integrate_expweighted(f: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:
-    """int_0^inf e^{-t} f(t) dt for bounded f (here always f(t) in [0, 1]).
-
-    f takes the array of rule nodes and returns the integrand at each, either
-    as shape (n,) for one integral (a float is returned) or as shape (n, m)
-    for m integrals at once (an array of m values is returned). Gauss-Laguerre
-    on one ladder of rules, 64 nodes doubled up to 2048: each integral keeps
-    the estimate of its own first two successive rules agreeing within
-    max(1e-10, 1e-9 * |estimate|), so it gets the same value alone as among
-    others. Raises AccuracyError (carrying the last two estimates of the first
-    unsettled integral) if any integral reaches the 2048-node rule without
-    agreement.
-    """
-    n = _QUAD_START_NODES
-    cur, single = _apply_rule(f, n)
-    result = np.full_like(cur, math.nan)
-    settled = np.zeros(cur.shape, dtype=bool)
-    while n < _QUAD_MAX_NODES:
-        prev = cur
-        n *= 2
-        cur, _ = _apply_rule(f, n)
-        agree = ~settled & (np.abs(cur - prev)
-                            <= np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(cur)))
-        result[agree] = cur[agree]
-        settled |= agree
-        if settled.all():
+    lo = np.asarray(u_lo, dtype=float)
+    hi = np.asarray(u_hi, dtype=float)
+    single = lo.ndim == 0 and hi.ndim == 0
+    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
+    start = np.clip(lo, 0.0, _U_END)
+    stop = np.minimum(hi, _U_END)
+    result = np.empty(start.shape)
+    todo = np.ones(start.shape, dtype=bool)
+    last = np.full(start.shape, math.nan)
+    h = float(width)
+    for _ in range(_PANEL_HALVINGS + 1):
+        first = np.floor(start / h)
+        end = np.maximum(np.ceil(stop / h), first)  # one past the last panel
+        # the lattice groups holding a panel of an unsettled column
+        live = todo & (end > first)
+        g_lo = first[live].astype(np.int64) // _GROUP_PANELS
+        counts = (end[live].astype(np.int64) - 1) // _GROUP_PANELS - g_lo + 1
+        groups = set((np.repeat(g_lo - np.cumsum(counts) + counts, counts)
+                      + np.arange(counts.sum())).tolist())
+        kronrod = [np.zeros((1, start.size))]
+        spread = [np.zeros((1, start.size))]
+        for group in sorted(groups):
+            estimates, differences = _group_panels(f, group, h, first, end)
+            kronrod.append(estimates)
+            spread.append(differences)
+        # every panel in lattice order, added one at a time
+        total = np.cumsum(np.concatenate(kronrod), axis=0)[-1]
+        error = np.cumsum(np.concatenate(spread), axis=0)[-1]
+        estimate = -np.expm1(-(first * h) ** 2) + total
+        settled = todo & (error <= np.maximum(_QUAD_ABS_TOL,
+                                               _QUAD_REL_TOL * np.abs(estimate)))
+        result[settled] = estimate[settled]
+        todo &= ~settled
+        if not todo.any():
             return float(result[0]) if single else result
-    j = int(np.argmin(settled))
-    raise AccuracyError(
-        f"quadrature not converged after reaching {n} nodes", float(cur[j]), float(prev[j])
-    )
+        before, last = last, estimate
+        h *= 0.5
+    j = int(np.argmax(todo))
+    raise AccuracyError(f"panel quadrature not settled at panel width {2.0 * h!r}",
+                        float(last[j]), float(before[j]))

@@ -222,7 +222,7 @@ def _check_constraint_residuals(rng, full):
     worst_end = max(abs(end_lo - params.delta), abs(end_hi - params.delta))
     # without jamming the destination outage is Rayleigh: 1 - e^{-x/snr} = delta
     snr = params.p_s * params.sigma_h2 / params.sigma_d2
-    r_max_err = abs(r_max - math.log2(1.0 - snr * math.log(1.0 - params.delta)))
+    r_max_err = abs(r_max - math.log1p(-snr * math.log(1.0 - params.delta)) / _LN2)
     ok = worst <= 1e-10 and worst_end <= 1e-9 and r_max_err <= 1e-6
     return ok, (f"interior residual {worst:.2e}, endpoint residual "
                 f"{worst_end:.2e}, band top vs direct form {r_max_err:.1e}")

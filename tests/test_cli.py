@@ -30,6 +30,17 @@ class TestRun:
         assert len(rows) == 4
         assert svg.read_text(encoding="utf-8").startswith("<svg")
 
+    def test_fig3_at_high_correlation_has_every_row(self, tmp_path, capsys):
+        # aperture 0.1 (mu = 0.9918): every port count from 2 to 16 gets a
+        # row for each of the five schemes
+        cfg = _cfg(tmp_path, "experiment = fig3\naperture_w = 0.1\n"
+                             "schemes = ProposedBisect, ProposedClosedForm, "
+                             "ConstantJamming, Passive, ConventionalSingle\n")
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert len(parse_csv(str(out))) == 75
+        assert capsys.readouterr().err == ""
+
     def test_set_overrides(self, tmp_path):
         cfg = _cfg(tmp_path, "")
         out = tmp_path / "rows.csv"

@@ -7,12 +7,13 @@ tolerances are multiples of the binomial standard error, not the reported
 95% half width.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 import fasmon.channel
-from fasmon import (DomainError, RatePoint, estimate_monitor_outage,
+from fasmon import (DomainError, RatePoint, derive_link, estimate_monitor_outage,
                     estimate_monitoring_rate, estimate_sd_outage,
                     monitor_outage_true, sd_outage)
 
@@ -97,6 +98,16 @@ class TestAgainstAnalytic:
         quad = monitor_outage_true(ref_link, rp, 8)
         est = estimate_monitor_outage(ref_params, ref_link, rp, 8,
                                       400_000, seed=2026)
+        assert abs(est.mean - quad) <= 3.0 * _sigma(est)
+
+    def test_monitor_outage_high_correlation(self, ref_params):
+        # W = 0.1 gives mu = 0.9918: with 16 ports the integrand steps within
+        # 1/11 in u = sqrt(t), where one global Laguerre rule never settled
+        params = dataclasses.replace(ref_params, aperture_w=0.1, n_ports=16)
+        link = derive_link(params)
+        rp = RatePoint(1.5)
+        quad = monitor_outage_true(link, rp, 16)
+        est = estimate_monitor_outage(params, link, rp, 16, 1_000_000, seed=2030)
         assert abs(est.mean - quad) <= 3.0 * _sigma(est)
 
     def test_monitor_outage_single_port(self, ref_params, ref_link):

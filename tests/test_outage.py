@@ -2,24 +2,30 @@
 
 The destination outage has a closed form; its oracle here is direct numeric
 integration over the interferer power. The monitor outage quadrature is
-checked against frozen multiprecision values of the defining integral and
-against its own closed-form special cases.
+checked against frozen multiprecision values of the defining integral,
+against its own closed-form special cases, and, up to near-unit port
+correlation, against scipy's noncentral chi-square CDF under adaptive
+quadrature.
 """
 
 import dataclasses
 import math
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import chndtr
 
 from fasmon import (ConstraintInfeasibleError, DegenerateRateError,
-                    DerivedLink, DomainError, RatePoint, eta_factor,
+                    DerivedLink, DomainError, FasmonError, RatePoint,
+                    SystemParams, derive_link, eta_factor,
                     monitor_outage_approx, monitor_outage_bound,
                     monitor_outage_true, pm_for_rate, rate_approx,
                     rate_bound, rate_bounds, rate_for_pm, rate_true,
                     sd_outage)
-from fasmon import specfun
 from fasmon.outage import _outage_true, rates_true
 
 R_MIN_REF = 0.39114170868809469468
@@ -38,6 +44,31 @@ MONITOR_REFS = (
 
 def _make_link(mu, n_ports, gamma_cap):
     return DerivedLink(mu=mu, eta=eta_factor(mu, n_ports), gamma_cap=gamma_cap)
+
+
+def _oracle_outage(link, gamma_th, n_ports):
+    """The exact outage from scipy: the noncentral chi-square CDF (chndtr,
+    the kernel of scipy.stats.ncx2.cdf), which is 1 - Q1, under adaptive
+    quadrature in u = sqrt(t), split into pieces 1/a wide across the step at
+    u = b/a. Below u = (b - 12)/a the CDF is 1 within e^{-72}, so that part
+    is the closed form 1 - e^{-u^2}."""
+    mu2 = link.mu * link.mu
+    a = math.sqrt(2.0 * mu2 / (1.0 - mu2))
+    b = math.sqrt(2.0 * gamma_th / (link.gamma_cap * (1.0 - mu2)))
+
+    def integrand(u):
+        return 2.0 * u * math.exp(-u * u) * chndtr(b * b, 2, (a * u) ** 2) ** n_ports
+
+    lo = max(0.0, (b - 12.0) / a)
+    hi = min((b + 12.0) / a, 9.0)
+    edges = sorted({min(max(b / a + k / a, lo), hi) for k in range(-12, 13)} | {lo, hi})
+    total = -math.expm1(-lo * lo)
+    with warnings.catch_warnings():
+        # the pieces far out in the tails are at the rounding floor
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for x0, x1 in zip(edges, edges[1:]):
+            total += quad(integrand, x0, x1, epsabs=1e-17, epsrel=1e-14, limit=200)[0]
+    return total
 
 
 class TestRatePoint:
@@ -110,6 +141,22 @@ class TestRateBand:
         out = sd_outage(strong, RatePoint(r_min), strong.p_m_max)
         assert out == pytest.approx(strong.delta, abs=1e-10)
 
+    def test_tiny_delta_with_a_weak_direct_link(self):
+        # r_max = log2(1 + x) with x = 1.5e-18 rounded to 0 and failed the
+        # band check; the band top must meet the outage target to rounding,
+        # which needs the expm1 form of sd_outage at delta = 1.5e-12
+        params = SystemParams(p_s=1e-3, p_m_max=10, sigma_h2=1e-3, sigma_g2=1,
+                              sigma_f2=1, sigma_d2=1, sigma_m2=1, delta=1.5e-12,
+                              n_ports=4, aperture_w=1)
+        r_min, r_max = rate_bounds(params)
+        assert 0.0 < r_min < r_max
+        assert r_max == pytest.approx(1.5e-18 / math.log(2.0), rel=1e-9, abs=0.0)
+        hi = sd_outage(params, RatePoint(r_max), 0.0)
+        assert hi == pytest.approx(params.delta, rel=1e-12, abs=0.0)
+        # r_min = W(.)/A - 1/B cancels to about 1e-4 relative at this delta
+        lo = sd_outage(params, RatePoint(r_min), params.p_m_max)
+        assert lo == pytest.approx(params.delta, rel=1e-3, abs=0.0)
+
     def test_weak_jamming_regime(self, ref_params):
         weak = dataclasses.replace(ref_params, p_m_max=1e-6)
         r_min, r_max = rate_bounds(weak)
@@ -171,21 +218,14 @@ class TestMonitorOutage:
     def test_zero_threshold(self, ref_link):
         assert monitor_outage_true(ref_link, RatePoint(0.0), 8) == 0.0
 
-    def test_sharp_transition_needs_the_2048_node_rule(self, monkeypatch):
-        # mu near 1 with many ports needs the 2048-node rule to converge
-        sizes = []
-        build = specfun._laguerre_rule
-
-        def recorded(n):
-            sizes.append(n)
-            return build(n)
-
-        monkeypatch.setattr(specfun, "_laguerre_rule", recorded)
+    def test_sharp_transition_matches_the_oracle(self):
+        # mu near 1 with many ports: a = 6.6 sqrt(t), so the integrand
+        # steps within about 1/6.6 in u = sqrt(t)
         link = _make_link(0.9781149303682883, 22, 16.342607691885046)
         rp = RatePoint(2.6157292487448686686)
         value = monitor_outage_true(link, rp, 22)
+        assert value == pytest.approx(_oracle_outage(link, rp.gamma_th, 22), abs=1e-12)
         assert value == pytest.approx(0.06861206041387832, abs=1e-9)
-        assert sizes == [64, 128, 256, 512, 1024, 2048]
 
     def test_block_values_equal_one_point_values(self, ref_params, ref_link):
         # bitwise: a rate's exact outage may not depend on the block it is in
@@ -218,6 +258,52 @@ class TestMonitorOutage:
             approx = monitor_outage_approx(ref_link, rp, n)
             assert approx == pytest.approx(expected, rel=1e-14)
             assert approx <= monitor_outage_true(ref_link, rp, n) + 1e-9
+
+
+# the grid of apertures and port counts on which the Laguerre rules used
+# before failed for every W <= 0.05 and for N >= 8 at W = 0.1
+ORACLE_GRID = [(w, n) for w in (0.01, 0.02, 0.05, 0.1, 0.5, 1.0, 5.0)
+               for n in (2, 8, 32, 64)]
+# a^2/2 grows like 1/(1 - mu^2); 1 - mu^2 is 1.5e-5 at W = 0.003
+EXTREME_GRID = [(w, n, r) for w in (0.003, 0.001, 1e-4) for n in (2, 64)
+                for r in (0.5, 4.0)]
+
+
+class TestHighCorrelation:
+    @pytest.mark.parametrize("aperture_w, n_ports", ORACLE_GRID)
+    def test_against_the_oracle(self, ref_params, aperture_w, n_ports):
+        params = dataclasses.replace(ref_params, aperture_w=aperture_w,
+                                     n_ports=n_ports)
+        link = derive_link(params)
+        for r in (0.5, 2.0, 4.0):
+            rp = RatePoint(r)
+            value = monitor_outage_true(link, rp, n_ports)
+            oracle = _oracle_outage(link, rp.gamma_th, n_ports)
+            assert value == pytest.approx(oracle, abs=1e-12), r
+
+    @pytest.mark.parametrize("aperture_w, n_ports, rate", EXTREME_GRID)
+    def test_extreme_correlation_is_right_or_typed(self, ref_params, aperture_w,
+                                                   n_ports, rate):
+        # computed within bounded memory and time, or refused with a
+        # FasmonError
+        params = dataclasses.replace(ref_params, aperture_w=aperture_w,
+                                     n_ports=n_ports)
+        link = derive_link(params)
+        rp = RatePoint(rate)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            value = monitor_outage_true(link, rp, n_ports)
+        except FasmonError:
+            value = None
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        assert peak < 32 * 2 ** 20
+        if value is not None:
+            assert value == pytest.approx(
+                _oracle_outage(link, rp.gamma_th, n_ports), abs=1e-12)
 
 
 class TestRateWrappers:

@@ -1,19 +1,17 @@
 """Special-function accuracy against independent references.
 
 Reference values are multiprecision (50-digit) evaluations rounded to double;
-scipy and mpmath serve as independent oracles on randomized grids. The
+scipy serves as an independent oracle on randomized grids. The
 implementations under test share no code with either.
 """
 
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 import scipy.stats
-from numpy.polynomial.laguerre import laggauss
 from scipy.integrate import quad
 
 from fasmon import (AccuracyError, ComputationError, DomainError, bessel_j,
@@ -171,9 +169,8 @@ class TestMarcumQ1:
         assert np.max(np.abs(q - ref)) <= 1e-10
 
     def test_windowed_large_lambda_against_scipy(self):
-        # the regime of near-unit port correlation: a = 11 sqrt(t) at the
-        # nodes t of a 2048-node Laguerre rule reaches a^2/2 ~ 5e5, and only
-        # the nodes with |a - b| < 11 take the Poisson sum
+        # the regime of near-unit port correlation: a reaches ~900, a^2/2
+        # ~ 4e5, and only the rows with |a - b| < 11 take the Poisson sum
         rng = np.random.default_rng(16)
         b = rng.uniform(100.0, 900.0, 150)
         a = b + rng.uniform(-10.9, 10.9, 150)
@@ -184,6 +181,39 @@ class TestMarcumQ1:
         q = marcum_q1(a_nodes[:, None], b_cols[None, :])
         ref = scipy.stats.ncx2.sf(b_cols[None, :] ** 2, 2, a_nodes[:, None] ** 2)
         assert np.max(np.abs(q - ref)) <= 1e-10
+
+    def test_refuses_past_the_certified_range_before_allocating(self):
+        # a^2/2 = 1.1e6 needs a window of ~18000 Poisson terms per row; the
+        # kernel names the cause before building any of them
+        tracemalloc.start()
+        try:
+            with pytest.raises(ComputationError, match="a\\^2/2 = 1.125e\\+06"):
+                marcum_q1(np.full(120, 1500.0), 1500.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # where |a - b| >= 11 the exits need no weights: nothing is refused
+        assert marcum_q1(1500.0, 10.0) == 1.0
+        assert marcum_q1(10.0, 1500.0) == 0.0
+
+    def test_work_cap_splits_large_windows(self):
+        # 120 rows near a = 950 (a^2/2 ~ 4.5e5) against 16 columns: one
+        # unsplit weight matrix would hold ~120 x 30000 doubles (29 MB), and
+        # its temporaries took the unsplit kernel to a 140 MB peak
+        a = np.linspace(940.0, 960.0, 120)
+        b = np.linspace(941.0, 959.0, 16)
+        tracemalloc.start()
+        try:
+            grid = marcum_q1(a[:, None], b[None, :])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+        ref = scipy.stats.ncx2.sf(b[None, :] ** 2, 2, a[:, None] ** 2)
+        assert np.max(np.abs(grid - ref)) <= 1e-10
+        for j in (0, 7, 15):
+            assert np.array_equal(marcum_q1(a, b[j]), grid[:, j])
 
     def test_array_boundary_identities(self):
         a = np.array([0.0, 0.3, 1.0, 5.0, 20.0, 50.0, 300.0])
@@ -253,11 +283,23 @@ class TestLambertW0:
 
 
 class TestQuadrature:
-    def test_factorial_moments(self):
-        # integral of e^{-t} t^k is k!, exact for polynomial degree < 2n
-        for k in range(13):
-            val = integrate_expweighted(lambda t, k=k: t ** k)
-            assert val == pytest.approx(float(math.factorial(k)), rel=1e-12)
+    def test_kronrod_and_gauss_exactness(self):
+        # on [-1, 1] the 15-point Kronrod rule integrates x^k exactly up to
+        # degree 22 and its embedded 7-point Gauss rule up to degree 13; odd
+        # degrees vanish by symmetry, and the next even degree is missed
+        x = specfun._GK_NODES
+        kronrod = specfun._KRONROD_WEIGHTS
+        gauss = specfun._GAUSS_WEIGHTS
+        for k in range(0, 26):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            kron_err = abs(math.fsum(kronrod * x ** k) - exact)
+            gauss_err = abs(math.fsum(gauss * x[1::2] ** k) - exact)
+            assert (kron_err <= 1e-15) == (k <= 22 or k % 2 == 1), k
+            assert (gauss_err <= 1e-15) == (k <= 13 or k % 2 == 1), k
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(x[1::2], nodes, rtol=0, atol=2e-16)
+        np.testing.assert_allclose(gauss, weights, rtol=0, atol=3e-16)
+        assert math.fsum(kronrod) == pytest.approx(2.0, abs=1e-15)
 
     def test_oscillatory_value(self):
         # integral of e^{-t} cos(t) = 1/2
@@ -270,173 +312,65 @@ class TestQuadrature:
         ref, _ = quad(lambda t: math.exp(-t) * f(t), 0.0, np.inf)
         assert ours == pytest.approx(ref, rel=1e-9)
 
+    def test_bounds_agree_with_the_full_range(self):
+        # a step at u = sqrt(t) = 2 that rounds to exactly 1 below u = 1.25
+        # and to exactly 0 above u = 5.5: the closed-form head below u_lo and
+        # the cut above u_hi leave the value where the full range puts it
+        f = lambda t: 0.5 * sp.erfc(8.0 * (np.sqrt(t) - 2.0))
+        assert f(np.array([1.25 ** 2]))[0] == 1.0
+        assert f(np.array([5.5 ** 2]))[0] == 0.0
+        bounded = integrate_expweighted(f, 1.25, 5.5, 0.125)
+        full = integrate_expweighted(f, 0.0, math.inf, 0.125)
+        ref, _ = quad(lambda u: 2.0 * u * math.exp(-u * u) * f(np.array([u * u]))[0],
+                      0.0, 7.0, points=[2.0], epsabs=1e-15, limit=200)
+        assert bounded == pytest.approx(ref, abs=1e-13)
+        assert full == pytest.approx(ref, abs=1e-13)
+
     def test_unresolvable_integrand_raises(self):
-        # oscillation beyond what the 2048-node rule resolves
+        # oscillation beyond what panels of width 1/16 resolve
         with pytest.raises(AccuracyError) as err:
             integrate_expweighted(lambda t: np.cos(80.0 * t))
         assert err.value.last_estimate != err.value.previous_estimate
 
+    def test_error_carries_the_last_two_estimates(self, monkeypatch):
+        # with one halving fewer the integral stops at width 1/8; that last
+        # estimate is the one before last when it stops at width 1/16
+        f = lambda t: np.cos(300.0 * t)
+        with pytest.raises(AccuracyError, match="not settled") as full:
+            integrate_expweighted(f)
+        monkeypatch.setattr(specfun, "_PANEL_HALVINGS", specfun._PANEL_HALVINGS - 1)
+        with pytest.raises(AccuracyError) as shorter:
+            integrate_expweighted(f)
+        assert full.value.previous_estimate == shorter.value.last_estimate
+        assert full.value.last_estimate != full.value.previous_estimate
+
     def test_block_columns_keep_their_own_estimates(self):
-        # cos(2t) settles at 128 nodes, cos(4t) only at 256; the block runs
-        # the 256-node rule for both, and cos(2t) keeps its 128-node value
+        # cos(2t) settles on panels of width 1/2, cos(12t) only at 1/16; the
+        # block refines for cos(12t) alone, and cos(2t) keeps its value
         sizes = []
 
         def block(t):
             sizes.append(t.size)
-            return np.stack([np.cos(2.0 * t), np.cos(4.0 * t)], axis=1)
+            return np.stack([np.cos(2.0 * t), np.cos(12.0 * t)], axis=1)
 
-        values = integrate_expweighted(block)
-        assert sizes == [64, 128, 256]
+        values = integrate_expweighted(block, np.zeros(2), np.full(2, np.inf))
         assert values.shape == (2,)
-        assert values[0] == integrate_expweighted(lambda t: np.cos(2.0 * t))
-        assert values[1] == integrate_expweighted(lambda t: np.cos(4.0 * t))
-        assert values == pytest.approx([1.0 / 5.0, 1.0 / 17.0], rel=1e-9)
+        # 1, 2, 4, 7 and 13 lattice groups of 8 panels (120 nodes) each
+        assert sizes == [120] * 27
+        alone = []
+        assert values[0] == integrate_expweighted(
+            lambda t: (alone.append(t.size), np.cos(2.0 * t))[1])
+        assert alone == [120] * 3
+        assert values[1] == integrate_expweighted(lambda t: np.cos(12.0 * t))
+        assert values == pytest.approx([1.0 / 5.0, 1.0 / 145.0], rel=1e-9)
 
     def test_one_unsettled_column_fails_the_block(self):
         with pytest.raises(AccuracyError) as err:
             integrate_expweighted(
-                lambda t: np.stack([t ** 2, np.cos(80.0 * t)], axis=1))
+                lambda t: np.stack([np.exp(-t), np.cos(80.0 * t)], axis=1),
+                np.zeros(2), np.full(2, np.inf))
         assert err.value.last_estimate != err.value.previous_estimate
 
-
-LADDER = (64, 128, 256, 512, 1024, 2048)
-
-
-def _golub_welsch(n):
-    """The dense-eigh Golub-Welsch rule the recurrence construction replaced,
-    kept here as an accuracy yardstick."""
-    k = np.arange(n, dtype=float)
-    jacobi = np.diag(2.0 * k + 1.0)
-    off = np.arange(1.0, n)
-    idx = np.arange(n - 1)
-    jacobi[idx, idx + 1] = off
-    jacobi[idx + 1, idx] = off
-    nodes, vectors = np.linalg.eigh(jacobi)
-    return nodes, vectors[0] ** 2
-
-
-def _mp_laguerre(n, x):
-    """L_n(x) and L_{n-1}(x) in multiprecision."""
-    prev, cur = mpmath.mpf(1), 1 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur, prev
-
-
-def _mp_root_and_weight(n, x0):
-    """The zero of L_n next to x0 (one Newton step from a double-precision
-    start gives ~30 digits) and its weight x / (n^2 L_{n-1}(x)^2)."""
-    with mpmath.workdps(40):
-        x = mpmath.mpf(x0)
-        ln, lm = _mp_laguerre(n, x)
-        x -= x * ln / (n * (ln - lm))
-        _, lm = _mp_laguerre(n, x)
-        return x, x / (n * n * lm * lm)
-
-
-@pytest.fixture
-def fresh_rules(monkeypatch):
-    """An empty rule cache for one test, so the test builds the rules it
-    asks for; the process cache is restored afterwards."""
-    monkeypatch.setattr(specfun, "_LAGUERRE_RULES", {})
-
-
-class TestLaguerreRule:
-    @pytest.mark.parametrize("n", LADDER)
-    def test_against_mpmath_and_golub_welsch(self, n):
-        nodes, weights = specfun._laguerre_rule(n)
-        old_nodes, old_weights = _golub_welsch(n)
-        node_err, old_node_err, weight_err, old_weight_err = [], [], [], []
-        for i in sorted({0, 1, 2, n // 16, n // 4, n // 2, n - 2, n - 1}):
-            root, weight = _mp_root_and_weight(n, nodes[i])
-            node_err.append(float(abs(nodes[i] - root) / root))
-            old_node_err.append(float(abs(old_nodes[i] - root) / root))
-            if weight > 1e-300:  # away from subnormal underflow
-                weight_err.append(float(abs(weights[i] - weight) / weight))
-                old_weight_err.append(float(abs(old_weights[i] - weight) / weight))
-        # the worst sampled node and weight at least as accurate as in the
-        # dense eigh rule (whose smallest node is off by 7e-11 at n = 2048
-        # and whose far weights are noise), and at rounding level outright;
-        # a weight's error grows like eps x, up to 5e-14 at x ~ 700
-        assert max(node_err) <= max(old_node_err)
-        assert max(weight_err) <= max(old_weight_err)
-        assert max(node_err) <= 5e-15
-        assert max(weight_err) <= 1e-13
-
-    @pytest.mark.parametrize("n", LADDER)
-    def test_moments(self, n):
-        # sum w x^k = k!, exact for degree < 2n
-        nodes, weights = specfun._laguerre_rule(n)
-        for k in range(5):
-            moment = math.fsum(weights * nodes ** k)
-            assert moment == pytest.approx(math.factorial(k), rel=1e-13)
-
-    @pytest.mark.parametrize("n", LADDER)
-    def test_shape_order_and_weights(self, n):
-        nodes, weights = specfun._laguerre_rule(n)
-        assert nodes.shape == weights.shape == (n,)
-        assert nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0)
-        assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
-        # far-out weights underflow to true zeros, not eigenvector noise
-        if n >= 256:
-            assert weights[-1] == 0.0
-
-    def test_small_rules_against_numpy(self):
-        for n in range(1, 21):
-            nodes, weights = specfun._laguerre_rule(n)
-            ref_nodes, ref_weights = laggauss(n)
-            np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-13)
-            np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=1e-300)
-
-    def test_read_only_and_built_once(self, fresh_rules, monkeypatch):
-        passes = []
-        run_pass = specfun._laguerre_pass
-
-        def counted(x, n):
-            passes.append(x.size)
-            return run_pass(x, n)
-
-        monkeypatch.setattr(specfun, "_laguerre_pass", counted)
-        nodes, weights = specfun._laguerre_rule(128)
-        assert not nodes.flags.writeable and not weights.flags.writeable
-        with pytest.raises(ValueError):
-            nodes[0] = 1.0
-        # the guesses are close enough that one Halley pass lands every
-        # node and a second confirms it
-        assert passes == [128, 128]
-        again = specfun._laguerre_rule(128)
-        assert again[0] is nodes and again[1] is weights
-        assert passes == [128, 128]
-
-    @pytest.mark.parametrize("n", LADDER)
-    def test_guesses_within_3e_6(self, n):
-        nodes, _ = specfun._laguerre_rule(n)
-        guess = specfun._laguerre_guess(n)
-        assert np.max(np.abs(guess - nodes) / nodes) <= 3e-6
-
-    def test_edge_zero_tables(self):
-        np.testing.assert_allclose(specfun._J0_ZEROS, sp.jn_zeros(0, 3), rtol=1e-15)
-        np.testing.assert_allclose(specfun._AIRY_ZEROS, -sp.ai_zeros(3)[0], rtol=1e-15)
-
-    def test_memory_stays_linear(self, fresh_rules):
-        # the dense Jacobi matrix of the eigh construction alone was 33.5 MB
-        tracemalloc.start()
-        try:
-            specfun._laguerre_rule(2048)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
-
-    def test_unsettled_nodes_raise(self, fresh_rules, monkeypatch):
-        monkeypatch.setattr(specfun, "_LAGUERRE_PASSES", 1)
-        with pytest.raises(ComputationError, match="did not settle"):
-            specfun._laguerre_rule(64)
-        assert 64 not in specfun._LAGUERRE_RULES
-
-    def test_colliding_nodes_raise(self, fresh_rules, monkeypatch):
-        # guesses that all sit next to one zero settle onto it together
-        monkeypatch.setattr(specfun, "_laguerre_guess",
-                            lambda n: np.full(n, 0.0224))
-        with pytest.raises(ComputationError, match="strictly increasing"):
-            specfun._laguerre_rule(64)
+    def test_integrand_columns_must_match_the_bounds(self):
+        with pytest.raises(DomainError, match="2 columns for 1 integrals"):
+            integrate_expweighted(lambda t: np.stack([t, t], axis=1))
