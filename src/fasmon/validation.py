@@ -15,8 +15,8 @@ fixed seeds whose figures repeat from run to run, and the fig1, fig2 and
 fig3 end-to-end sweeps.
 
 These checks deliberately cross implementation routes: quadrature against
-simulation, series against integral identities, closed forms against generic
-solvers. Agreement between independent routes is the whole point; a check
+simulation, panels in sqrt(t) against a Gauss-Laguerre rule in t, series
+against integral identities, closed forms against generic solvers. Agreement between independent routes is the whole point; a check
 that reuses the code under test would be vacuous.
 """
 
@@ -38,6 +38,7 @@ from .optimize import objective_terms, solve_bound_bisect, solve_closed_form
 from .outage import (RatePoint, monitor_outage_approx, monitor_outage_bound,
                      monitor_outage_true, pm_for_rate, rate_approx, rate_bound,
                      rate_bounds, rate_true, sd_outage)
+from . import specfun
 from .specfun import bessel_j, hyp1f2_half, lambert_w0, marcum_q1
 
 DEFAULT_SEED = 12345
@@ -176,6 +177,32 @@ def _check_outage_directions(rng, full):
         parts.append(f"{label} ({len(points)} points): lower bound {bound:.1e}, "
                      f"linearized {approx:.1e}, rate ordering {rate:.1e}")
     return ok, f"max excess over exact, {'; '.join(parts)} (all <= 1e-9)"
+
+
+def _laguerre_outage(link, gamma_th, n_ports, n_nodes):
+    """The exact best-port outage integrated in t on the n_nodes-point
+    Gauss-Laguerre rule, the route that monitor_outage_true's panels in
+    u = sqrt(t) do not take."""
+    nodes, weights = specfun._laguerre_rule(n_nodes)
+    mu2 = link.mu * link.mu
+    a = np.sqrt((2.0 * mu2 / (1.0 - mu2)) * nodes)
+    b = math.sqrt(2.0 * gamma_th / (link.gamma_cap * (1.0 - mu2)))
+    return math.fsum(weights * (1.0 - specfun.marcum_q1(a, b)) ** n_ports)
+
+
+def _check_outage_quadrature_routes(rng, full):
+    # mu <= 0.8 keeps the integrand smooth enough for one global rule
+    worst_rule = worst = 0.0
+    for link, n_ports in _random_links(rng, 60 if full else 12, mu_max=0.8):
+        gamma = float(rng.uniform(0.05, 6.0))
+        ref = _laguerre_outage(link, gamma, n_ports, 2048)
+        worst_rule = max(worst_rule, abs(ref - _laguerre_outage(link, gamma, n_ports, 1024)))
+        worst = max(worst, abs(monitor_outage_true(link, _threshold_point(gamma), n_ports)
+                               - ref))
+    return worst_rule <= 1e-12 and worst <= 1e-12, (
+        f"panels in sqrt(t) vs 2048-node Gauss-Laguerre in t max |diff| "
+        f"{worst:.1e}, 1024- vs 2048-node rule {worst_rule:.1e} (both <= 1e-12), "
+        f"{60 if full else 12} random links with mu <= 0.8")
 
 
 def _sign_pattern_violations(links):
@@ -407,6 +434,8 @@ CHECKS = (
     Check("bisect-vs-bound-grid", _check_bisect_vs_bound_grid),
     Check("mc-sd-outage", _check_mc_sd_outage),
     Check("mc-monitor-outage", _check_mc_monitor_outage),
+    # after the checks whose draws come from their index, so theirs stay put
+    Check("outage-quadrature-routes", _check_outage_quadrature_routes),
     Check("fig1-peak-powers", _check_fig1_peak_powers, full_only=True),
     Check("ratio-sweep-orderings", _check_ratio_sweep_orderings, full_only=True),
     Check("port-count-trends", _check_port_count_trends, full_only=True),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fasmon.channel
+import fasmon.specfun
 from fasmon import CSV_HEADER, parse_csv, validation
 from fasmon.cli import main
 
@@ -119,7 +120,8 @@ def _alternating_h(real):
 # (module, name the check looks up, stand-in built from the real function,
 #  the one check that must fail). A name patched inside fasmon.validation
 # leaves every other caller of the real function untouched; _mix_weight is
-# read only by the Monte Carlo sampler.
+# read only by the Monte Carlo sampler, and _laguerre_rule only by the
+# quadrature-routes check.
 _SABOTAGE = [
     (validation, "marcum_q1", lambda real: lambda a, b: real(a, b) + 1e-9,
      "marcum-q1"),
@@ -142,6 +144,9 @@ _SABOTAGE = [
     (validation, "estimate_sd_outage", _shifted("mean", 1e-2), "mc-sd-outage"),
     (fasmon.channel, "_mix_weight", lambda real: lambda mu: 1.0 - mu,
      "mc-monitor-outage"),
+    (fasmon.specfun, "_laguerre_rule",
+     lambda real: lambda n: (real(n)[0], real(n)[1] * (1.0 + 1e-9)),
+     "outage-quadrature-routes"),
 ]
 
 

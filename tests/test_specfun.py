@@ -1,17 +1,19 @@
 """Special-function accuracy against independent references.
 
 Reference values are multiprecision (50-digit) evaluations rounded to double;
-scipy serves as an independent oracle on randomized grids. The
+scipy and mpmath serve as independent oracles on randomized grids. The
 implementations under test share no code with either.
 """
 
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 import scipy.stats
+from numpy.polynomial.laguerre import laggauss
 from scipy.integrate import quad
 
 from fasmon import (AccuracyError, ComputationError, DomainError, bessel_j,
@@ -374,3 +376,146 @@ class TestQuadrature:
     def test_integrand_columns_must_match_the_bounds(self):
         with pytest.raises(DomainError, match="2 columns for 1 integrals"):
             integrate_expweighted(lambda t: np.stack([t, t], axis=1))
+
+
+LADDER = (64, 128, 256, 512, 1024, 2048)
+
+
+def _golub_welsch(n):
+    """The dense-eigh Golub-Welsch rule the recurrence construction replaced,
+    kept here as an accuracy yardstick."""
+    k = np.arange(n, dtype=float)
+    jacobi = np.diag(2.0 * k + 1.0)
+    off = np.arange(1.0, n)
+    idx = np.arange(n - 1)
+    jacobi[idx, idx + 1] = off
+    jacobi[idx + 1, idx] = off
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, vectors[0] ** 2
+
+
+def _mp_laguerre(n, x):
+    """L_n(x) and L_{n-1}(x) in multiprecision."""
+    prev, cur = mpmath.mpf(1), 1 - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+    return cur, prev
+
+
+def _mp_root_and_weight(n, x0):
+    """The zero of L_n next to x0 (one Newton step from a double-precision
+    start gives ~30 digits) and its weight x / (n^2 L_{n-1}(x)^2)."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        ln, lm = _mp_laguerre(n, x)
+        x -= x * ln / (n * (ln - lm))
+        _, lm = _mp_laguerre(n, x)
+        return x, x / (n * n * lm * lm)
+
+
+@pytest.fixture
+def fresh_rules(monkeypatch):
+    """An empty rule cache for one test, so the test builds the rules it
+    asks for; the process cache is restored afterwards."""
+    monkeypatch.setattr(specfun, "_LAGUERRE_RULES", {})
+
+
+class TestLaguerreRule:
+    @pytest.mark.parametrize("n", LADDER)
+    def test_against_mpmath_and_golub_welsch(self, n):
+        nodes, weights = specfun._laguerre_rule(n)
+        old_nodes, old_weights = _golub_welsch(n)
+        node_err, old_node_err, weight_err, old_weight_err = [], [], [], []
+        for i in sorted({0, 1, 2, n // 16, n // 4, n // 2, n - 2, n - 1}):
+            root, weight = _mp_root_and_weight(n, nodes[i])
+            node_err.append(float(abs(nodes[i] - root) / root))
+            old_node_err.append(float(abs(old_nodes[i] - root) / root))
+            if weight > 1e-300:  # away from subnormal underflow
+                weight_err.append(float(abs(weights[i] - weight) / weight))
+                old_weight_err.append(float(abs(old_weights[i] - weight) / weight))
+        # the worst sampled node and weight at least as accurate as in the
+        # dense eigh rule (whose smallest node is off by 7e-11 at n = 2048
+        # and whose far weights are noise), and at rounding level outright;
+        # a weight's error grows like eps x, up to 5e-14 at x ~ 700
+        assert max(node_err) <= max(old_node_err)
+        assert max(weight_err) <= max(old_weight_err)
+        assert max(node_err) <= 5e-15
+        assert max(weight_err) <= 1e-13
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_moments(self, n):
+        # sum w x^k = k!, exact for degree < 2n
+        nodes, weights = specfun._laguerre_rule(n)
+        for k in range(5):
+            moment = math.fsum(weights * nodes ** k)
+            assert moment == pytest.approx(math.factorial(k), rel=1e-13)
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_shape_order_and_weights(self, n):
+        nodes, weights = specfun._laguerre_rule(n)
+        assert nodes.shape == weights.shape == (n,)
+        assert nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0)
+        assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+        # far-out weights underflow to true zeros, not eigenvector noise
+        if n >= 256:
+            assert weights[-1] == 0.0
+
+    def test_small_rules_against_numpy(self):
+        for n in range(1, 21):
+            nodes, weights = specfun._laguerre_rule(n)
+            ref_nodes, ref_weights = laggauss(n)
+            np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-13)
+            np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=1e-300)
+
+    def test_read_only_and_built_once(self, fresh_rules, monkeypatch):
+        passes = []
+        run_pass = specfun._laguerre_pass
+
+        def counted(x, n):
+            passes.append(x.size)
+            return run_pass(x, n)
+
+        monkeypatch.setattr(specfun, "_laguerre_pass", counted)
+        nodes, weights = specfun._laguerre_rule(128)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+        # the guesses are close enough that one Halley pass lands every
+        # node and a second confirms it
+        assert passes == [128, 128]
+        again = specfun._laguerre_rule(128)
+        assert again[0] is nodes and again[1] is weights
+        assert passes == [128, 128]
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_guesses_within_3e_6(self, n):
+        nodes, _ = specfun._laguerre_rule(n)
+        guess = specfun._laguerre_guess(n)
+        assert np.max(np.abs(guess - nodes) / nodes) <= 3e-6
+
+    def test_edge_zero_tables(self):
+        np.testing.assert_allclose(specfun._J0_ZEROS, sp.jn_zeros(0, 3), rtol=1e-15)
+        np.testing.assert_allclose(specfun._AIRY_ZEROS, -sp.ai_zeros(3)[0], rtol=1e-15)
+
+    def test_memory_stays_linear(self, fresh_rules):
+        # the dense Jacobi matrix of the eigh construction alone was 33.5 MB
+        tracemalloc.start()
+        try:
+            specfun._laguerre_rule(2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_unsettled_nodes_raise(self, fresh_rules, monkeypatch):
+        monkeypatch.setattr(specfun, "_LAGUERRE_PASSES", 1)
+        with pytest.raises(ComputationError, match="did not settle"):
+            specfun._laguerre_rule(64)
+        assert 64 not in specfun._LAGUERRE_RULES
+
+    def test_colliding_nodes_raise(self, fresh_rules, monkeypatch):
+        # guesses that all sit next to one zero settle onto it together
+        monkeypatch.setattr(specfun, "_laguerre_guess",
+                            lambda n: np.full(n, 0.0224))
+        with pytest.raises(ComputationError, match="strictly increasing"):
+            specfun._laguerre_rule(64)
