@@ -25,6 +25,9 @@ _LN2 = math.log(2.0)
 # sigma_d2/(p_m_max*sigma_f2) beyond this would overflow exp() inside the
 # Lambert-W argument; switch to the equivalent log-form root solve
 _LAMBERT_FORM_LIMIT = 500.0
+# below this gamma_min * B, W(.)/A - 1/B has cancelled most of its digits;
+# the root solve is taken instead
+_LAMBERT_CANCEL_LIMIT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,10 @@ def rate_bounds(params: SystemParams) -> tuple[float, float]:
         gamma_min = (1/A) W( (A/B) e^{A/B} / (1-delta) ) - 1/B,
         A = sigma_d2/(p_s sigma_h2),  B = p_m_max sigma_f2/(p_s sigma_h2).
 
-    For A/B > 500 the W argument would overflow, so the equivalent
+    For A/B > 500 the W argument would overflow, and for gamma_min * B
+    below 1e-3 (tiny delta) the difference cancels, so there the equivalent
     well-conditioned root solve on d = A*gamma is used instead (both paths
-    agree to 1e-12 where both are finite).
+    agree to 1e-12 where both are finite and the difference does not cancel).
     """
     a_coef = params.sigma_d2 / (params.p_s * params.sigma_h2)
     b_coef = params.p_m_max * params.sigma_f2 / (params.p_s * params.sigma_h2)
@@ -102,10 +106,11 @@ def rate_bounds(params: SystemParams) -> tuple[float, float]:
     r_max = math.log1p(-params.p_s * params.sigma_h2 * math.log1p(-params.delta)
                        / params.sigma_d2) / _LN2
     ratio = a_coef / b_coef
+    gamma_min = None
     if ratio <= _LAMBERT_FORM_LIMIT:
         arg = ratio * math.exp(ratio) / (1.0 - params.delta)
         gamma_min = lambert_w0(arg) / a_coef - 1.0 / b_coef
-    else:
+    if gamma_min is None or gamma_min * b_coef < _LAMBERT_CANCEL_LIMIT:
         gamma_min = _gamma_min_root(a_coef, b_coef, params.delta)
     r_min = math.log1p(gamma_min) / _LN2
     if not (0.0 < r_min <= r_max * (1.0 + 1e-12)):
@@ -236,9 +241,12 @@ def rate_true(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
 
 def rates_true(params: SystemParams, link: DerivedLink, rates: np.ndarray) -> np.ndarray:
     """rate_true at a block of rates, each equal to its one-point value (the
-    thresholds come from RatePoint, as rate_true's do)."""
+    thresholds are RatePoint's 2^R - 1, bit for bit)."""
     rates = np.asarray(rates, dtype=float)
-    gammas = np.array([RatePoint(float(r)).gamma_th for r in rates])
+    valid = np.isfinite(rates) & (rates >= 0.0)
+    if not valid.all():
+        raise DomainError(f"rate_r must be finite and >= 0, got {float(rates[~valid][0])!r}")
+    gammas = np.array([math.expm1(r * _LN2) for r in rates.tolist()])
     return rates * (1.0 - _outage_true(link, gammas, params.n_ports))
 
 

@@ -11,7 +11,12 @@ whole grid of (a, b) values as windowed matrix products, each matrix capped
 in size, and integrate_expweighted settles a block of integrals at once on a
 fixed lattice of panels, each integral keeping the estimate of the panel
 width at which it settled. Either way, a value is the same whether computed
-alone or in a block.
+alone or in a block. The Poisson-weight blocks of marcum_q1 depend only on
+the a values, which the outage integrand repeats on every call for a given
+aperture, so each block is computed once and kept, read-only, in a
+least-recently-used cache of 4 MiB keyed by the block's a^2/2 values and k
+range; a hit returns the array the same computation made, so no value
+depends on the cache.
 
 Fixed Gauss-Laguerre rules integrate the same integrals in t by a separate
 route, as the reference that fasmon validate checks the panels against.
@@ -29,6 +34,7 @@ infinities.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
@@ -155,6 +161,8 @@ _LAM_MAX = 5e5
 # elements of one Poisson-weight or gamma matrix (1 MiB): larger windows
 # split their rows and columns
 _WORK_CAP = 1 << 17
+# bytes of Poisson-weight matrices kept for reuse (four _WORK_CAP matrices)
+_WEIGHT_CACHE_BYTES = 4 << 20
 
 # ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 for k = 1..15
 _STIRLERR_SMALL = np.array([
@@ -215,6 +223,42 @@ def _poisson_pmf(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.exp(log_p, out=log_p)
 
 
+# Poisson-weight blocks by value: lam's bytes and the k range -> (read-only
+# weights, minimum captured mass), least recently used first. The outage
+# integrand's nodes depend only on the aperture, so a run asks for the same
+# few blocks on every call.
+_WEIGHT_CACHE: OrderedDict[tuple[bytes, int, int], tuple[np.ndarray, float]] = OrderedDict()
+_weight_cache_bytes = 0
+
+
+def _poisson_weights(lam: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """pois(k; lam_i) for k = k0..k1, one row per lam_i, with every row's
+    captured mass checked to be >= 1 - 1e-14 (ComputationError otherwise).
+
+    A block is computed once and kept, read-only, in a least-recently-used
+    cache of at most 4 MiB (a larger block is not kept); a hit returns the
+    array the same computation made, so no value depends on the cache."""
+    global _weight_cache_bytes
+    key = (lam.tobytes(), k0, k1)
+    entry = _WEIGHT_CACHE.get(key)
+    if entry is None:
+        weights = _poisson_pmf(np.arange(k0, k1 + 1)[None, :], lam[:, None])
+        weights.flags.writeable = False
+        entry = (weights, float(weights.sum(axis=1).min()))
+        if weights.nbytes <= _WEIGHT_CACHE_BYTES:
+            _WEIGHT_CACHE[key] = entry
+            _weight_cache_bytes += weights.nbytes
+            while _weight_cache_bytes > _WEIGHT_CACHE_BYTES:
+                _weight_cache_bytes -= _WEIGHT_CACHE.popitem(last=False)[1][0].nbytes
+    else:
+        _WEIGHT_CACHE.move_to_end(key)
+    weights, mass = entry
+    if mass < 1.0 - _MASS_TOL:
+        raise ComputationError(
+            f"Marcum Q1 captured Poisson mass {mass!r} below 1 - {_MASS_TOL}")
+    return weights
+
+
 def _column_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """left @ right, one column of right at a time.
 
@@ -272,11 +316,7 @@ def _marcum_q1_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             sizes = np.arange(1, r1 - r0 + 1) * (k_hi[r0:r1] - k_lo[r0] + 1)
             r_end = r0 + max(1, int(np.count_nonzero(sizes <= _WORK_CAP)))
             k0, k1 = int(k_lo[r0]), int(k_hi[r_end - 1])
-            weights = _poisson_pmf(np.arange(k0, k1 + 1)[None, :], lam[r0:r_end, None])
-            mass = weights.sum(axis=1)
-            if mass.min() < 1.0 - _MASS_TOL:
-                raise ComputationError(
-                    f"Marcum Q1 captured Poisson mass {mass.min()!r} below 1 - {_MASS_TOL}")
+            weights = _poisson_weights(lam[r0:r_end], k0, k1)
             # regularized upper gamma Q(k+1, y) = P[Poisson(y) <= k], summed
             # from the start of each column's own Poisson(y) window, for as
             # many columns at a time as fit the work cap (the leading zeros
@@ -322,10 +362,19 @@ def marcum_q1(a, b):
     a_dims = (1,) * (len(shape) - a_arr.ndim) + a_arr.shape
     b_dims = (1,) * (len(shape) - b_arr.ndim) + b_arr.shape
     if all(m == 1 or n == 1 for m, n in zip(a_dims, b_dims)):  # an outer grid
-        a_vals, a_idx = np.unique(a_arr, return_inverse=True)
-        b_vals, b_idx = np.unique(b_arr, return_inverse=True)
-        out = _marcum_q1_grid(a_vals, b_vals)[a_idx.reshape(a_arr.shape),
-                                              b_idx.reshape(b_arr.shape)]
+        a_last = max((i for i, m in enumerate(a_dims) if m > 1), default=-1)
+        b_first = min((i for i, n in enumerate(b_dims) if n > 1), default=len(shape))
+        a_flat, b_flat = a_arr.ravel(), b_arr.ravel()
+        if (a_last < b_first and np.all(a_flat[1:] > a_flat[:-1])
+                and np.all(b_flat[1:] > b_flat[:-1])):
+            # sorted and distinct, a's axes before b's (as the integrand's
+            # nodes against a rate block are): the grid is the result
+            out = _marcum_q1_grid(a_flat, b_flat).reshape(shape)
+        else:
+            a_vals, a_idx = np.unique(a_arr, return_inverse=True)
+            b_vals, b_idx = np.unique(b_arr, return_inverse=True)
+            out = _marcum_q1_grid(a_vals, b_vals)[a_idx.reshape(a_arr.shape),
+                                                  b_idx.reshape(b_arr.shape)]
         return float(out) if out.ndim == 0 else out
     a_flat = np.broadcast_to(a_arr, shape).ravel()
     b_flat = np.broadcast_to(b_arr, shape).ravel()

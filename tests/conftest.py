@@ -1,6 +1,8 @@
+from collections import OrderedDict
+
 import pytest
 
-from fasmon import derive_link, resolve_config
+from fasmon import derive_link, resolve_config, specfun
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +16,17 @@ def ref_params():
 @pytest.fixture(scope="session")
 def ref_link(ref_params):
     return derive_link(ref_params)
+
+
+@pytest.fixture
+def empty_weight_cache(monkeypatch):
+    """Empties the Marcum kernel's Poisson-weight cache; call it again to
+    empty it again. The process cache is restored after the test."""
+    def empty():
+        monkeypatch.setattr(specfun, "_WEIGHT_CACHE", OrderedDict())
+        monkeypatch.setattr(specfun, "_weight_cache_bytes", 0)
+    empty()
+    return empty
 
 
 _ACCEPTANCE_LINES = []

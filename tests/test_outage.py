@@ -26,6 +26,7 @@ from fasmon import (ConstraintInfeasibleError, DegenerateRateError,
                     monitor_outage_true, pm_for_rate, rate_approx,
                     rate_bound, rate_bounds, rate_for_pm, rate_true,
                     sd_outage)
+import fasmon.outage
 from fasmon.outage import _outage_true, rates_true
 
 R_MIN_REF = 0.39114170868809469468
@@ -153,9 +154,10 @@ class TestRateBand:
         assert r_max == pytest.approx(1.5e-18 / math.log(2.0), rel=1e-9, abs=0.0)
         hi = sd_outage(params, RatePoint(r_max), 0.0)
         assert hi == pytest.approx(params.delta, rel=1e-12, abs=0.0)
-        # r_min = W(.)/A - 1/B cancels to about 1e-4 relative at this delta
+        # W(.)/A - 1/B would cancel to about 1e-4 relative at this delta;
+        # the root solve meets the target to rounding
         lo = sd_outage(params, RatePoint(r_min), params.p_m_max)
-        assert lo == pytest.approx(params.delta, rel=1e-3, abs=0.0)
+        assert lo == pytest.approx(params.delta, rel=1e-9, abs=0.0)
 
     def test_weak_jamming_regime(self, ref_params):
         weak = dataclasses.replace(ref_params, p_m_max=1e-6)
@@ -240,6 +242,19 @@ class TestMonitorOutage:
         for r, value in zip(rates, block):
             assert value == monitor_outage_true(high, RatePoint(r), 22)
 
+    def test_cold_and_warm_weight_cache_agree(self, empty_weight_cache):
+        # the integrand's nodes repeat from call to call, so the second
+        # evaluation takes every Poisson-weight block from the cache
+        high = _make_link(0.9781149303682883, 22, 16.342607691885046)
+        gammas = np.array([RatePoint(r).gamma_th for r in (2.4, 2.5, 2.6, 2.7)])
+        cold = _outage_true(high, gammas, 22)
+        assert np.array_equal(_outage_true(high, gammas, 22), cold)
+        for gamma, value in zip(gammas, cold):
+            empty_weight_cache()
+            single = _outage_true(high, np.array([gamma]), 22)
+            assert single[0] == value
+            assert np.array_equal(_outage_true(high, np.array([gamma]), 22), single)
+
     def test_bound_formula_and_direction(self, ref_link):
         n = 8
         for r in (0.5, 1.2, 2.0, 2.6):
@@ -307,6 +322,25 @@ class TestHighCorrelation:
 
 
 class TestRateWrappers:
+    def test_block_thresholds_are_the_rate_point_ones(self, ref_params, ref_link,
+                                                      monkeypatch):
+        seen = []
+
+        def fake_outage(link, gammas, n_ports):
+            seen.append(gammas)
+            return np.zeros(gammas.shape)
+
+        monkeypatch.setattr(fasmon.outage, "_outage_true", fake_outage)
+        rates = np.linspace(*rate_bounds(ref_params), 4096)
+        assert np.array_equal(rates_true(ref_params, ref_link, rates), rates)
+        expected = [RatePoint(float(r)).gamma_th for r in rates]
+        assert seen[0].tolist() == expected
+
+    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
+    def test_block_rejects_bad_rates(self, ref_params, ref_link, bad):
+        with pytest.raises(DomainError, match="rate_r must be finite"):
+            rates_true(ref_params, ref_link, np.array([1.0, bad, 2.0]))
+
     def test_definitions(self, ref_params, ref_link):
         rp = RatePoint(1.5)
         n = ref_params.n_ports

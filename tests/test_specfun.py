@@ -199,10 +199,11 @@ class TestMarcumQ1:
         assert marcum_q1(1500.0, 10.0) == 1.0
         assert marcum_q1(10.0, 1500.0) == 0.0
 
-    def test_work_cap_splits_large_windows(self):
+    def test_work_cap_splits_large_windows(self, empty_weight_cache):
         # 120 rows near a = 950 (a^2/2 ~ 4.5e5) against 16 columns: one
         # unsplit weight matrix would hold ~120 x 30000 doubles (29 MB), and
-        # its temporaries took the unsplit kernel to a 140 MB peak
+        # its temporaries took the unsplit kernel to a 140 MB peak; the
+        # peak includes the weight cache filling from empty
         a = np.linspace(940.0, 960.0, 120)
         b = np.linspace(941.0, 959.0, 16)
         tracemalloc.start()
@@ -212,10 +213,70 @@ class TestMarcumQ1:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20
+        kept = [weights.nbytes for weights, _ in specfun._WEIGHT_CACHE.values()]
+        assert sum(kept) == specfun._weight_cache_bytes <= specfun._WEIGHT_CACHE_BYTES
         ref = scipy.stats.ncx2.sf(b[None, :] ** 2, 2, a[:, None] ** 2)
         assert np.max(np.abs(grid - ref)) <= 1e-10
         for j in (0, 7, 15):
             assert np.array_equal(marcum_q1(a, b[j]), grid[:, j])
+
+    def test_weight_cache_is_bitwise_neutral(self, empty_weight_cache):
+        a = np.linspace(0.0, 60.0, 121)
+        b = np.linspace(0.5, 50.0, 9)
+        cold = marcum_q1(a[:, None], b[None, :])
+        assert specfun._WEIGHT_CACHE
+        for weights, _ in specfun._WEIGHT_CACHE.values():
+            assert not weights.flags.writeable
+        assert np.array_equal(marcum_q1(a[:, None], b[None, :]), cold)
+        empty_weight_cache()
+        for j in (0, 4, 8):
+            single = marcum_q1(a, b[j])
+            assert np.array_equal(single, cold[:, j])
+            assert np.array_equal(marcum_q1(a, b[j]), single)
+
+    def test_weight_cache_keeps_recent_blocks_within_budget(self, empty_weight_cache,
+                                                            monkeypatch):
+        # one row at a = 29, 30 or 31 against b = 30 has a block of 2864,
+        # 2968 or 3056 bytes: a budget of 6100 bytes keeps the last two
+        def kept():  # the a of each kept row, least recently used first
+            return [math.sqrt(2.0 * np.frombuffer(key[0])[0]) for key in specfun._WEIGHT_CACHE]
+
+        monkeypatch.setattr(specfun, "_WEIGHT_CACHE_BYTES", 6100)
+        rows = (29.0, 30.0, 31.0)
+        values = [marcum_q1(a, 30.0) for a in rows]
+        assert kept() == [30.0, 31.0]
+        assert specfun._weight_cache_bytes == 2968 + 3056
+        marcum_q1(30.0, 30.0)  # a hit makes 30 the most recent
+        assert kept() == [31.0, 30.0]
+        # a block past the budget is computed but not kept
+        monkeypatch.setattr(specfun, "_WEIGHT_CACHE_BYTES", 2000)
+        empty_weight_cache()
+        assert [marcum_q1(a, 30.0) for a in rows] == values
+        assert not specfun._WEIGHT_CACHE and specfun._weight_cache_bytes == 0
+
+    def test_mass_check_runs_on_every_hit(self, empty_weight_cache, monkeypatch):
+        a = np.linspace(20.0, 40.0, 41)
+        monkeypatch.setattr(specfun, "_MASS_TOL", -1.0)  # no mass passes
+        for _ in range(2):
+            with pytest.raises(ComputationError, match="captured Poisson mass"):
+                marcum_q1(a, 30.0)
+            assert len(specfun._WEIGHT_CACHE) == 1
+        monkeypatch.setattr(specfun, "_MASS_TOL", 1e-14)
+        assert np.array_equal(marcum_q1(a, 30.0), marcum_q1(a[::-1], 30.0)[::-1])
+
+    def test_sorted_grids_skip_the_gather_with_equal_values(self):
+        rng = np.random.default_rng(17)
+        a = np.linspace(0.0, 60.0, 97)
+        b = np.linspace(0.0, 50.0, 13)
+        grid = marcum_q1(a[:, None], b[None, :])
+        pa, pb = rng.permutation(a.size), rng.permutation(b.size)
+        assert np.array_equal(marcum_q1(a[pa][:, None], b[pb][None, :]), grid[pa][:, pb])
+        # b's axis before a's, and repeated values, take the gather
+        assert np.array_equal(marcum_q1(a[None, :], b[:, None]), grid.T)
+        twice = np.repeat(a, 2)
+        assert np.array_equal(marcum_q1(twice[:, None], b[None, :]), np.repeat(grid, 2, axis=0))
+        assert np.array_equal(marcum_q1(a, b[5]), grid[:, 5])
+        assert marcum_q1(a[40], b[5]) == marcum_q1(a[[40, 40]], b[5])[0]
 
     def test_array_boundary_identities(self):
         a = np.array([0.0, 0.3, 1.0, 5.0, 20.0, 50.0, 300.0])
