@@ -11,7 +11,8 @@ sigma_g2 and the pairwise correlation is controlled by mu alone. The
 sqrt(1 - mu^2) weight is what makes the magnitude of g_k, conditioned on g0,
 exactly Rician; the Monte Carlo module and the outage integrals both rely on
 it. The Monte Carlo sampler draws the port powers |g_k|^2 directly, in real
-arithmetic on the real and imaginary parts.
+arithmetic on the real and imaginary parts, and hands them out in row blocks
+small enough to reduce while they are in cache.
 """
 
 from __future__ import annotations
@@ -136,16 +137,28 @@ def _mix_weight(mu: float) -> float:
     return math.sqrt(1.0 - mu * mu)
 
 
-def _sample_port_powers(mu: float, sigma_g2: float, n_ports: int, n_draws: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """(n_draws, n_ports) port powers |g_k|^2 of the correlated port model.
+# Rows of port powers mixed, squared and handed out at a time: a block of
+# 2048 rows and 16 ports is 256 KiB, small enough to stay in cache while the
+# caller reduces it.
+_POWER_BLOCK_ROWS = 2048
 
-    The generator is consumed as Re g0 (n_draws, 1), Im g0 (n_draws, 1),
+
+def _port_power_blocks(mu: float, sigma_g2: float, n_ports: int, n_draws: int,
+                       rng: np.random.Generator):
+    """Yield the (n_draws, n_ports) port powers |g_k|^2 of the correlated
+    port model as consecutive row blocks of at most _POWER_BLOCK_ROWS rows.
+
+    rng is consumed as Re g0 (n_draws, 1), Im g0 (n_draws, 1),
     then Re e (n_draws, n_ports), Im e (n_draws, n_ports), each a block of
     standard normals in row-major order; n_ports = 1 draws g0 alone, whose
     power is plain exponential. That order is part of the Monte Carlo
-    reproducibility contract. The parts are mixed and squared in place in
-    the drawn real buffers, with no complex temporaries.
+    reproducibility contract. Re e is drawn in one call, because Im e
+    follows all of it in the stream; Im e is drawn a row block at a time
+    into one reused buffer, which continues the same stream, so the blocks
+    concatenate to exactly the powers of the full-matrix draw. The parts are
+    mixed and squared in place in the drawn real buffers, with no complex
+    temporaries, so each block is a view of the Re e buffer (of Re g0 for
+    one port) and the blocks do not overlap.
     """
     scale = math.sqrt(sigma_g2 / 2.0)
     re = rng.standard_normal((n_draws, 1))
@@ -160,15 +173,31 @@ def _sample_port_powers(mu: float, sigma_g2: float, n_ports: int, n_draws: int,
         im *= mu
         weight = _mix_weight(mu)
         e_re = rng.standard_normal((n_draws, n_ports))
-        e_im = rng.standard_normal((n_draws, n_ports))
-        e_re *= scale
-        e_im *= scale
-        e_re *= weight
-        e_im *= weight
-        e_re += re
-        e_im += im
-        re, im = e_re, e_im
-    re *= re
-    im *= im
-    re += im
-    return re
+        e_im = np.empty((min(n_draws, _POWER_BLOCK_ROWS), n_ports))
+    for start in range(0, n_draws, _POWER_BLOCK_ROWS):
+        stop = min(start + _POWER_BLOCK_ROWS, n_draws)
+        block_re = re[start:stop]
+        block_im = im[start:stop]
+        if n_ports > 1:
+            mixed_re = e_re[start:stop]
+            mixed_im = e_im[:stop - start]
+            rng.standard_normal(out=mixed_im)
+            mixed_re *= scale
+            mixed_im *= scale
+            mixed_re *= weight
+            mixed_im *= weight
+            mixed_re += block_re
+            mixed_im += block_im
+            block_re, block_im = mixed_re, mixed_im
+        block_re *= block_re
+        block_im *= block_im
+        block_re += block_im
+        yield block_re
+
+
+def _sample_port_powers(mu: float, sigma_g2: float, n_ports: int, n_draws: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """The whole (n_draws, n_ports) matrix of port powers: the blocks of
+    _port_power_blocks concatenated, from the same draws of rng."""
+    return np.concatenate(list(_port_power_blocks(mu, sigma_g2, n_ports,
+                                                  n_draws, rng)))

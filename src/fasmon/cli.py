@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser("validate", help="run the numerical self-check suite")
     val_p.add_argument("--full", action="store_true",
                        help="the acceptance level: larger scans, 10^6 Monte "
-                            "Carlo samples and the end-to-end sweeps (about 20 s)")
+                            "Carlo samples and the end-to-end sweeps (about 8 s "
+                            "on two CPUs)")
     val_p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the randomized checks")
     return parser

@@ -10,6 +10,9 @@ Monte Carlo columns, when enabled, always estimate the TRUE monitoring rate
 at the row's operating point, so simulation never inherits the analytic
 shortcut it is meant to check. Row seeds are spawned from (seed, experiment
 id, sweep index, scheme index), making every row reproducible in isolation.
+A run builds every analytic row first and then hands all rows' Monte Carlo
+jobs to :func:`fasmon.mcsim.estimate_monitoring_rates` in one batch, whose
+blocks run concurrently; the estimates are the ones each row gets alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .channel import DerivedLink, SystemParams, derive_link
 from .config import ExperimentSpec, db_to_linear
 from .errors import FasmonError
-from .mcsim import estimate_monitoring_rate
+from .mcsim import estimate_monitoring_rates
 from .optimize import evaluate_scheme
 from .outage import RatePoint, rate_approx, rate_bound, rate_for_pm, rate_true
 
@@ -75,43 +78,40 @@ def _pm_db(p_m: float) -> float:
     return 10.0 * math.log10(p_m) if p_m > 0.0 else float("-inf")
 
 
-def _mc_columns(spec: ExperimentSpec, params, link, rate_point: RatePoint,
-                n_ports: int, seed: int):
-    if spec.mc_samples <= 0:
-        return None, None
-    est = estimate_monitoring_rate(params, link, rate_point, n_ports,
-                                   spec.mc_samples, seed)
-    return est.mean, est.half_width_95
+def _mc_job(spec: ExperimentSpec, params, link, rate_point: RatePoint,
+            n_ports: int, sweep_idx: int, scheme_idx: int):
+    return (params, link, rate_point, n_ports, spec.mc_samples,
+            row_seed(spec.seed, spec.experiment, sweep_idx, scheme_idx))
 
 
 def _curve_rows(spec: ExperimentSpec, link: DerivedLink, sweep_idx: int,
-                x_value: float) -> list[ResultRow]:
+                x_value: float) -> tuple[list[ResultRow], list]:
     params = spec.params
     p_m = db_to_linear(x_value)
     rate_r = rate_for_pm(params, p_m)
     rp = RatePoint(rate_r)
     evaluators = {"true": rate_true, "bound": rate_bound, "approx": rate_approx}
-    rows = []
+    rows, mc_jobs = [], []
     for scheme_idx, tag in enumerate(_CURVE_TAGS):
         value = evaluators[tag](params, link, rp)
-        mc_mean, mc_ci = (None, None)
-        if tag == "true":
-            mc_mean, mc_ci = _mc_columns(
-                spec, params, link, rp, params.n_ports,
-                row_seed(spec.seed, spec.experiment, sweep_idx, scheme_idx))
+        if tag == "true" and spec.mc_samples > 0:
+            mc_jobs.append((len(rows), _mc_job(spec, params, link, rp,
+                                               params.n_ports, sweep_idx,
+                                               scheme_idx)))
         rows.append(ResultRow(
             experiment=spec.experiment, scheme=tag,
             x_name=spec.sweep_variable, x_value=x_value,
             r_star_bits=rate_r, pm_star_db=x_value,
-            rate_analytic=value, rate_mc_mean=mc_mean, rate_mc_ci95=mc_ci,
+            rate_analytic=value, rate_mc_mean=None, rate_mc_ci95=None,
             clamped=False))
-    return rows
+    return rows, mc_jobs
 
 
-def _scheme_rows(spec: ExperimentSpec, sweep_idx: int, x_value: float) -> list[ResultRow]:
+def _scheme_rows(spec: ExperimentSpec, sweep_idx: int,
+                 x_value: float) -> tuple[list[ResultRow], list]:
     params = _point_params(spec, x_value)
     link = derive_link(params)
-    rows = []
+    rows, mc_jobs = [], []
     for scheme_idx, scheme in enumerate(spec.schemes):
         try:
             result = evaluate_scheme(params, link, scheme)
@@ -119,17 +119,19 @@ def _scheme_rows(spec: ExperimentSpec, sweep_idx: int, x_value: float) -> list[R
             print(f"fasmon: {spec.sweep_variable}={x_value:g} {scheme.value}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             continue
-        mc_mean, mc_ci = _mc_columns(
-            spec, params, link, RatePoint(result.r_star), result.n_ports,
-            row_seed(spec.seed, spec.experiment, sweep_idx, scheme_idx))
+        if spec.mc_samples > 0:
+            mc_jobs.append((len(rows), _mc_job(spec, params, link,
+                                               RatePoint(result.r_star),
+                                               result.n_ports, sweep_idx,
+                                               scheme_idx)))
         rows.append(ResultRow(
             experiment=spec.experiment, scheme=scheme.value,
             x_name=spec.sweep_variable, x_value=x_value,
             r_star_bits=result.r_star, pm_star_db=_pm_db(result.pm_star),
             rate_analytic=result.rate_true,
-            rate_mc_mean=mc_mean, rate_mc_ci95=mc_ci,
+            rate_mc_mean=None, rate_mc_ci95=None,
             clamped=result.clamped))
-    return rows
+    return rows, mc_jobs
 
 
 def _report_point_failure(spec: ExperimentSpec, x_value: float,
@@ -144,7 +146,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     The caller can compare len(result) with expected_row_count(spec) to
     detect partial output. A ``p_m_db`` sweep keeps every channel parameter
     fixed, so its link is derived once for the whole run; if that fails,
-    every point is reported as failed.
+    every point is reported as failed. The analytic rows of every point come
+    first; then the Monte Carlo jobs of all rows run as one batch, and a
+    point whose job fails is reported and skipped like any other.
     """
     if spec.sweep_variable == "p_m_db":
         try:
@@ -156,10 +160,25 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         point_fn = functools.partial(_curve_rows, spec, link)
     else:
         point_fn = functools.partial(_scheme_rows, spec)
-    rows: list[ResultRow] = []
+    points = []
     for sweep_idx, x_value in enumerate(spec.sweep_values):
         try:
-            rows.extend(point_fn(sweep_idx, x_value))
+            points.append((x_value, *point_fn(sweep_idx, x_value)))
         except FasmonError as exc:
             _report_point_failure(spec, x_value, exc)
+    estimates = iter(estimate_monitoring_rates(
+        [job for _, _, mc_jobs in points for _, job in mc_jobs]))
+    rows: list[ResultRow] = []
+    for x_value, point_rows, mc_jobs in points:
+        filled = {row_idx: next(estimates) for row_idx, _ in mc_jobs}
+        failure = next((est for est in filled.values()
+                        if isinstance(est, FasmonError)), None)
+        if failure is not None:
+            _report_point_failure(spec, x_value, failure)
+            continue
+        for row_idx, est in filled.items():
+            point_rows[row_idx] = dataclasses.replace(
+                point_rows[row_idx], rate_mc_mean=est.mean,
+                rate_mc_ci95=est.half_width_95)
+        rows.extend(point_rows)
     return rows

@@ -4,28 +4,40 @@ These are the simulation-side counterparts of the closed forms and quadratures
 in :mod:`fasmon.outage`. They share no code with that module beyond the channel
 sampler, so agreement between the two routes is meaningful evidence.
 
-Reproducibility contract: every estimator consumes ``(seed, chunk_index)``
-key pairs through :func:`numpy.random.default_rng`, so a given ``(seed,
-n_samples)`` pair yields bit-identical results regardless of chunk scheduling
-or platform BLAS. Within a chunk the draw order is fixed too: the best-port
-estimator takes Re g0, Im g0, Re e, Im e, each block row-major (see
-:func:`fasmon.channel._sample_port_powers`).
+Reproducibility contract: every estimator splits its draws into blocks of
+2^17 and keys each block's generator as ``(seed, block_index)`` through
+:func:`numpy.random.default_rng`, so a given ``(seed, n_samples)`` pair
+yields bit-identical results regardless of block scheduling or platform
+BLAS. The blocks of a call, and of every job of
+:func:`estimate_monitoring_rates`, may run concurrently on a short-lived
+pool of min(CPUs available to the process, 4) threads; each block returns
+an integer hit count, and the counts add exactly, so no value depends on the
+thread count or on the order the blocks finish in. Within a block the draw
+order is fixed too: the best-port estimator takes Re g0, Im g0, Re e, Im e,
+each row-major, with Im e drawn a row block at a time, which continues the
+same stream (see :func:`fasmon.channel._port_power_blocks`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemParams, DerivedLink, _sample_port_powers
-from .errors import DomainError
+from .channel import SystemParams, DerivedLink, _port_power_blocks
+from .errors import DomainError, FasmonError
 from .outage import RatePoint
 
 # Draws are processed in fixed-size blocks so memory stays flat and the
 # per-block generator keying is independent of execution order.
 _CHUNK = 1 << 17
+
+# Blocks in flight at once, at most; a best-port block holds about
+# 8 * _CHUNK * n_ports bytes of draws while it runs.
+_MAX_WORKERS = 4
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -63,6 +75,100 @@ def _chunks(n_samples: int):
         idx += 1
 
 
+def _count_hits(jobs: list) -> list:
+    """Total hit count of each (count_block, n_samples) job, in job order.
+
+    count_block(index, size) counts the hits of one block of draws. Every
+    block of every job is one task; the tasks run on a thread pool opened
+    and closed here, with min(CPUs available to the process, _MAX_WORKERS,
+    tasks) workers, or in this thread when that is one. A job whose block
+    raises a FasmonError gets that error, from its first failing block, in
+    place of its count, and the other jobs are unaffected; any other
+    exception cancels the tasks not yet started and propagates once the
+    running ones end.
+    """
+    tasks = [(job, count_block, block)
+             for job, (count_block, n_samples) in enumerate(jobs)
+             for block in _chunks(n_samples)]
+
+    def run(task):
+        _, count_block, (idx, size) = task
+        try:
+            return count_block(idx, size)
+        except FasmonError as exc:
+            return exc
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, _MAX_WORKERS, len(tasks))
+    if workers <= 1:
+        counts = [run(task) for task in tasks]
+    else:
+        # imported here: at module level it would add its import (which
+        # pulls in logging) to the start-up of every run, simulating or not
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(run, tasks))
+    totals: list = [0] * len(jobs)
+    for (job, _, _), hits in zip(tasks, counts):
+        if not isinstance(totals[job], FasmonError):
+            totals[job] = hits if isinstance(hits, FasmonError) else totals[job] + hits
+    return totals
+
+
+def _hits(job) -> int:
+    """Total hit count of one (count_block, n_samples) job; a block's
+    FasmonError is raised."""
+    (hits,) = _count_hits([job])
+    if isinstance(hits, FasmonError):
+        raise hits
+    return hits
+
+
+def _sd_block_hits(params: SystemParams, p_m: float, gamma_th: float,
+                   seed: int, idx: int, size: int) -> int:
+    rng = np.random.default_rng([seed, idx])
+    h2 = rng.exponential(params.sigma_h2, size)
+    f2 = rng.exponential(params.sigma_f2, size)
+    sinr = params.p_s * h2 / (p_m * f2 + params.sigma_d2)
+    return int(np.count_nonzero(sinr < gamma_th))
+
+
+def _monitor_block_hits(mu: float, sigma_g2: float, n_ports: int,
+                        g2_th: float, seed: int, idx: int, size: int) -> int:
+    rng = np.random.default_rng([seed, idx])
+    hits = 0
+    for powers in _port_power_blocks(mu, sigma_g2, n_ports, size, rng):
+        # one np.maximum per column: max(axis=1) over short rows is far slower
+        best = powers[:, 0].copy()
+        for k in range(1, n_ports):
+            np.maximum(best, powers[:, k], out=best)
+        hits += int(np.count_nonzero(best < g2_th))
+    return hits
+
+
+def _monitor_job(params: SystemParams, link: DerivedLink,
+                 rate_point: RatePoint, n_ports: int, n_samples: int,
+                 seed: int):
+    """The (count_block, n_samples) job of one best-port outage estimate."""
+    _check_run(n_samples, seed)
+    if n_ports < 1:
+        raise DomainError(f"n_ports must be >= 1, got {n_ports}")
+    # SNR threshold expressed on |g_max|^2 to avoid per-draw division
+    g2_th = rate_point.gamma_th * params.sigma_m2 / params.p_s
+    return (functools.partial(_monitor_block_hits, link.mu, params.sigma_g2,
+                              n_ports, g2_th, seed), n_samples)
+
+
+def _rate_estimate(outage: McEstimate, rate_point: RatePoint) -> McEstimate:
+    r = rate_point.rate_r
+    return McEstimate(mean=r * (1.0 - outage.mean),
+                      half_width_95=r * outage.half_width_95,
+                      n_samples=outage.n_samples, seed=outage.seed)
+
+
 def estimate_sd_outage(params: SystemParams, rate_point: RatePoint, p_m: float,
                        n_samples: int, seed: int) -> McEstimate:
     """Empirical P(log2(1 + SINR_d) < R) at the suspicious destination.
@@ -74,15 +180,9 @@ def estimate_sd_outage(params: SystemParams, rate_point: RatePoint, p_m: float,
     _check_run(n_samples, seed)
     if p_m < 0.0:
         raise DomainError(f"p_m must be >= 0, got {p_m}")
-    gamma_th = rate_point.gamma_th
-    hits = 0
-    for idx, size in _chunks(n_samples):
-        rng = np.random.default_rng([seed, idx])
-        h2 = rng.exponential(params.sigma_h2, size)
-        f2 = rng.exponential(params.sigma_f2, size)
-        sinr = params.p_s * h2 / (p_m * f2 + params.sigma_d2)
-        hits += int(np.count_nonzero(sinr < gamma_th))
-    return _binomial_estimate(hits, n_samples, seed)
+    count_block = functools.partial(_sd_block_hits, params, p_m,
+                                    rate_point.gamma_th, seed)
+    return _binomial_estimate(_hits((count_block, n_samples)), n_samples, seed)
 
 
 def estimate_monitor_outage(params: SystemParams, link: DerivedLink,
@@ -95,22 +195,8 @@ def estimate_monitor_outage(params: SystemParams, link: DerivedLink,
     but not to the quadrature route; the best port is their maximum over the
     n_ports columns. n_ports = 1 degrades to the single-antenna monitor.
     """
-    _check_run(n_samples, seed)
-    if n_ports < 1:
-        raise DomainError(f"n_ports must be >= 1, got {n_ports}")
-    gamma_th = rate_point.gamma_th
-    # SNR threshold expressed on |g_max|^2 to avoid per-draw division
-    g2_th = gamma_th * params.sigma_m2 / params.p_s
-    hits = 0
-    for idx, size in _chunks(n_samples):
-        rng = np.random.default_rng([seed, idx])
-        powers = _sample_port_powers(link.mu, params.sigma_g2, n_ports, size, rng)
-        # one np.maximum per column: max(axis=1) over short rows is far slower
-        best = powers[:, 0].copy()
-        for k in range(1, n_ports):
-            np.maximum(best, powers[:, k], out=best)
-        hits += int(np.count_nonzero(best < g2_th))
-    return _binomial_estimate(hits, n_samples, seed)
+    job = _monitor_job(params, link, rate_point, n_ports, n_samples, seed)
+    return _binomial_estimate(_hits(job), n_samples, seed)
 
 
 def estimate_monitoring_rate(params: SystemParams, link: DerivedLink,
@@ -120,9 +206,21 @@ def estimate_monitoring_rate(params: SystemParams, link: DerivedLink,
 
     The uncertainty is the outage half width scaled by R; R itself is exact.
     """
-    out = estimate_monitor_outage(params, link, rate_point, n_ports,
-                                  n_samples, seed)
-    r = rate_point.rate_r
-    return McEstimate(mean=r * (1.0 - out.mean),
-                      half_width_95=r * out.half_width_95,
-                      n_samples=n_samples, seed=seed)
+    return _rate_estimate(estimate_monitor_outage(
+        params, link, rate_point, n_ports, n_samples, seed), rate_point)
+
+
+def estimate_monitoring_rates(jobs) -> list:
+    """estimate_monitoring_rate for each (params, link, rate_point, n_ports,
+    n_samples, seed) job, with the blocks of all jobs sharing one pool.
+
+    Each estimate is bitwise the one estimate_monitoring_rate returns for
+    its job. Invalid job arguments raise DomainError before anything runs;
+    a FasmonError raised while a job simulates takes that job's place in
+    the result, and the other jobs still get their estimates.
+    """
+    jobs = list(jobs)
+    totals = _count_hits([_monitor_job(*job) for job in jobs])
+    return [hits if isinstance(hits, FasmonError) else
+            _rate_estimate(_binomial_estimate(hits, n_samples, seed), rate_point)
+            for hits, (_, _, rate_point, _, n_samples, seed) in zip(totals, jobs)]

@@ -1,8 +1,9 @@
+import os
 from collections import OrderedDict
 
 import pytest
 
-from fasmon import derive_link, resolve_config, specfun
+from fasmon import derive_link, mcsim, resolve_config, specfun
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,18 @@ def empty_weight_cache(monkeypatch):
         monkeypatch.setattr(specfun, "_weight_cache_bytes", 0)
     empty()
     return empty
+
+
+@pytest.fixture
+def worker_cap(monkeypatch):
+    """Sets the Monte Carlo worker cap; call it again to change it. The
+    process is shown eight CPUs, so the cap alone sets the worker count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+
+    def set_cap(workers):
+        monkeypatch.setattr(mcsim, "_MAX_WORKERS", workers)
+    return set_cap
 
 
 _ACCEPTANCE_LINES = []

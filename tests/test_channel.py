@@ -10,10 +10,12 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from fasmon import (ComputationError, DomainError, correlation_mu,
                     eta_factor)
-from fasmon.channel import _mix_weight, _sample_port_powers
+from fasmon.channel import (_POWER_BLOCK_ROWS, _mix_weight, _port_power_blocks,
+                            _sample_port_powers)
 
 # (W, mu(W)) multiprecision references
 MU_REFS = (
@@ -159,6 +161,63 @@ class TestSampling:
         p = _sample_port_powers(mu, 1.0, 6, 2_000, rng)
         spread = np.max(np.abs(p - p[:, :1]))
         assert spread < 1e-3
+
+
+def _full_matrix_powers(mu, var, n_ports, n_draws, rng):
+    # the sampler as one (n_draws, n_ports) matrix: the same draws and the
+    # same operations, in the same order, with no row blocks
+    scale = math.sqrt(var / 2.0)
+    re = rng.standard_normal((n_draws, 1))
+    im = rng.standard_normal((n_draws, 1))
+    re *= scale
+    im *= scale
+    if n_ports > 1:
+        re *= mu
+        im *= mu
+        weight = _mix_weight(mu)
+        e_re = rng.standard_normal((n_draws, n_ports))
+        e_im = rng.standard_normal((n_draws, n_ports))
+        e_re *= scale
+        e_im *= scale
+        e_re *= weight
+        e_im *= weight
+        e_re += re
+        e_im += im
+        re, im = e_re, e_im
+    re *= re
+    im *= im
+    re += im
+    return re
+
+
+def _assert_blocks_match_full_matrix(mu, n_ports, n_draws, seed):
+    rng_blocks = np.random.default_rng(seed)
+    rng_full = np.random.default_rng(seed)
+    blocks = list(_port_power_blocks(mu, 0.7, n_ports, n_draws, rng_blocks))
+    full = _full_matrix_powers(mu, 0.7, n_ports, n_draws, rng_full)
+    assert [b.shape[0] for b in blocks[:-1]] == [_POWER_BLOCK_ROWS] * (len(blocks) - 1)
+    assert 1 <= blocks[-1].shape[0] <= _POWER_BLOCK_ROWS
+    powers = np.concatenate(blocks)
+    assert powers.shape == full.shape == (n_draws, n_ports)
+    assert np.array_equal(powers.view(np.uint64), full.view(np.uint64))
+    assert rng_blocks.bit_generator.state == rng_full.bit_generator.state
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("mu", [0.0, 0.4, 0.97])
+    @pytest.mark.parametrize("n_ports", [1, 2, 8, 16])
+    @pytest.mark.parametrize("n_draws", [1, _POWER_BLOCK_ROWS - 1, _POWER_BLOCK_ROWS,
+                                         _POWER_BLOCK_ROWS + 1, 1 << 17])
+    def test_blocks_equal_the_full_matrix(self, mu, n_ports, n_draws):
+        _assert_blocks_match_full_matrix(mu, n_ports, n_draws, seed=1234)
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(mu=st.floats(0.0, 0.9999), n_ports=st.integers(1, 16),
+           n_draws=st.integers(1, 3 * _POWER_BLOCK_ROWS + 7),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_equal_the_full_matrix_anywhere(self, mu, n_ports, n_draws,
+                                                   seed):
+        _assert_blocks_match_full_matrix(mu, n_ports, n_draws, seed)
 
 
 class TestCorrelationGuards:

@@ -2,10 +2,15 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
 import fasmon.experiments
+import fasmon.mcsim
 from fasmon import (ComputationError, RatePoint, Scheme, derive_link,
                     estimate_monitoring_rate, expected_row_count,
                     rate_bounds, rate_for_pm, rate_true, resolve_config,
@@ -157,6 +162,43 @@ class TestMonteCarloWiring:
         assert row.rate_mc_ci95 == est.half_width_95
 
 
+    @pytest.mark.parametrize("pairs", [
+        ("experiment=fig1", "sweep_values=0,10,20,30", "mc_samples=300000"),
+        ("experiment=fig2", "sweep_values=-18,-10", "mc_samples=20000"),
+    ], ids=["fig1", "fig2"])
+    def test_rows_independent_of_workers(self, worker_cap, pairs):
+        # fig1 rows take three blocks each, fig2 rows one block per scheme
+        runs = {}
+        for cap in (1, 3):
+            worker_cap(cap)
+            runs[cap] = run_experiment(_spec(*pairs))
+        assert any(r.rate_mc_mean is not None for r in runs[1])
+        assert runs[1] == runs[3]
+
+    def test_no_pool_without_monte_carlo(self):
+        # a fresh process: importing fasmon and running an analytic sweep
+        # must neither import concurrent.futures nor start a thread, and the
+        # sweep must not import numpy.random (numpy 2 loads it lazily) just
+        # to derive row seeds it never uses
+        src = os.path.dirname(os.path.dirname(fasmon.experiments.__file__))
+        code = ("import sys, threading\n"
+                "import fasmon\n"
+                "print('concurrent.futures' in sys.modules, threading.active_count(),\n"
+                "      'numpy.random' in sys.modules)\n"
+                "spec = fasmon.resolve_config({'experiment': 'fig1',\n"
+                "                              'sweep_values': '0, 10'})\n"
+                "assert len(fasmon.run_experiment(spec)) == 6\n"
+                "print('concurrent.futures' in sys.modules, threading.active_count(),\n"
+                "      'numpy.random' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        after_import, after_run = out.stdout.splitlines()
+        assert after_import.split()[:2] == after_run.split()[:2] == ["False", "1"]
+        assert after_run.split()[2] == after_import.split()[2]
+
+
 class TestSeeding:
     def test_row_seeds_distinct(self):
         seeds = {row_seed(12345, exp, i, j)
@@ -197,3 +239,65 @@ class TestPartialFailure:
         assert capsys.readouterr().err.splitlines() == [
             f"fasmon: p_m_db={x}: ComputationError: synthetic link failure"
             for x in ("0", "10", "20")]
+
+    @pytest.mark.parametrize("pairs, failing, message", [
+        (("sweep_variable=ratio_db", "schemes=ProposedBisect,Passive"), (1, 1),
+         "ratio_db=-8"),
+        (("sweep_variable=p_m_db",), (1, 0), "p_m_db=-8"),
+    ], ids=["schemes", "curves"])
+    def test_failed_monte_carlo_job_drops_its_point(self, monkeypatch, capsys,
+                                                    worker_cap, pairs, failing,
+                                                    message):
+        # one row at -8 fails in its second of three blocks, on a worker
+        # thread: every row of the -8 point goes, those with no Monte Carlo
+        # job too, and the -12 point stays
+        worker_cap(3)
+        spec = _spec("experiment=custom", "sweep_values=-12,-8",
+                     "mc_samples=300000", *pairs)
+        clean = run_experiment(spec)
+        failing_seed = row_seed(spec.seed, "custom", *failing)
+        real = fasmon.mcsim._monitor_block_hits
+
+        def flaky(mu, sigma_g2, n_ports, g2_th, seed, idx, size):
+            if seed == failing_seed and idx == 1:
+                raise ComputationError("synthetic Monte Carlo failure")
+            return real(mu, sigma_g2, n_ports, g2_th, seed, idx, size)
+
+        monkeypatch.setattr(fasmon.mcsim, "_monitor_block_hits", flaky)
+        threads = threading.active_count()
+        rows = run_experiment(spec)
+        assert rows == [r for r in clean if r.x_value == -12.0]
+        assert len(rows) in (2, 3)
+        assert capsys.readouterr().err.splitlines() == [
+            f"fasmon: {message}: ComputationError: synthetic Monte Carlo failure"]
+        assert threading.active_count() == threads
+
+    def test_worker_fault_propagates(self, monkeypatch, worker_cap):
+        # a non-fasmon exception in one block ends the run with that
+        # exception once the blocks in flight finish; nothing is left running
+        worker_cap(3)
+        spec = _tiny_fig2("mc_samples=300000")
+        failing_seed = row_seed(spec.seed, "custom", 0, 1)
+        real = fasmon.mcsim._monitor_block_hits
+
+        def faulty(mu, sigma_g2, n_ports, g2_th, seed, idx, size):
+            if seed == failing_seed and idx == 0:
+                raise RuntimeError("synthetic worker fault")
+            return real(mu, sigma_g2, n_ports, g2_th, seed, idx, size)
+
+        monkeypatch.setattr(fasmon.mcsim, "_monitor_block_hits", faulty)
+        threads = threading.active_count()
+        raised = []
+
+        def run():
+            try:
+                run_experiment(spec)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+        assert [str(exc) for exc in raised] == ["synthetic worker fault"]
+        assert threading.active_count() == threads

@@ -9,10 +9,12 @@ tolerances are multiples of the binomial standard error, not the reported
 
 import dataclasses
 import math
+import threading
 
 import pytest
 
 import fasmon.channel
+import fasmon.mcsim
 from fasmon import (DomainError, RatePoint, derive_link, estimate_monitor_outage,
                     estimate_monitoring_rate, estimate_sd_outage,
                     monitor_outage_true, sd_outage)
@@ -63,6 +65,31 @@ class TestReproducibility:
                                  (1 << 17) + 1234, seed=3)
         assert est.n_samples == (1 << 17) + 1234
         assert est.seed == 3
+
+
+class TestWorkerCount:
+    def test_monitor_outage_independent_of_workers(self, ref_params, ref_link,
+                                                   worker_cap, monkeypatch):
+        # 10^6 draws are 8 blocks: one worker runs them in this thread in
+        # order, three run them on the pool in whatever order they finish
+        real = fasmon.mcsim._monitor_block_hits
+        threads = []
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(fasmon.mcsim, "_monitor_block_hits", recorded)
+        estimates = {}
+        for cap in (1, 3):
+            worker_cap(cap)
+            threads.clear()
+            estimates[cap] = estimate_monitor_outage(
+                ref_params, ref_link, RatePoint(1.5), 8, 1_000_000, seed=2031)
+            on_main = [t is threading.main_thread() for t in threads]
+            assert len(threads) == 8
+            assert all(on_main) if cap == 1 else not any(on_main)
+        assert estimates[1] == estimates[3]
 
 
 class TestConfidenceInterval:
