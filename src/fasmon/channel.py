@@ -124,7 +124,13 @@ def eta_factor(mu: float, n_ports: int) -> float:
 
 def derive_link(params: SystemParams) -> DerivedLink:
     """Compute (mu, eta, gamma_cap) for a parameter set. Deterministic."""
-    mu = correlation_mu(params.aperture_w)
+    return link_for_mu(params, correlation_mu(params.aperture_w))
+
+
+def link_for_mu(params: SystemParams, mu: float) -> DerivedLink:
+    """The link of a parameter set whose correlation factor,
+    correlation_mu(params.aperture_w), is already known: a sweep that keeps
+    the aperture computes mu once and builds each point's link from it."""
     return DerivedLink(
         mu=mu,
         eta=eta_factor(mu, params.n_ports),

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DerivedLink, SystemParams, derive_link
+from .channel import (DerivedLink, SystemParams, correlation_mu, derive_link,
+                      link_for_mu)
 from .config import ExperimentSpec, db_to_linear
 from .errors import FasmonError
 from .mcsim import estimate_monitoring_rates
@@ -107,10 +108,10 @@ def _curve_rows(spec: ExperimentSpec, link: DerivedLink, sweep_idx: int,
     return rows, mc_jobs
 
 
-def _scheme_rows(spec: ExperimentSpec, sweep_idx: int,
+def _scheme_rows(spec: ExperimentSpec, mu: float, sweep_idx: int,
                  x_value: float) -> tuple[list[ResultRow], list]:
     params = _point_params(spec, x_value)
-    link = derive_link(params)
+    link = link_for_mu(params, mu)
     rows, mc_jobs = [], []
     for scheme_idx, scheme in enumerate(spec.schemes):
         try:
@@ -144,22 +145,24 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every sweep point; failed points are reported and skipped.
 
     The caller can compare len(result) with expected_row_count(spec) to
-    detect partial output. A ``p_m_db`` sweep keeps every channel parameter
-    fixed, so its link is derived once for the whole run; if that fails,
-    every point is reported as failed. The analytic rows of every point come
-    first; then the Monte Carlo jobs of all rows run as one batch, and a
-    point whose job fails is reported and skipped like any other.
+    detect partial output. No sweep changes the aperture, so the correlation
+    factor is computed once for the whole run, and a ``p_m_db`` sweep, which
+    keeps every channel parameter fixed, derives its whole link once; if
+    that fails, every point is reported as failed. The analytic rows of
+    every point come first; then the Monte Carlo jobs of all rows run as one
+    batch, and a point whose job fails is reported and skipped like any
+    other.
     """
-    if spec.sweep_variable == "p_m_db":
-        try:
-            link = derive_link(spec.params)
-        except FasmonError as exc:
-            for x_value in spec.sweep_values:
-                _report_point_failure(spec, x_value, exc)
-            return []
-        point_fn = functools.partial(_curve_rows, spec, link)
-    else:
-        point_fn = functools.partial(_scheme_rows, spec)
+    try:
+        if spec.sweep_variable == "p_m_db":
+            point_fn = functools.partial(_curve_rows, spec, derive_link(spec.params))
+        else:
+            point_fn = functools.partial(_scheme_rows, spec,
+                                         correlation_mu(spec.params.aperture_w))
+    except FasmonError as exc:
+        for x_value in spec.sweep_values:
+            _report_point_failure(spec, x_value, exc)
+        return []
     points = []
     for sweep_idx, x_value in enumerate(spec.sweep_values):
         try:

@@ -107,6 +107,33 @@ class TestCurveSweep:
         assert len(run_experiment(spec)) == expected_row_count(spec)
         assert calls == [spec.params]
 
+    @pytest.mark.parametrize("pairs", [
+        ("sweep_variable=ratio_db", "sweep_values=-12,-8"),
+        ("sweep_variable=n_ports", "sweep_values=2,4"),
+    ], ids=["ratio_db", "n_ports"])
+    def test_correlation_derived_once_per_scheme_sweep(self, monkeypatch, pairs):
+        # no sweep variable moves the aperture: one mu per run, and every
+        # point's link is the one derive_link gives that point
+        calls, links = [], []
+        real_mu = fasmon.experiments.correlation_mu
+        real_evaluate = fasmon.experiments.evaluate_scheme
+
+        def counted(aperture_w):
+            calls.append(aperture_w)
+            return real_mu(aperture_w)
+
+        def recorded(params, link, scheme):
+            links.append((params, link))
+            return real_evaluate(params, link, scheme)
+
+        monkeypatch.setattr(fasmon.experiments, "correlation_mu", counted)
+        monkeypatch.setattr(fasmon.experiments, "evaluate_scheme", recorded)
+        spec = _spec("experiment=custom", "schemes=ProposedBisect,Passive", *pairs)
+        assert len(run_experiment(spec)) == expected_row_count(spec)
+        assert calls == [spec.params.aperture_w]
+        assert len(links) == 4
+        assert all(link == derive_link(params) for params, link in links)
+
     def test_bound_dominates_true(self):
         spec = _spec("experiment=fig1")
         rows = run_experiment(spec)
@@ -239,6 +266,17 @@ class TestPartialFailure:
         assert capsys.readouterr().err.splitlines() == [
             f"fasmon: p_m_db={x}: ComputationError: synthetic link failure"
             for x in ("0", "10", "20")]
+
+    def test_scheme_sweep_mu_failure_reports_every_point(self, monkeypatch, capsys):
+        def broken(aperture_w):
+            raise ComputationError("synthetic correlation failure")
+
+        monkeypatch.setattr(fasmon.experiments, "correlation_mu", broken)
+        spec = _tiny_fig2()
+        assert run_experiment(spec) == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"fasmon: ratio_db={x}: ComputationError: synthetic correlation failure"
+            for x in ("-12", "-8")]
 
     @pytest.mark.parametrize("pairs, failing, message", [
         (("sweep_variable=ratio_db", "schemes=ProposedBisect,Passive"), (1, 1),

@@ -3,7 +3,8 @@
 The bisection solver is checked against a dense evaluation of its own
 objective (same function, exhaustive method); the closed-form solver against
 an exact Lambert-W identity and a numeric stationarity residual; the grid
-solver against a frozen value from the default configuration. The scheme
+solver against a frozen value from the default configuration, and its pruned
+scan against the exhaustive one on the same grid. The scheme
 table is checked for completeness and for one exact-rate evaluation per
 scheme at the solver's operating point.
 """
@@ -13,14 +14,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import fasmon
-from fasmon import (DerivedLink, DomainError, RatePoint, Scheme, derive_link,
+from fasmon import (DerivedLink, DomainError, FasmonError, RatePoint, Scheme,
+                    SystemParams, db_to_linear, derive_link,
                     eta_factor, evaluate_scheme, monitor_outage_true,
                     objective_terms, pm_for_rate, rate_approx, rate_bounds,
                     rate_true, solve_bound_bisect, solve_closed_form,
                     solve_true_grid)
-from fasmon.optimize import _SCHEMES, _argmax_upward
+from fasmon.optimize import (_PRUNE_MARGIN, _SCHEMES, _argmax_upward,
+                             _rate_caps, _refine_grid_max)
+from fasmon.outage import rates_true
 
 _LN2 = math.log(2.0)
 
@@ -176,7 +181,78 @@ class TestClosedForm:
             rate_approx(ref_params, ref_link, rp), rel=1e-14)
 
 
+def _ratio_params(params, ratio_db):
+    cross = db_to_linear(ratio_db) * params.sigma_h2
+    return dataclasses.replace(params, sigma_g2=cross, sigma_f2=cross)
+
+
+# (name, changes to the reference setup, whether the bound prunes nothing):
+# the fig2 ratios, fig3 port counts, a high-correlation aperture, and a
+# narrow band (a -20 dB jamming cap) whose rates all stay within the
+# bound's reach of the best one
+_PRUNING_CASES = (
+    [(f"ratio{db}", {"ratio_db": float(db)}, False) for db in range(-20, 1, 2)]
+    + [(f"ports{n}", {"n_ports": n}, False) for n in (2, 8, 16)]
+    + [("aperture0.1", {"aperture_w": 0.1, "n_ports": 2}, False),
+       ("narrow-band", {"p_m_max": 0.01}, True)])
+
+
 class TestTrueGrid:
+    @pytest.mark.parametrize("changes, prunes_nothing",
+                             [case[1:] for case in _PRUNING_CASES],
+                             ids=[case[0] for case in _PRUNING_CASES])
+    def test_pruning_changes_no_result(self, ref_params, changes,
+                                       prunes_nothing):
+        # the exhaustive scan: every grid rate, the same argmax and golden pass
+        changes = dict(changes)
+        params = ref_params
+        if "ratio_db" in changes:
+            params = _ratio_params(params, changes.pop("ratio_db"))
+        params = dataclasses.replace(params, **changes)
+        link = derive_link(params)
+        grid = np.linspace(*rate_bounds(params), 4096)
+        exhaustive = _refine_grid_max(params, link, grid,
+                                      rates_true(params, link, grid), grid.size)
+        res = solve_true_grid(params, link)
+        assert (res.r_star, res.pm_star, res.objective_value, res.clamped) == \
+            (exhaustive.r_star, exhaustive.pm_star, exhaustive.objective_value,
+             exhaustive.clamped)
+        assert res.iterations <= exhaustive.iterations
+        assert (res.iterations == exhaustive.iterations) == prunes_nothing
+
+    def test_pruning_skips_most_of_the_grid(self, ref_params):
+        params = _ratio_params(ref_params, -10.0)
+        res = solve_true_grid(params, derive_link(params))
+        assert res.iterations < 4096 // 8
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(p_s_db=st.floats(0.0, 30.0), p_m_max_db=st.floats(-10.0, 40.0),
+           ratio_db=st.floats(-30.0, 5.0), noise_d_db=st.floats(-10.0, 10.0),
+           noise_m_db=st.floats(-10.0, 10.0), delta=st.floats(0.005, 0.5),
+           n_ports=st.integers(1, 16), log_w=st.floats(-1.0, 1.0))
+    def test_bound_caps_the_exact_rate(self, p_s_db, p_m_max_db, ratio_db,
+                                       noise_d_db, noise_m_db, delta, n_ports,
+                                       log_w):
+        # the union bound min(R, rate_approx) that pruning relies on holds
+        # for the computed exact rate, within the pruning margin
+        cross = db_to_linear(ratio_db)
+        params = SystemParams(
+            p_s=db_to_linear(p_s_db), p_m_max=db_to_linear(p_m_max_db),
+            sigma_h2=1.0, sigma_g2=cross, sigma_f2=cross,
+            sigma_d2=db_to_linear(noise_d_db), sigma_m2=db_to_linear(noise_m_db),
+            delta=delta, n_ports=n_ports, aperture_w=10.0 ** log_w)
+        try:
+            link = derive_link(params)
+            grid = np.linspace(*rate_bounds(params), 33)
+            exact = rates_true(params, link, grid)
+        except FasmonError:
+            assume(False)
+        union = np.array([min(r, rate_approx(params, link, RatePoint(float(r))))
+                          for r in grid])
+        assert np.all(exact <= union + _PRUNE_MARGIN * grid)
+        np.testing.assert_allclose(_rate_caps(params, link, grid),
+                                   union + _PRUNE_MARGIN * grid, rtol=1e-13)
+
     def test_near_reference_argmax(self, ref_params, ref_link):
         res = solve_true_grid(ref_params, ref_link, grid_points=1024)
         r_min, r_max = rate_bounds(ref_params)
