@@ -76,20 +76,18 @@ class SystemParams:
 class DerivedLink:
     """Quantities computed once per parameter set.
 
-    mu: spatial correlation factor in [0, 1); eta: the bound coefficient
-    (1 - mu^2) / (1 + (n_ports - 1) mu^2); gamma_cap: the monitor-side
-    average SNR scale p_s * sigma_g2 / sigma_m2.
+    mu: spatial correlation factor in [0, 1); gamma_cap: the monitor-side
+    average SNR scale p_s * sigma_g2 / sigma_m2. Neither depends on the
+    port count, so one link serves every N (the bound coefficient is
+    eta_factor(mu, N), computed where it is used).
     """
 
     mu: float
-    eta: float
     gamma_cap: float
 
     def __post_init__(self):
         if not (0.0 <= self.mu < 1.0):
             raise DomainError(f"mu must lie in [0, 1), got {self.mu!r}")
-        if not (0.0 < self.eta <= 1.0):
-            raise DomainError(f"eta must lie in (0, 1], got {self.eta!r}")
         if not self.gamma_cap > 0.0:
             raise DomainError(f"gamma_cap must be positive, got {self.gamma_cap!r}")
 
@@ -123,7 +121,7 @@ def eta_factor(mu: float, n_ports: int) -> float:
 
 
 def derive_link(params: SystemParams) -> DerivedLink:
-    """Compute (mu, eta, gamma_cap) for a parameter set. Deterministic."""
+    """Compute (mu, gamma_cap) for a parameter set. Deterministic."""
     return link_for_mu(params, correlation_mu(params.aperture_w))
 
 
@@ -131,11 +129,7 @@ def link_for_mu(params: SystemParams, mu: float) -> DerivedLink:
     """The link of a parameter set whose correlation factor,
     correlation_mu(params.aperture_w), is already known: a sweep that keeps
     the aperture computes mu once and builds each point's link from it."""
-    return DerivedLink(
-        mu=mu,
-        eta=eta_factor(mu, params.n_ports),
-        gamma_cap=params.p_s * params.sigma_g2 / params.sigma_m2,
-    )
+    return DerivedLink(mu=mu, gamma_cap=params.p_s * params.sigma_g2 / params.sigma_m2)
 
 
 def _mix_weight(mu: float) -> float:

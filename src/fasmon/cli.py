@@ -41,8 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser("validate", help="run the numerical self-check suite")
     val_p.add_argument("--full", action="store_true",
                        help="the acceptance level: larger scans, 10^6 Monte "
-                            "Carlo samples and the end-to-end sweeps (about 8 s "
-                            "on two CPUs)")
+                            "Carlo samples and the end-to-end sweeps")
     val_p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the randomized checks")
     return parser

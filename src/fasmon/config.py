@@ -72,6 +72,15 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
+def _linear(key: str, value_db: float) -> float:
+    """db_to_linear, with a ConfigError naming key where 10^(dB/10)
+    overflows a float."""
+    try:
+        return db_to_linear(value_db)
+    except OverflowError:
+        raise ConfigError(f"{key}: {value_db!r} dB overflows", key) from None
+
+
 def _finite(key: str, value: float, line: int) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{key}: must be finite, got {value!r}", key, line)
@@ -192,10 +201,10 @@ def _default_sweep(experiment: str):
 
 def _build_params(values: dict) -> SystemParams:
     sigma_h2 = values["sigma_h2"]
-    cross = db_to_linear(values["sigma_ratio_db"]) * sigma_h2
+    cross = _linear("sigma_ratio_db", values["sigma_ratio_db"]) * sigma_h2
     return SystemParams(
-        p_s=db_to_linear(values["p_s_db"]),
-        p_m_max=db_to_linear(values["p_m_max_db"]),
+        p_s=_linear("p_s_db", values["p_s_db"]),
+        p_m_max=_linear("p_m_max_db", values["p_m_max_db"]),
         sigma_h2=sigma_h2,
         sigma_g2=cross,
         sigma_f2=cross,
@@ -277,6 +286,10 @@ def resolve_config(file_values: dict, overrides: dict | None = None) -> Experime
                 raise ConfigError(
                     f"n_ports sweep values must be positive integers, got {v}",
                     "sweep_values")
+    else:
+        # ratio_db and p_m_db are converted at every point
+        for v in sweep_values:
+            _linear("sweep_values", v)
     # a p_m sweep reports the three analytic rate curves, not scheme rows:
     # the schemes each pick their own p_m, so pinning one is contradictory
     if sweep_variable == "p_m_db":

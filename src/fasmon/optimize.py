@@ -5,7 +5,8 @@ All three maximize an average monitoring rate over the feasible rate band
 through the destination outage constraint):
 
 * solve_bound_bisect   - bisection on the derivative sign of the bound
-                         objective F(x) = log2(1+x) (1 - eta u^N), split as
+                         objective F(x) = log2(1+x) (1 - eta u^N), which is
+                         rate_bound at R = log2(1+x), split as
                          dF/dx = h - g;
 * solve_closed_form    - Lambert-W stationary point of R e^{-(2^R-1)/Gamma};
 * solve_true_grid      - grid search on the exact rate (the expensive
@@ -14,9 +15,11 @@ through the destination outage constraint):
                          still beat the best exact rate found, which leaves
                          the exhaustive scan's result unchanged.
 
-Each solver returns an operating point only. evaluate_scheme looks a scheme up
-in one table (operating-point function, monitor port count) and evaluates the
-exact rate once, at the returned point.
+Each solver returns an operating point only: the rate, its jamming power,
+whether a band endpoint was taken and the evaluations spent, never its own
+objective's value. evaluate_scheme looks a scheme up in one table
+(operating-point function, monitor port count) and evaluates the exact rate
+once, at the returned point.
 
 The derivative split is NOT globally single-crossing: g decays to zero at
 large x while h keeps a positive floor for mu > 0, so h - g can go
@@ -35,13 +38,14 @@ import numpy as np
 
 from .channel import DerivedLink, SystemParams, eta_factor
 from .errors import AccuracyError, DomainError
-from .outage import (RatePoint, pm_for_rate, rate_approx, rate_bound,
-                     rate_bounds, rate_true, rates_true)
+from .outage import (RatePoint, pm_for_rate, rate_bound, rate_bounds,
+                     rate_true, rates_true)
 from .specfun import lambert_w0
 
 _LN2 = math.log(2.0)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BISECT_TOL = 1e-9  # bracket width on R at which bisection stops
+_GRID_POINTS = 4096  # uniform R grid of solve_true_grid
 _GRID_BLOCK = 128  # exact rates per block in solve_true_grid
 # relative margin on R added to solve_true_grid's bound (see _rate_caps)
 _PRUNE_MARGIN = 1e-6
@@ -61,17 +65,15 @@ class OptResult:
     """An operating point.
 
     r_star: chosen rate (bits/use); pm_star: jamming power meeting the
-    destination constraint there; objective_value: the solver's own
-    objective at r_star (nan for the fixed-power schemes, which optimize
-    nothing); clamped: whether a band endpoint was returned instead of an
-    interior stationary point; iterations: objective/derivative evaluations
-    spent (for solve_true_grid, the exact rates actually evaluated, which
-    excludes the grid rates its bound pruned).
+    destination constraint there; clamped: whether a band endpoint was
+    returned instead of an interior stationary point; iterations:
+    objective/derivative evaluations spent (for solve_true_grid, the exact
+    rates actually evaluated, which excludes the grid rates its bound
+    pruned). The rate at the point is the caller's to evaluate.
     """
 
     r_star: float
     pm_star: float
-    objective_value: float
     clamped: bool
     iterations: int
 
@@ -95,13 +97,13 @@ class SchemeResult:
 
 
 def objective_terms(link: DerivedLink, n_ports: int, x):
-    """(F, h, g) of the bound objective at threshold x = 2^R - 1.
+    """(h, g) of the bound objective at threshold x = 2^R - 1.
 
-        F(x) = log2(1+x) (1 - eta u^N),        u = 1 - e^{-x/c},
-        h(x) = (1 - eta u^N) / (ln2 (1+x)),
+        h(x) = (1 - eta u^N) / (ln2 (1+x)),      u = 1 - e^{-x/c},
         g(x) = (N log2(1+x) / c) eta u^{N-1} e^{-x/c},   c = Gamma (1-mu^2),
 
-    with dF/dx = h - g. Accepts a float or an ndarray of x values.
+    with dF/dx = h - g for F(x) = log2(1+x) (1 - eta u^N), the bound rate
+    rate_bound at R = log2(1+x). Accepts a float or an ndarray of x values.
     """
     if n_ports < 2:
         raise DomainError(f"objective split needs n_ports >= 2, got {n_ports!r}")
@@ -113,38 +115,31 @@ def objective_terms(link: DerivedLink, n_ports: int, x):
     decay = np.exp(-xs / c)
     u = -np.expm1(-xs / c)
     log_term = np.log1p(xs) / _LN2
-    survival = 1.0 - eta * u ** n_ports
-    big_f = log_term * survival
-    h = survival / (_LN2 * (1.0 + xs))
+    h = (1.0 - eta * u ** n_ports) / (_LN2 * (1.0 + xs))
     g = (n_ports * log_term / c) * eta * u ** (n_ports - 1) * decay
     if np.isscalar(x):
-        return float(big_f), float(h), float(g)
-    return big_f, h, g
-
-
-def _bound_rate_at(params: SystemParams, link: DerivedLink, r: float) -> float:
-    return rate_bound(params, link, RatePoint(r))
+        return float(h), float(g)
+    return h, g
 
 
 def solve_bound_bisect(params: SystemParams, link: DerivedLink) -> OptResult:
     """Maximize the bound objective by bisection on sign(h - g).
 
     Scans a 129-point grid over [r_min, r_max] for + -> - derivative sign
-    transitions, bisects each bracket to 1e-9 on R, extends the interval
-    upward when the derivative never turns negative inside, and returns the
-    best of {interior roots clamped into the band, r_min, r_max} under the
-    bound objective. `clamped` is False only when an interior root wins.
+    transitions, bisects each bracket to 1e-9 on R, and returns the best of
+    {interior roots, r_min, r_max} under the bound objective. `clamped` is
+    False only when an interior root wins.
     """
     if params.n_ports < 2:
         raise DomainError("solve_bound_bisect needs n_ports >= 2")
     r_min, r_max = rate_bounds(params)
 
     def deriv(r: float) -> float:
-        _, h, g = objective_terms(link, params.n_ports, math.expm1(r * _LN2))
+        h, g = objective_terms(link, params.n_ports, math.expm1(r * _LN2))
         return h - g
 
     grid = np.linspace(r_min, r_max, 129)
-    _, h_vals, g_vals = objective_terms(link, params.n_ports, np.expm1(grid * _LN2))
+    h_vals, g_vals = objective_terms(link, params.n_ports, np.expm1(grid * _LN2))
     signs = h_vals - g_vals
 
     roots: list[float] = []
@@ -160,34 +155,15 @@ def solve_bound_bisect(params: SystemParams, link: DerivedLink) -> OptResult:
             iterations += 1
         roots.append(0.5 * (lo + hi))
 
-    if not roots and signs[-1] > 0.0:
-        # derivative positive across the band: look for the turn above r_max
-        width = max(r_max - r_min, 1.0)
-        lo = r_max
-        for k in range(1, 6):
-            hi = r_max + width * (2.0 ** k)
-            if deriv(hi) <= 0.0:
-                while hi - lo > _BISECT_TOL:
-                    mid = 0.5 * (lo + hi)
-                    if deriv(mid) > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                    iterations += 1
-                roots.append(0.5 * (lo + hi))
-                break
-            lo = hi
-
     interior = [r for r in roots if r_min < r < r_max]
     candidates = [(r, False) for r in interior] + [(r_min, True), (r_max, True)]
-    scored = [(_bound_rate_at(params, link, r), r, was_clamped)
+    scored = [(rate_bound(params, link, RatePoint(r)), r, was_clamped)
               for r, was_clamped in candidates]
-    best_val, r_star, clamped = max(scored, key=lambda s: (s[0], s[1]))
+    _, r_star, clamped = max(scored, key=lambda s: (s[0], s[1]))
 
     return OptResult(
         r_star=r_star,
         pm_star=pm_for_rate(params, RatePoint(r_star)),
-        objective_value=best_val,
         clamped=clamped,
         iterations=iterations,
     )
@@ -211,11 +187,9 @@ def solve_closed_form(params: SystemParams, link: DerivedLink) -> OptResult:
         )
         if abs(slope) > 1e-8:
             raise AccuracyError("closed-form stationarity check failed", r_bar, slope)
-    rp = RatePoint(r_star)
     return OptResult(
         r_star=r_star,
-        pm_star=pm_for_rate(params, rp),
-        objective_value=rate_approx(params, link, rp),
+        pm_star=pm_for_rate(params, RatePoint(r_star)),
         clamped=clamped,
         iterations=0,
     )
@@ -242,10 +216,10 @@ def _rate_caps(params: SystemParams, link: DerivedLink, rates: np.ndarray) -> np
     return union + _PRUNE_MARGIN * rates
 
 
-def solve_true_grid(params: SystemParams, link: DerivedLink,
-                    grid_points: int = 4096) -> OptResult:
-    """Maximization of the exact rate on a uniform R grid, refined by one
-    golden-section pass inside the winning bracket. Ties prefer the larger R.
+def solve_true_grid(params: SystemParams, link: DerivedLink) -> OptResult:
+    """Maximization of the exact rate on a uniform grid of _GRID_POINTS
+    rates, refined by one golden-section pass inside the winning bracket.
+    Ties prefer the larger R.
 
     The grid is evaluated in blocks of _GRID_BLOCK rates, in descending
     order of each rate's certified cap (_rate_caps), each block in grid
@@ -256,16 +230,14 @@ def solve_true_grid(params: SystemParams, link: DerivedLink,
     never evaluated, so its FasmonError, had it one, cannot fail the solver.
     iterations counts the exact rates evaluated, grid and golden section
     together."""
-    if grid_points < 1000:
-        raise DomainError(f"grid_points must be >= 1000, got {grid_points!r}")
     r_min, r_max = rate_bounds(params)
-    grid = np.linspace(r_min, r_max, grid_points)
+    grid = np.linspace(r_min, r_max, _GRID_POINTS)
     caps = _rate_caps(params, link, grid)
     order = np.argsort(-caps, kind="stable")
-    values = np.full(grid_points, -math.inf)
+    values = np.full(_GRID_POINTS, -math.inf)
     best = -math.inf
     evals = 0
-    for start in range(0, grid_points, _GRID_BLOCK):
+    for start in range(0, _GRID_POINTS, _GRID_BLOCK):
         if caps[order[start]] < best:
             break
         block = np.sort(order[start:start + _GRID_BLOCK])
@@ -313,7 +285,6 @@ def _refine_grid_max(params: SystemParams, link: DerivedLink, grid: np.ndarray,
     return OptResult(
         r_star=best_r,
         pm_star=pm_for_rate(params, RatePoint(best_r)),
-        objective_value=best_val,
         clamped=idx in (0, grid.size - 1),
         iterations=evals,
     )
@@ -321,14 +292,13 @@ def _refine_grid_max(params: SystemParams, link: DerivedLink, grid: np.ndarray,
 
 def _constant_jamming(params: SystemParams, link: DerivedLink) -> OptResult:
     r_min, _ = rate_bounds(params)
-    return OptResult(r_star=r_min, pm_star=params.p_m_max, objective_value=math.nan,
-                     clamped=False, iterations=0)
+    return OptResult(r_star=r_min, pm_star=params.p_m_max, clamped=False,
+                     iterations=0)
 
 
 def _passive(params: SystemParams, link: DerivedLink) -> OptResult:
     _, r_max = rate_bounds(params)
-    return OptResult(r_star=r_max, pm_star=0.0, objective_value=math.nan,
-                     clamped=False, iterations=0)
+    return OptResult(r_star=r_max, pm_star=0.0, clamped=False, iterations=0)
 
 
 # scheme -> (operating-point function, whether the monitor has a single port)

@@ -11,13 +11,13 @@ P_out = delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import DerivedLink, SystemParams, eta_factor
-from .errors import (ComputationError, ConstraintInfeasibleError,
-                     DegenerateRateError, DomainError)
+from .errors import (AccuracyError, ComputationError,
+                     ConstraintInfeasibleError, DegenerateRateError, DomainError)
 from .specfun import _MARCUM_EXIT_GAP, integrate_expweighted, lambert_w0, marcum_q1
 
 _LN2 = math.log(2.0)
@@ -32,25 +32,16 @@ _LAMBERT_CANCEL_LIMIT = 1e-3
 
 @dataclass(frozen=True)
 class RatePoint:
-    """A candidate suspicious rate R with its SNR threshold 2^R - 1.
-
-    Constructing with only rate_r fills gamma_th; providing both checks
-    consistency to 1e-12 relative.
-    """
+    """A candidate suspicious rate R with its SNR threshold 2^R - 1, which
+    is computed from R, not passed in."""
 
     rate_r: float
-    gamma_th: float = None  # type: ignore[assignment]
+    gamma_th: float = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.rate_r) and self.rate_r >= 0.0):
             raise DomainError(f"rate_r must be finite and >= 0, got {self.rate_r!r}")
-        implied = math.expm1(self.rate_r * _LN2)
-        if self.gamma_th is None:
-            object.__setattr__(self, "gamma_th", implied)
-        elif abs(self.gamma_th - implied) > 1e-12 * max(1.0, implied):
-            raise DomainError(
-                f"gamma_th {self.gamma_th!r} inconsistent with rate_r {self.rate_r!r}"
-            )
+        object.__setattr__(self, "gamma_th", math.expm1(self.rate_r * _LN2))
 
 
 def sd_outage(params: SystemParams, rp: RatePoint, p_m: float) -> float:
@@ -71,19 +62,22 @@ def sd_outage(params: SystemParams, rp: RatePoint, p_m: float) -> float:
 
 def _gamma_min_root(a_coef: float, b_coef: float, delta: float) -> float:
     """Solve exp(-A*g)/(1 + B*g) = 1 - delta for g > 0 via the substitution
-    d = A*g:  d + log1p(d*B/A) = -ln(1-delta). Newton from d = -ln(1-delta);
-    the left side is increasing and convex, so the iteration is monotone."""
+    d = A*g:  d + log1p(d*B/A) = -ln(1-delta). The left side is increasing
+    and concave, so Newton from d = 0, where the residual is negative,
+    climbs to the root without overshooting it. The stop test is relative
+    to d, which may be far below 1 (tiny delta with large B/A); 100 steps
+    that do not settle raise AccuracyError."""
     target = -math.log1p(-delta)
     ratio = b_coef / a_coef
-    d = target
+    d = 0.0
     for _ in range(100):
         f = d + math.log1p(d * ratio) - target
         fp = 1.0 + ratio / (1.0 + d * ratio)
         step = f / fp
         d -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(d)):
-            break
-    return d / a_coef
+        if abs(step) <= 1e-15 * d:
+            return d / a_coef
+    raise AccuracyError("destination root solve did not settle", d, d + step)
 
 
 def rate_bounds(params: SystemParams) -> tuple[float, float]:

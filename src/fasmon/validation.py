@@ -9,10 +9,10 @@ through it; ``validate --full`` and tests/test_acceptance.py run the full
 level. Every tolerance, sample count and seed is written once, in the check
 that uses it.
 
-The quick level takes about a second. The full level takes about 20 seconds,
-most of it 10^6-draw Monte Carlo: it adds that, wider scans, scans under
-fixed seeds whose figures repeat from run to run, and the fig1, fig2 and
-fig3 end-to-end sweeps.
+The full level adds 10^6-draw Monte Carlo, which takes most of its time,
+wider scans, scans under fixed seeds whose figures repeat from run to run,
+and the fig1, fig2 and fig3 end-to-end sweeps. README gives both levels'
+measured run times.
 
 These checks deliberately cross implementation routes: quadrature against
 simulation, panels in sqrt(t) against a Gauss-Laguerre rule in t, series
@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import DerivedLink, derive_link, eta_factor
+from .channel import DerivedLink, derive_link
 from .config import resolve_config
 from .experiments import run_experiment
 from .mcsim import estimate_monitor_outage, estimate_sd_outage
@@ -74,9 +74,7 @@ def _random_links(rng, count, mu_max=0.9):
         n_ports = int(rng.integers(2, 33))
         mu = float(rng.uniform(0.0, mu_max))
         gamma_cap = float(10.0 ** rng.uniform(-1, 2))
-        link = DerivedLink(mu=mu, eta=eta_factor(mu, n_ports),
-                           gamma_cap=gamma_cap)
-        yield link, n_ports
+        yield DerivedLink(mu=mu, gamma_cap=gamma_cap), n_ports
 
 
 def _check_marcum_q1(rng, full):
@@ -212,7 +210,7 @@ def _sign_pattern_violations(links):
     for link, n_ports in links:
         c = link.gamma_cap * (1.0 - link.mu * link.mu)
         xs = np.linspace(1e-9, 30.0 * c, 2000)
-        _, h, g = objective_terms(link, n_ports, xs)
+        h, g = objective_terms(link, n_ports, xs)
         scope = slice(0, int(np.argmax(g)) + 1)
         signs = np.sign(h[scope] - g[scope])
         down = int(np.count_nonzero((signs[:-1] > 0) & (signs[1:] <= 0)))

@@ -74,6 +74,16 @@ class TestRun:
         assert rc == 2
         assert "key 'sweep_values'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ("ratio_db = 1e308\n", "sigma_ratio_db"),
+        ("experiment = fig2\nsweep_values = -20, 1e308\n", "sweep_values")])
+    def test_overflowing_db_value_is_a_config_error(self, tmp_path, capsys,
+                                                    text, key):
+        rc = main(["run", "--config", _cfg(tmp_path, text),
+                   "--out", str(tmp_path / "rows.csv")])
+        assert rc == 2
+        assert f"key {key!r}" in capsys.readouterr().err
+
     def test_partial_sweep_writes_and_signals(self, tmp_path, capsys):
         # the bisection scheme needs two ports, so the n_ports = 1 point
         # fails while the rest of the sweep completes
@@ -112,8 +122,8 @@ def _shifted(field, delta):
 
 def _alternating_h(real):
     def objective_terms(link, n_ports, xs):
-        f, h, g = real(link, n_ports, xs)
-        return f, h * (-1.0) ** np.arange(h.size), g
+        h, g = real(link, n_ports, xs)
+        return h * (-1.0) ** np.arange(h.size), g
     return objective_terms
 
 

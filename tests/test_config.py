@@ -192,6 +192,18 @@ class TestErrors:
             resolve_config({"experiment": "fig9"})
         assert err.value.key == "experiment"
 
+    @pytest.mark.parametrize("values, key", [
+        ({"sigma_ratio_db": 1e308}, "sigma_ratio_db"),
+        ({"p_s_db": 1e308}, "p_s_db"),
+        ({"p_m_max_db": 1e308}, "p_m_max_db"),
+        ({"experiment": "fig2", "sweep_values": [-20.0, 1e308]}, "sweep_values"),
+        ({"experiment": "fig1", "sweep_values": [0.0, 1e308]}, "sweep_values")])
+    def test_overflowing_db_value_names_its_key(self, values, key):
+        # 10^(dB/10) overflows a float: a ConfigError, not an OverflowError
+        with pytest.raises(ConfigError) as err:
+            resolve_config(values)
+        assert err.value.key == key
+
     def test_negative_counters(self):
         with pytest.raises(ConfigError):
             resolve_config({"mc_samples": -1})

@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import chndtr
 
@@ -43,8 +44,8 @@ MONITOR_REFS = (
 )
 
 
-def _make_link(mu, n_ports, gamma_cap):
-    return DerivedLink(mu=mu, eta=eta_factor(mu, n_ports), gamma_cap=gamma_cap)
+# mu near 1 with many ports (22 of them): a = 6.6 sqrt(t)
+_HIGH_LINK = DerivedLink(mu=0.9781149303682883, gamma_cap=16.342607691885046)
 
 
 def _oracle_outage(link, gamma_th, n_ports):
@@ -77,12 +78,6 @@ class TestRatePoint:
         rp = RatePoint(1.5)
         assert rp.gamma_th == pytest.approx(2.0 ** 1.5 - 1.0, rel=1e-15)
         assert RatePoint(0.0).gamma_th == 0.0
-
-    def test_explicit_threshold_consistency(self):
-        ok = RatePoint(2.0, gamma_th=3.0)
-        assert ok.gamma_th == 3.0
-        with pytest.raises(DomainError):
-            RatePoint(2.0, gamma_th=3.5)
 
     def test_rejects_negative_rate(self):
         with pytest.raises(DomainError):
@@ -159,12 +154,60 @@ class TestRateBand:
         lo = sd_outage(params, RatePoint(r_min), params.p_m_max)
         assert lo == pytest.approx(params.delta, rel=1e-9, abs=0.0)
 
+    def test_tiny_delta_with_a_large_jamming_ratio(self):
+        # B/A = 1.2e6 at delta = 4.59e-5: a Newton step from the right of
+        # the root of the concave d + log1p(d B/A) overshoots below d = -A/B,
+        # where log1p is undefined
+        params = SystemParams(p_s=0.633, p_m_max=4.81e4, sigma_h2=1.0,
+                              sigma_g2=0.305, sigma_f2=0.305, sigma_d2=0.0118,
+                              sigma_m2=0.078, delta=4.59e-5, n_ports=8,
+                              aperture_w=5.0)
+        r_min, r_max = rate_bounds(params)
+        # 50-digit root of e^{-A g}/(1 + B g) = 1 - delta, in bits
+        assert r_min == pytest.approx(2.8573642293351387562e-9, rel=1e-12)
+        lo = sd_outage(params, RatePoint(r_min), params.p_m_max)
+        assert lo == pytest.approx(params.delta, rel=1e-12, abs=0.0)
+        assert r_min < r_max
+
     def test_weak_jamming_regime(self, ref_params):
         weak = dataclasses.replace(ref_params, p_m_max=1e-6)
         r_min, r_max = rate_bounds(weak)
         assert r_max - r_min < 1e-5
         out = sd_outage(weak, RatePoint(r_min), weak.p_m_max)
         assert out == pytest.approx(weak.delta, abs=1e-10)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+class TestDestinationProperties:
+    # sigma_g2 and sigma_m2 play no part on the destination side; the
+    # example has d = A gamma_min near 1e-17, where a stop test absolute
+    # below d = 1 ends Newton after one step, delta/2 off the target
+    @settings(max_examples=60, deadline=None, database=None)
+    @example(p_s=1.0, p_m_max=1e6, sigma_h2=1.0, sigma_f2=100.0, sigma_d2=1e-3,
+             delta=1e-6, frac=0.5)
+    @given(p_s=_log_uniform(1e-2, 1e4), p_m_max=_log_uniform(1e-2, 1e6),
+           sigma_h2=_log_uniform(1e-2, 1e2), sigma_f2=_log_uniform(1e-3, 1e2),
+           sigma_d2=_log_uniform(1e-3, 1e2), delta=_log_uniform(1e-6, 0.8),
+           frac=st.floats(0.0, 1.0))
+    def test_constraint_holds_across_the_band(self, p_s, p_m_max, sigma_h2,
+                                              sigma_f2, sigma_d2, delta, frac):
+        params = SystemParams(p_s=p_s, p_m_max=p_m_max, sigma_h2=sigma_h2,
+                              sigma_g2=1.0, sigma_f2=sigma_f2, sigma_d2=sigma_d2,
+                              sigma_m2=1.0, delta=delta, n_ports=8, aperture_w=5.0)
+        try:
+            r_min, r_max = rate_bounds(params)
+        except FasmonError:
+            return
+        assert 0.0 < r_min <= r_max
+        rate = r_min + frac * (r_max - r_min)
+        p_m = pm_for_rate(params, RatePoint(rate))
+        for r, power in ((r_min, p_m_max), (r_max, 0.0), (rate, p_m)):
+            residual = sd_outage(params, RatePoint(r), power) - delta
+            assert abs(residual) <= 1e-9 * delta, (r, power)
+        assert rate_for_pm(params, p_m) == pytest.approx(rate, rel=1e-9, abs=0.0)
 
 
 class TestPmForRate:
@@ -197,7 +240,7 @@ class TestPmForRate:
 class TestMonitorOutage:
     def test_frozen_references(self):
         for (gamma_th, n_ports, mu, gcap), ref in MONITOR_REFS:
-            link = _make_link(mu, n_ports, gcap)
+            link = DerivedLink(mu=mu, gamma_cap=gcap)
             rp = RatePoint(math.log2(1.0 + gamma_th))
             assert monitor_outage_true(link, rp, n_ports) == pytest.approx(
                 ref, abs=1e-10, rel=1e-8)
@@ -210,7 +253,7 @@ class TestMonitorOutage:
                 closed, abs=1e-8)
 
     def test_uncorrelated_closed_form(self):
-        link = _make_link(0.0, 8, 1.5848931924611135)
+        link = DerivedLink(mu=0.0, gamma_cap=1.5848931924611135)
         for r, n in ((0.8, 2), (1.5, 8), (2.0, 32)):
             rp = RatePoint(r)
             closed = (1.0 - math.exp(-rp.gamma_th / link.gamma_cap)) ** n
@@ -223,7 +266,7 @@ class TestMonitorOutage:
     def test_sharp_transition_matches_the_oracle(self):
         # mu near 1 with many ports: a = 6.6 sqrt(t), so the integrand
         # steps within about 1/6.6 in u = sqrt(t)
-        link = _make_link(0.9781149303682883, 22, 16.342607691885046)
+        link = _HIGH_LINK
         rp = RatePoint(2.6157292487448686686)
         value = monitor_outage_true(link, rp, 22)
         assert value == pytest.approx(_oracle_outage(link, rp.gamma_th, 22), abs=1e-12)
@@ -235,7 +278,7 @@ class TestMonitorOutage:
         block = rates_true(ref_params, ref_link, rates)
         for r, value in zip(rates, block):
             assert value == rate_true(ref_params, ref_link, RatePoint(float(r)))
-        high = _make_link(0.9781149303682883, 22, 16.342607691885046)
+        high = _HIGH_LINK
         rates = np.array([2.4, 2.5, 2.6157292487448686686, 2.7])
         gammas = np.array([RatePoint(r).gamma_th for r in rates])
         block = _outage_true(high, gammas, 22)
@@ -245,7 +288,7 @@ class TestMonitorOutage:
     def test_cold_and_warm_weight_cache_agree(self, empty_weight_cache):
         # the integrand's nodes repeat from call to call, so the second
         # evaluation takes every Poisson-weight block from the cache
-        high = _make_link(0.9781149303682883, 22, 16.342607691885046)
+        high = _HIGH_LINK
         gammas = np.array([RatePoint(r).gamma_th for r in (2.4, 2.5, 2.6, 2.7)])
         cold = _outage_true(high, gammas, 22)
         assert np.array_equal(_outage_true(high, gammas, 22), cold)
