@@ -51,9 +51,6 @@ _DEFAULTS = {
 _EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
 _SWEEP_VARIABLES = ("p_m_db", "ratio_db", "n_ports")
 
-# canonical sweep variable per named experiment
-_FIG_VARIABLE = {"fig1": "p_m_db", "fig2": "ratio_db", "fig3": "n_ports"}
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:

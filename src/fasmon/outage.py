@@ -132,9 +132,10 @@ def pm_for_rate(params: SystemParams, rp: RatePoint) -> float:
         )
     ps_h = params.p_s * params.sigma_h2
     gamma = rp.gamma_th
-    p_m = (ps_h / (gamma * params.sigma_f2)) * (
-        math.exp(-gamma * params.sigma_d2 / ps_h) / (1.0 - params.delta) - 1.0
-    )
+    # exp(x) / (1 - delta) - 1 as one expm1, which does not cancel for
+    # small delta
+    p_m = (ps_h / (gamma * params.sigma_f2)) * math.expm1(
+        -gamma * params.sigma_d2 / ps_h - math.log1p(-params.delta))
     return min(max(p_m, 0.0), params.p_m_max)
 
 

@@ -6,6 +6,11 @@ needed by the spatial-correlation model, the first-order Marcum Q-function,
 the principal-branch Lambert W function, and integration of exp(-t)-weighted
 integrands on [0, inf) by Gauss-Kronrod panels in u = sqrt(t).
 
+J0, J1 and the 1F2 value are each one midpoint rule over a period, in O(z)
+work: J_n by Bessel's integral, 1F2 by the same integral with its two
+integrations swapped (see hyp1f2_half). Arguments are limited to
+z = 2 pi W <= 2 pi * 1e4; beyond that they raise DomainError.
+
 The Marcum Q-function and the quadrature take arrays: marcum_q1 evaluates a
 whole grid of (a, b) values as windowed matrix products, each matrix capped
 in size, and integrate_expweighted settles a block of integrals at once on a
@@ -38,7 +43,6 @@ from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, ComputationError, DomainError
 
@@ -60,86 +64,66 @@ def _check_nonneg(name: str, value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions
+# Bessel functions and the hypergeometric value of the correlation factor
 # ---------------------------------------------------------------------------
 
-def _bessel_j_points(order: int, z: np.ndarray, z_max: float) -> np.ndarray:
-    """J_order at an array of points via the integral
-    (1/2pi) int_0^{2pi} cos(order*theta - z*sin(theta)) d(theta) evaluated
-    with the midpoint rule.
+# the midpoint rules' argument limit z <= 2 pi * 1e4, that is aperture W <= 1e4
+_Z_MAX = 2.0 * math.pi * 1e4
 
-    The rule's error is a sum of aliased terms J_{order +- k*P}(z), which for
-    P >= 1.7*z_max + 30 are below ~1e-33, so the result is correct to
-    rounding for float64.
+
+def _midpoint_angles(z: float, what: str) -> np.ndarray:
+    """The P = ceil(1.7 z) + 30 midpoint angles (j + 1/2) 2 pi / P of the
+    rules for argument z; `what` names z in the DomainError above the limit.
+
+    A rule's error is a sum of aliased Fourier terms, J_{n +- kP}(z) for
+    Bessel's integral and 2 int_0^z J_{kP}(u) du for the swapped 1F2
+    integral, which for this P are below ~1e-33 (times z), so the result is
+    correct to rounding for float64.
     """
-    p_count = int(math.ceil(1.7 * z_max)) + 30
-    theta = (np.arange(p_count) + 0.5) * (2.0 * math.pi / p_count)
-    sin_t = np.sin(theta)
-    out = np.empty_like(z)
-    # chunk to cap the (points x angles) work matrix at ~4M doubles
-    step = max(1, (1 << 22) // p_count)
-    for lo in range(0, z.size, step):
-        zz = z[lo:lo + step, None]
-        out[lo:lo + step] = np.cos(order * theta - zz * sin_t).mean(axis=1)
-    return out
+    if z > _Z_MAX:
+        raise DomainError(f"{what} is above the limit W <= 1e4 "
+                          f"(z = 2 pi W <= {_Z_MAX:.7g}) of the midpoint rules")
+    p_count = int(math.ceil(1.7 * z)) + 30
+    return (np.arange(p_count) + 0.5) * (2.0 * math.pi / p_count)
 
 
 def bessel_j(order: int, z: float) -> float:
-    """Bessel function of the first kind, order 0 or 1.
+    """Bessel function of the first kind, order 0 or 1, for 0 <= z <= 2 pi * 1e4.
 
-    Absolute error <= 1e-12 on [0, 200] (in practice rounding-level, see
-    _bessel_j_points).
+    The midpoint rule of (1/2pi) int_0^{2pi} cos(order*theta - z*sin(theta))
+    d(theta); absolute error <= 1e-12 on [0, 200] (in practice
+    rounding-level, see _midpoint_angles). Larger z raises DomainError.
     """
     if order not in (0, 1):
         raise DomainError(f"order must be 0 or 1, got {order!r}")
     z = _check_nonneg("z", z)
     if z == 0.0:
         return 1.0 if order == 0 else 0.0
-    return float(_bessel_j_points(order, np.array([z]), z)[0])
-
-
-# ---------------------------------------------------------------------------
-# Hypergeometric value for the spatial correlation factor
-# ---------------------------------------------------------------------------
-
-_PANEL_NODES, _PANEL_WEIGHTS = leggauss(16)
-
-
-def _integral_j0(a: float, n_panels: int) -> float:
-    """int_0^a J0(u) du by 16-point Gauss-Legendre on n_panels equal panels."""
-    edges = np.linspace(0.0, a, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    # nodes laid out panel-major: shape (n_panels * 16,)
-    u = (centers[:, None] + half * _PANEL_NODES[None, :]).ravel()
-    vals = _bessel_j_points(0, u, a)
-    return float(half * (vals.reshape(n_panels, 16) @ _PANEL_WEIGHTS).sum())
+    theta = _midpoint_angles(z, f"z = {z!r}")
+    return float(np.cos(order * theta - z * np.sin(theta)).mean())
 
 
 def hyp1f2_half(aperture_w: float) -> float:
-    """1F2(1/2; 1, 3/2; -pi^2 W^2) for W > 0.
+    """1F2(1/2; 1, 3/2; -pi^2 W^2) for 0 < W <= 1e4.
 
-    Computed through the identity
-        1F2(1/2; 1, 3/2; -a^2/4) = (1/a) int_0^a J0(u) du,  a = 2 pi W,
-    because the defining alternating series cancels catastrophically for
-    large W (W = 5 already gives argument ~ -246.7). The integral is refined
-    by panel doubling until two estimates agree to 1e-12.
+    The defining alternating series cancels catastrophically for large W
+    (W = 5 already gives argument ~ -246.7), so the value is taken from
+        1F2(1/2; 1, 3/2; -a^2/4) = (1/a) int_0^a J0(u) du,  a = 2 pi W.
+    Putting J0(u) = (1/2pi) int_0^{2pi} cos(u sin t) dt and integrating over
+    u first gives
+        (1/a) int_0^a J0(u) du = (1/(2 pi a)) int_0^{2pi} sin(a sin t)/sin t dt,
+    whose integrand is periodic and entire, so bessel_j's midpoint rule with
+    the same angles computes it in O(W) work. The integrand reaches a while
+    the integral is of order 1, so the relative rounding error grows with a:
+    against 40-digit references it is 7e-16 at W = 5, 2.5e-13 at W = 500 and
+    7e-12 at W = 1e4. W above 1e4 raises DomainError.
     """
     aperture_w = _check_finite("aperture_w", aperture_w)
     if aperture_w <= 0.0:
         raise DomainError(f"aperture_w must be positive, got {aperture_w!r}")
     a = 2.0 * math.pi * aperture_w
-    n_panels = max(2, int(math.ceil(a / 1.5)))
-    prev = _integral_j0(a, n_panels)
-    for _ in range(6):
-        n_panels *= 2
-        cur = _integral_j0(a, n_panels)
-        if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
-            return cur / a
-        prev = cur
-    raise AccuracyError(
-        f"J0 integral did not settle for W={aperture_w}", cur / a, prev / a
-    )
+    sin_t = np.sin(_midpoint_angles(a, f"aperture_w = {aperture_w!r}"))
+    return float((np.sin(a * sin_t) / sin_t).mean()) / a
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +195,12 @@ def _poisson_pmf(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
                         series)
     # the formula's operations in its order, in place on two full-size arrays
     dev = kk - lam
-    log_p = dev / lam
+    # the quotient overflows only for lam < k / 1.8e308 (as from a huge
+    # sigma_d2), where pois(k; lam) <= lam^k / k! < (e / 1.8e308)^k < 2e-308:
+    # the resulting inf gives bd0 = inf and a pmf of exactly 0, correct to far
+    # below any mass that the sums resolve
+    with np.errstate(over="ignore"):
+        log_p = dev / lam
     np.log1p(log_p, out=log_p)
     log_p *= kk
     log_p -= dev  # bd0

@@ -7,10 +7,11 @@ scipy.stats, which shares nothing with the sampler.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fasmon import (ComputationError, DomainError, correlation_mu,
                     eta_factor)
@@ -46,6 +47,34 @@ class TestCorrelationMu:
             correlation_mu(0.0)
         with pytest.raises(DomainError):
             correlation_mu(-1.0)
+
+    def test_large_apertures_against_mpmath(self):
+        # 40-digit mu from mpmath's own 1F2 and J1, up to half the W limit
+        with mpmath.workdps(40):
+            for w in (50.0, 500.0, 5000.0):
+                a = 2 * mpmath.pi * w
+                radicand = (mpmath.hyp1f2(0.5, 1, 1.5, -(mpmath.pi * w) ** 2)
+                            - mpmath.besselj(1, a) / a)
+                ref = float(mpmath.sqrt(2 * radicand))
+                assert correlation_mu(w) == pytest.approx(ref, rel=0.0, abs=1e-12)
+
+    def test_rejects_apertures_above_the_limit(self):
+        assert 0.0 < correlation_mu(1e4) < 1.0
+        for w in (math.nextafter(1e4, math.inf), 2e4, 1e300):
+            with pytest.raises(DomainError, match="aperture_w"):
+                correlation_mu(w)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @example(exponent=4.0)  # W = 1e4, the limit itself
+    @given(exponent=st.floats(-6.0, 300.0))
+    def test_mu_or_domain_error_over_all_apertures(self, exponent):
+        # every positive finite W gives mu in [0, 1) or a DomainError
+        try:
+            mu = correlation_mu(10.0 ** exponent)
+        except DomainError:
+            assert 10.0 ** exponent > 1e4
+            return
+        assert 0.0 <= mu < 1.0
 
 
 class TestDerivedLink:

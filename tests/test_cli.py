@@ -1,6 +1,9 @@
 """Command-line entry points and their exit-code contract."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +100,20 @@ class TestRun:
         assert "partial result: 1 of 2" in capsys.readouterr().err
         rows = parse_csv(str(out))
         assert [(r.scheme, r.x_value) for r in rows] == [("ProposedBisect", 2.0)]
+
+    def test_aperture_above_the_limit_exits_3(self, tmp_path):
+        # a fresh process, so that an escaping exception would show as its
+        # traceback and exit code 1
+        src = os.path.dirname(os.path.dirname(fasmon.specfun.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "fasmon.cli", "run", "--config", _cfg(tmp_path, ""),
+             "--set", "aperture_w=1e300", "--out", str(tmp_path / "rows.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 3
+        assert "DomainError" in out.stderr and "aperture_w" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_unwritable_output(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "experiment = custom\n"

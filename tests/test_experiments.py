@@ -226,6 +226,15 @@ class TestMonteCarloWiring:
         assert after_run.split()[2] == after_import.split()[2]
 
 
+class TestExtremeInputs:
+    @pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3"])
+    def test_huge_destination_noise_gives_every_row(self, experiment):
+        # sigma_d2 = 1e308 drives b^2/2 far below 1e-300, where the Poisson
+        # weights' quotient overflows to an exact zero without a warning
+        spec = _spec(f"experiment={experiment}", "sigma_d2=1e308")
+        assert len(run_experiment(spec)) == expected_row_count(spec)
+
+
 class TestSeeding:
     def test_row_seeds_distinct(self):
         seeds = {row_seed(12345, exp, i, j)

@@ -204,10 +204,13 @@ class TestDestinationProperties:
         assert 0.0 < r_min <= r_max
         rate = r_min + frac * (r_max - r_min)
         p_m = pm_for_rate(params, RatePoint(rate))
-        for r, power in ((r_min, p_m_max), (r_max, 0.0), (rate, p_m)):
+        # worst seen on 20000 random sets and the ranges' corners: 3.7e-13
+        # delta at the band ends, 4e-15 delta and 4.4e-15 relative inside
+        for r, power, tol in ((r_min, p_m_max, 1e-12), (r_max, 0.0, 1e-12),
+                              (rate, p_m, 1e-13)):
             residual = sd_outage(params, RatePoint(r), power) - delta
-            assert abs(residual) <= 1e-9 * delta, (r, power)
-        assert rate_for_pm(params, p_m) == pytest.approx(rate, rel=1e-9, abs=0.0)
+            assert abs(residual) <= tol * delta, (r, power)
+        assert rate_for_pm(params, p_m) == pytest.approx(rate, rel=1e-13, abs=0.0)
 
 
 class TestPmForRate:

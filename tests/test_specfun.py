@@ -79,6 +79,14 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             bessel_j(0, -1.0)
 
+    def test_rejects_arguments_above_the_limit(self):
+        z_max = 2.0 * math.pi * 1e4
+        assert bessel_j(0, z_max) == pytest.approx(float(sp.j0(z_max)), abs=1e-12)
+        for z in (math.nextafter(z_max, math.inf), 1e300):
+            for order in (0, 1):
+                with pytest.raises(DomainError, match="z = "):
+                    bessel_j(order, z)
+
 
 class TestHyp1F2Half:
     def test_reference_values(self):
@@ -106,6 +114,15 @@ class TestHyp1F2Half:
         assert hyp1f2_half(1e-8) == pytest.approx(1.0, abs=1e-14)
         with pytest.raises(DomainError):
             hyp1f2_half(0.0)
+
+    def test_rejects_apertures_above_the_limit(self):
+        # at the limit the rounding error is ~1e-16 a relative, a = 2 pi W
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp1f2(0.5, 1, 1.5, -(mpmath.pi * 10**4) ** 2))
+        assert hyp1f2_half(1e4) == pytest.approx(ref, rel=1e-10)
+        for w in (math.nextafter(1e4, math.inf), 1e300):
+            with pytest.raises(DomainError, match="aperture_w"):
+                hyp1f2_half(w)
 
 
 class TestMarcumQ1:
