@@ -18,16 +18,9 @@ import numpy as np
 from .channel import DerivedLink, SystemParams, eta_factor
 from .errors import (AccuracyError, ComputationError,
                      ConstraintInfeasibleError, DegenerateRateError, DomainError)
-from .specfun import _MARCUM_EXIT_GAP, integrate_expweighted, lambert_w0, marcum_q1
+from .specfun import _MARCUM_EXIT_GAP, integrate_expweighted, marcum_q1
 
 _LN2 = math.log(2.0)
-
-# sigma_d2/(p_m_max*sigma_f2) beyond this would overflow exp() inside the
-# Lambert-W argument; switch to the equivalent log-form root solve
-_LAMBERT_FORM_LIMIT = 500.0
-# below this gamma_min * B, W(.)/A - 1/B has cancelled most of its digits;
-# the root solve is taken instead
-_LAMBERT_CANCEL_LIMIT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -84,29 +77,12 @@ def rate_bounds(params: SystemParams) -> tuple[float, float]:
     """The feasible band [r_min, r_max] of suspicious rates.
 
     r_max comes from the no-jamming outage hitting delta; r_min from the
-    full-power outage hitting delta, via the principal Lambert W branch:
-
-        gamma_min = (1/A) W( (A/B) e^{A/B} / (1-delta) ) - 1/B,
-        A = sigma_d2/(p_s sigma_h2),  B = p_m_max sigma_f2/(p_s sigma_h2).
-
-    For A/B > 500 the W argument would overflow, and for gamma_min * B
-    below 1e-3 (tiny delta) the difference cancels, so there the equivalent
-    well-conditioned root solve on d = A*gamma is used instead (both paths
-    agree to 1e-12 where both are finite and the difference does not cancel).
+    full-power outage hitting delta, rate_for_pm(params, p_m_max).
     """
-    a_coef = params.sigma_d2 / (params.p_s * params.sigma_h2)
-    b_coef = params.p_m_max * params.sigma_f2 / (params.p_s * params.sigma_h2)
     # log1p, not log2(1 + x): x can be so small that 1 + x rounds to 1
     r_max = math.log1p(-params.p_s * params.sigma_h2 * math.log1p(-params.delta)
                        / params.sigma_d2) / _LN2
-    ratio = a_coef / b_coef
-    gamma_min = None
-    if ratio <= _LAMBERT_FORM_LIMIT:
-        arg = ratio * math.exp(ratio) / (1.0 - params.delta)
-        gamma_min = lambert_w0(arg) / a_coef - 1.0 / b_coef
-    if gamma_min is None or gamma_min * b_coef < _LAMBERT_CANCEL_LIMIT:
-        gamma_min = _gamma_min_root(a_coef, b_coef, params.delta)
-    r_min = math.log1p(gamma_min) / _LN2
+    r_min = rate_for_pm(params, params.p_m_max)
     if not (0.0 < r_min <= r_max * (1.0 + 1e-12)):
         raise ComputationError(
             f"inconsistent rate bounds r_min={r_min!r}, r_max={r_max!r}"
@@ -142,12 +118,21 @@ def pm_for_rate(params: SystemParams, rp: RatePoint) -> float:
 def rate_for_pm(params: SystemParams, p_m: float) -> float:
     """The rate R at which the destination outage equals delta for a fixed
     jamming power; the inverse map of pm_for_rate. p_m = 0 lands on r_max,
-    p_m = p_m_max on r_min."""
+    p_m = p_m_max on r_min.
+
+    For p_m > 0, gamma_th = 2^R - 1 solves exp(-A g)/(1 + B g) = 1 - delta,
+
+        A = sigma_d2/(p_s sigma_h2),  B = p_m sigma_f2/(p_s sigma_h2),
+
+    by _gamma_min_root, which keeps the constraint to rounding where the
+    closed form (1/A) W((A/B) e^{A/B}/(1-delta)) - 1/B would overflow (large
+    A/B) or cancel (small delta).
+    """
     if not (math.isfinite(p_m) and 0.0 <= p_m <= params.p_m_max * (1.0 + 1e-12)):
         raise DomainError(f"p_m must lie in [0, p_m_max], got {p_m!r}")
-    a_coef = params.sigma_d2 / (params.p_s * params.sigma_h2)
     if p_m == 0.0:
         return rate_bounds(params)[1]
+    a_coef = params.sigma_d2 / (params.p_s * params.sigma_h2)
     b_coef = p_m * params.sigma_f2 / (params.p_s * params.sigma_h2)
     gamma = _gamma_min_root(a_coef, b_coef, params.delta)
     return math.log1p(gamma) / _LN2

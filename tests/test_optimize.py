@@ -3,18 +3,23 @@
 The bisection solver is checked against a dense evaluation of its own
 objective (same function, exhaustive method); the closed-form solver against
 an exact Lambert-W identity and a numeric stationarity residual; the grid
-solver against a frozen value from the default configuration, and its pruned
-scan against the exhaustive one on the same grid. The scheme
+solver against a frozen value from the default configuration, its pruned
+scan against the exhaustive one on the same grid, and its refined r* against
+a bounded scalar maximiser of the exact rate. The scheme
 table is checked for completeness and for one exact-rate evaluation per
 scheme at the solver's operating point.
 """
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 import fasmon
 from fasmon import (DerivedLink, DomainError, FasmonError, RatePoint, Scheme,
@@ -22,8 +27,8 @@ from fasmon import (DerivedLink, DomainError, FasmonError, RatePoint, Scheme,
                     monitor_outage_true, objective_terms, pm_for_rate,
                     rate_approx, rate_bound, rate_bounds, rate_true,
                     solve_bound_bisect, solve_closed_form, solve_true_grid)
-from fasmon.optimize import (_PRUNE_MARGIN, _SCHEMES, _argmax_upward,
-                             _rate_caps, _refine_grid_max)
+from fasmon.optimize import (_PRUNE_MARGIN, _REFINE_POINTS, _SCHEMES,
+                             _argmax_upward, _rate_caps, _refine_grid_max)
 from fasmon.outage import rates_true
 
 _LN2 = math.log(2.0)
@@ -182,6 +187,14 @@ def _ratio_params(params, ratio_db):
     return dataclasses.replace(params, sigma_g2=cross, sigma_f2=cross)
 
 
+def _changed_params(params, changes):
+    """params with changes applied, a "ratio_db" entry as _ratio_params."""
+    changes = dict(changes)
+    if "ratio_db" in changes:
+        params = _ratio_params(params, changes.pop("ratio_db"))
+    return dataclasses.replace(params, **changes)
+
+
 # (name, changes to the reference setup, whether the bound prunes nothing):
 # the fig2 ratios, fig3 port counts, a high-correlation aperture, and a
 # narrow band (a -20 dB jamming cap) whose rates all stay within the
@@ -199,12 +212,8 @@ class TestTrueGrid:
                              ids=[case[0] for case in _PRUNING_CASES])
     def test_pruning_changes_no_result(self, ref_params, changes,
                                        prunes_nothing):
-        # the exhaustive scan: every grid rate, the same argmax and golden pass
-        changes = dict(changes)
-        params = ref_params
-        if "ratio_db" in changes:
-            params = _ratio_params(params, changes.pop("ratio_db"))
-        params = dataclasses.replace(params, **changes)
+        # the exhaustive scan: every grid rate, the same argmax and refinement
+        params = _changed_params(ref_params, changes)
         link = derive_link(params)
         grid = np.linspace(*rate_bounds(params), 4096)
         exhaustive = _refine_grid_max(params, link, grid,
@@ -258,6 +267,84 @@ class TestTrueGrid:
         assert not res.clamped
         # the block evaluation the solver ranks by is the caller's one-point one
         assert value == rates_true(ref_params, ref_link, np.array([res.r_star]))[0]
+
+    def test_refinement_scans(self, ref_params, ref_link, monkeypatch):
+        # after the grid blocks, two rates_true calls of 32 rates each,
+        # strictly inside the previous argmax's bracket and on no rate the
+        # grid evaluated or pruned
+        calls = []
+
+        def recording_rates(params, link, rates):
+            calls.append(np.array(rates))
+            return rates_true(params, link, rates)
+
+        monkeypatch.setattr(fasmon.optimize, "rates_true", recording_rates)
+        params, link = ref_params, ref_link
+        res = solve_true_grid(params, link)
+        blocks, scans = calls[:-2], calls[-2:]
+        assert [block.size for block in blocks] == [128] * len(blocks)
+        assert [scan.size for scan in scans] == [_REFINE_POINTS] * 2
+        assert res.iterations == sum(block.size for block in blocks) + 64
+
+        grid = np.linspace(*rate_bounds(params), 4096)
+        values = np.full(grid.size, -math.inf)
+        for block in blocks:
+            values[np.searchsorted(grid, block)] = rates_true(params, link, block)
+        rates, scores = grid, values
+        for scan in scans:
+            idx = _argmax_upward(scores)
+            assert rates[idx - 1] < scan.min() and scan.max() < rates[idx + 1]
+            assert np.intersect1d(scan, grid).size == 0
+            rates = np.concatenate(([rates[idx - 1]], scan, [rates[idx + 1]]))
+            scores = np.concatenate(([scores[idx - 1]],
+                                     rates_true(params, link, scan),
+                                     [scores[idx + 1]]))
+        assert res.r_star == rates[_argmax_upward(scores)]
+        assert np.intersect1d(scans[0], scans[1]).size == 0
+
+    @pytest.mark.parametrize("changes", [{"ratio_db": -20.0}, {"n_ports": 2},
+                                         {"n_ports": 3}, {"n_ports": 4}],
+                             ids=["fig2-ratio-20", "fig3-ports2", "fig3-ports3",
+                                  "fig3-ports4"])
+    def test_resolution(self, ref_params, changes):
+        # r* lies within half the final spacing, the grid's times (2/33)^2,
+        # of scipy's bounded maximiser of the exact rate on the grid
+        # argmax's bracket (at most 0.86 of it seen on these four points)
+        params = _changed_params(ref_params, changes)
+        link = derive_link(params)
+        grid = np.linspace(*rate_bounds(params), 4096)
+        idx = _argmax_upward(rates_true(params, link, grid))
+        found = minimize_scalar(
+            lambda r: -rate_true(params, link, RatePoint(r)), method="bounded",
+            bounds=(grid[idx - 1], grid[idx + 1]), options={"xatol": 1e-12})
+        spacing = (grid[1] - grid[0]) * (2.0 / (_REFINE_POINTS + 1)) ** 2
+        res = solve_true_grid(params, link)
+        assert not res.clamped
+        assert abs(res.r_star - found.x) <= 0.5 * spacing
+
+    def test_rows_independent_of_the_cpu_kernels(self, tmp_path):
+        # fig3's TrueGrid rows at N = 2, 3, 4 in fresh processes: as is,
+        # under another OpenBLAS core type and with numpy's SIMD dispatch
+        # cut back (names this CPU lacks are ignored); a search that
+        # compares values below the exact rate's rounding moves r* here
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = fig3\nsweep_values = 2, 3, 4\n"
+                       "schemes = TrueGrid\n")
+        src = os.path.dirname(os.path.dirname(fasmon.optimize.__file__))
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        cpu_settings = ({}, {"OPENBLAS_CORETYPE": "Prescott"},
+                        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"})
+        outputs = []
+        for i, setting in enumerate(cpu_settings):
+            out = tmp_path / f"rows{i}.csv"
+            subprocess.run([sys.executable, "-m", "fasmon.cli", "run", "--config",
+                            str(cfg), "--out", str(out)], env=dict(env, **setting),
+                           check=True, capture_output=True, timeout=120)
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\n") == 4
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_argmax_upward_tie_break(self):
         assert _argmax_upward([1.0, 3.0, 3.0, 2.0]) == 2
@@ -346,6 +433,28 @@ class TestEvaluateScheme:
             res = evaluate_scheme(params, link, scheme)
             assert r_min <= res.r_star <= r_max
             assert 0.0 < res.rate_true <= res.r_star
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(log_w=st.floats(math.log10(0.05), math.log10(20.0)),
+           n_ports=st.integers(1, 32), log_delta=st.floats(-6.0, math.log10(0.8)))
+    def test_every_scheme_gives_a_point_in_the_band(self, ref_params, log_w,
+                                                    n_ports, log_delta):
+        # every scheme, TrueGrid included, gives r* in the band and a rate
+        # in [0, r*], or a FasmonError
+        params = dataclasses.replace(ref_params, aperture_w=10.0 ** log_w,
+                                     n_ports=n_ports, delta=10.0 ** log_delta)
+        try:
+            link = derive_link(params)
+            r_min, r_max = rate_bounds(params)
+        except FasmonError:
+            return
+        for scheme in Scheme:
+            try:
+                res = evaluate_scheme(params, link, scheme)
+            except FasmonError:
+                continue
+            assert r_min <= res.r_star <= r_max, scheme
+            assert 0.0 <= res.rate_true <= res.r_star, scheme
 
     def test_rejects_unknown_scheme(self, ref_params, ref_link):
         with pytest.raises(DomainError):

@@ -130,8 +130,8 @@ class TestRateBand:
         assert r_max == pytest.approx(expected, rel=1e-14)
 
     def test_extreme_jamming_regime(self, ref_params):
-        # huge p_m sigma_f2 pushes the solver onto the logarithmic form;
-        # the constraint must still hold at the band bottom
+        # huge p_m sigma_f2 (A/B = 1e-10): the constraint must still hold
+        # at the band bottom
         strong = dataclasses.replace(ref_params, p_m_max=1e9, sigma_f2=10.0)
         r_min, _ = rate_bounds(strong)
         out = sd_outage(strong, RatePoint(r_min), strong.p_m_max)
@@ -149,10 +149,11 @@ class TestRateBand:
         assert r_max == pytest.approx(1.5e-18 / math.log(2.0), rel=1e-9, abs=0.0)
         hi = sd_outage(params, RatePoint(r_max), 0.0)
         assert hi == pytest.approx(params.delta, rel=1e-12, abs=0.0)
-        # W(.)/A - 1/B would cancel to about 1e-4 relative at this delta;
-        # the root solve meets the target to rounding
+        # the band bottom's root meets the target to rounding even at this
+        # delta, where the Lambert-W form W(.)/A - 1/B would cancel to about
+        # 1e-4 relative
         lo = sd_outage(params, RatePoint(r_min), params.p_m_max)
-        assert lo == pytest.approx(params.delta, rel=1e-9, abs=0.0)
+        assert lo == pytest.approx(params.delta, rel=1e-12, abs=0.0)
 
     def test_tiny_delta_with_a_large_jamming_ratio(self):
         # B/A = 1.2e6 at delta = 4.59e-5: a Newton step from the right of
@@ -168,6 +169,11 @@ class TestRateBand:
         lo = sd_outage(params, RatePoint(r_min), params.p_m_max)
         assert lo == pytest.approx(params.delta, rel=1e-12, abs=0.0)
         assert r_min < r_max
+
+    def test_band_bottom_is_the_full_power_rate(self, ref_params):
+        # one root for both, so bit for bit
+        assert rate_bounds(ref_params)[0] == rate_for_pm(ref_params,
+                                                          ref_params.p_m_max)
 
     def test_weak_jamming_regime(self, ref_params):
         weak = dataclasses.replace(ref_params, p_m_max=1e-6)
@@ -204,13 +210,14 @@ class TestDestinationProperties:
         assert 0.0 < r_min <= r_max
         rate = r_min + frac * (r_max - r_min)
         p_m = pm_for_rate(params, RatePoint(rate))
-        # worst seen on 20000 random sets and the ranges' corners: 3.7e-13
+        # worst seen on 20000 random sets and the ranges' corners: 2.7e-15
         # delta at the band ends, 4e-15 delta and 4.4e-15 relative inside
-        for r, power, tol in ((r_min, p_m_max, 1e-12), (r_max, 0.0, 1e-12),
+        for r, power, tol in ((r_min, p_m_max, 1e-14), (r_max, 0.0, 1e-14),
                               (rate, p_m, 1e-13)):
             residual = sd_outage(params, RatePoint(r), power) - delta
             assert abs(residual) <= tol * delta, (r, power)
         assert rate_for_pm(params, p_m) == pytest.approx(rate, rel=1e-13, abs=0.0)
+        assert r_min == rate_for_pm(params, p_m_max)
 
 
 class TestPmForRate:
