@@ -197,11 +197,3 @@ def _port_power_blocks(mu: float, sigma_g2: float, n_ports: int, n_draws: int,
         block_im *= block_im
         block_re += block_im
         yield block_re
-
-
-def _sample_port_powers(mu: float, sigma_g2: float, n_ports: int, n_draws: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """The whole (n_draws, n_ports) matrix of port powers: the blocks of
-    _port_power_blocks concatenated, from the same draws of rng."""
-    return np.concatenate(list(_port_power_blocks(mu, sigma_g2, n_ports,
-                                                  n_draws, rng)))

@@ -13,6 +13,9 @@ id, sweep index, scheme index), making every row reproducible in isolation.
 A run builds every analytic row first and then hands all rows' Monte Carlo
 jobs to :func:`fasmon.mcsim.estimate_monitoring_rates` in one batch, whose
 blocks run concurrently; the estimates are the ones each row gets alone.
+Each block returns an integer hit count and has no failure of its own, so
+Monte Carlo cannot drop a row: a row is dropped, and reported on stderr,
+only when its analytic part raises a FasmonError.
 """
 
 from __future__ import annotations
@@ -117,8 +120,7 @@ def _scheme_rows(spec: ExperimentSpec, mu: float, sweep_idx: int,
         try:
             result = evaluate_scheme(params, link, scheme)
         except FasmonError as exc:
-            print(f"fasmon: {spec.sweep_variable}={x_value:g} {scheme.value}: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            _report_failure(spec, x_value, exc, scheme.value)
             continue
         if spec.mc_samples > 0:
             mc_jobs.append((len(rows), _mc_job(spec, params, link,
@@ -135,10 +137,12 @@ def _scheme_rows(spec: ExperimentSpec, mu: float, sweep_idx: int,
     return rows, mc_jobs
 
 
-def _report_point_failure(spec: ExperimentSpec, x_value: float,
-                          exc: FasmonError) -> None:
-    print(f"fasmon: {spec.sweep_variable}={x_value:g}: "
-          f"{type(exc).__name__}: {exc}", file=sys.stderr)
+def _report_failure(spec: ExperimentSpec, x_value: float, exc: FasmonError,
+                    scheme: str | None = None) -> None:
+    where = f"{spec.sweep_variable}={x_value:g}"
+    if scheme is not None:
+        where += f" {scheme}"
+    print(f"fasmon: {where}: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -148,10 +152,10 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     detect partial output. No sweep changes the aperture, so the correlation
     factor is computed once for the whole run, and a ``p_m_db`` sweep, which
     keeps every channel parameter fixed, derives its whole link once; if
-    that fails, every point is reported as failed. The analytic rows of
-    every point come first; then the Monte Carlo jobs of all rows run as one
-    batch, and a point whose job fails is reported and skipped like any
-    other.
+    that fails, every point is reported as failed. A row is dropped only
+    when its analytic part raises a FasmonError. The analytic rows of every
+    point come first; then the Monte Carlo jobs of all rows run as one
+    batch, which cannot drop a row, and fill in the rows' Monte Carlo cells.
     """
     try:
         if spec.sweep_variable == "p_m_db":
@@ -161,27 +165,21 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                                          correlation_mu(spec.params.aperture_w))
     except FasmonError as exc:
         for x_value in spec.sweep_values:
-            _report_point_failure(spec, x_value, exc)
+            _report_failure(spec, x_value, exc)
         return []
-    points = []
+    rows: list[ResultRow] = []
+    slots, mc_jobs = [], []
     for sweep_idx, x_value in enumerate(spec.sweep_values):
         try:
-            points.append((x_value, *point_fn(sweep_idx, x_value)))
+            point_rows, point_jobs = point_fn(sweep_idx, x_value)
         except FasmonError as exc:
-            _report_point_failure(spec, x_value, exc)
-    estimates = iter(estimate_monitoring_rates(
-        [job for _, _, mc_jobs in points for _, job in mc_jobs]))
-    rows: list[ResultRow] = []
-    for x_value, point_rows, mc_jobs in points:
-        filled = {row_idx: next(estimates) for row_idx, _ in mc_jobs}
-        failure = next((est for est in filled.values()
-                        if isinstance(est, FasmonError)), None)
-        if failure is not None:
-            _report_point_failure(spec, x_value, failure)
+            _report_failure(spec, x_value, exc)
             continue
-        for row_idx, est in filled.items():
-            point_rows[row_idx] = dataclasses.replace(
-                point_rows[row_idx], rate_mc_mean=est.mean,
-                rate_mc_ci95=est.half_width_95)
+        for row_idx, job in point_jobs:
+            slots.append(len(rows) + row_idx)
+            mc_jobs.append(job)
         rows.extend(point_rows)
+    for slot, est in zip(slots, estimate_monitoring_rates(mc_jobs)):
+        rows[slot] = dataclasses.replace(rows[slot], rate_mc_mean=est.mean,
+                                         rate_mc_ci95=est.half_width_95)
     return rows

@@ -16,6 +16,10 @@ thread count or on the order the blocks finish in. Within a block the draw
 order is fixed too: the best-port estimator takes Re g0, Im g0, Re e, Im e,
 each row-major, with Im e drawn a row block at a time, which continues the
 same stream (see :func:`fasmon.channel._port_power_blocks`).
+
+Every argument is checked before any block runs, and a block only draws and
+counts, so a simulation has no failure of its own to report: an exception
+from a block is a fault, and it ends the whole call.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemParams, DerivedLink, _port_power_blocks
-from .errors import DomainError, FasmonError
+from .errors import DomainError
 from .outage import RatePoint
 
 # Draws are processed in fixed-size blocks so memory stays flat and the
@@ -75,16 +79,14 @@ def _chunks(n_samples: int):
         idx += 1
 
 
-def _count_hits(jobs: list) -> list:
+def _count_hits(jobs: list) -> list[int]:
     """Total hit count of each (count_block, n_samples) job, in job order.
 
     count_block(index, size) counts the hits of one block of draws. Every
     block of every job is one task; the tasks run on a thread pool opened
     and closed here, with min(CPUs available to the process, _MAX_WORKERS,
-    tasks) workers, or in this thread when that is one. A job whose block
-    raises a FasmonError gets that error, from its first failing block, in
-    place of its count, and the other jobs are unaffected; any other
-    exception cancels the tasks not yet started and propagates once the
+    tasks) workers, or in this thread when that is one. An exception from
+    any block cancels the tasks not yet started and propagates once the
     running ones end.
     """
     tasks = [(job, count_block, block)
@@ -93,10 +95,7 @@ def _count_hits(jobs: list) -> list:
 
     def run(task):
         _, count_block, (idx, size) = task
-        try:
-            return count_block(idx, size)
-        except FasmonError as exc:
-            return exc
+        return count_block(idx, size)
 
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -111,20 +110,10 @@ def _count_hits(jobs: list) -> list:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(run, tasks))
-    totals: list = [0] * len(jobs)
+    totals = [0] * len(jobs)
     for (job, _, _), hits in zip(tasks, counts):
-        if not isinstance(totals[job], FasmonError):
-            totals[job] = hits if isinstance(hits, FasmonError) else totals[job] + hits
+        totals[job] += hits
     return totals
-
-
-def _hits(job) -> int:
-    """Total hit count of one (count_block, n_samples) job; a block's
-    FasmonError is raised."""
-    (hits,) = _count_hits([job])
-    if isinstance(hits, FasmonError):
-        raise hits
-    return hits
 
 
 def _sd_block_hits(params: SystemParams, p_m: float, gamma_th: float,
@@ -182,7 +171,8 @@ def estimate_sd_outage(params: SystemParams, rate_point: RatePoint, p_m: float,
         raise DomainError(f"p_m must be >= 0, got {p_m}")
     count_block = functools.partial(_sd_block_hits, params, p_m,
                                     rate_point.gamma_th, seed)
-    return _binomial_estimate(_hits((count_block, n_samples)), n_samples, seed)
+    hits = _count_hits([(count_block, n_samples)])[0]
+    return _binomial_estimate(hits, n_samples, seed)
 
 
 def estimate_monitor_outage(params: SystemParams, link: DerivedLink,
@@ -196,7 +186,7 @@ def estimate_monitor_outage(params: SystemParams, link: DerivedLink,
     n_ports columns. n_ports = 1 degrades to the single-antenna monitor.
     """
     job = _monitor_job(params, link, rate_point, n_ports, n_samples, seed)
-    return _binomial_estimate(_hits(job), n_samples, seed)
+    return _binomial_estimate(_count_hits([job])[0], n_samples, seed)
 
 
 def estimate_monitoring_rate(params: SystemParams, link: DerivedLink,
@@ -210,17 +200,14 @@ def estimate_monitoring_rate(params: SystemParams, link: DerivedLink,
         params, link, rate_point, n_ports, n_samples, seed), rate_point)
 
 
-def estimate_monitoring_rates(jobs) -> list:
+def estimate_monitoring_rates(jobs) -> list[McEstimate]:
     """estimate_monitoring_rate for each (params, link, rate_point, n_ports,
     n_samples, seed) job, with the blocks of all jobs sharing one pool.
 
     Each estimate is bitwise the one estimate_monitoring_rate returns for
-    its job. Invalid job arguments raise DomainError before anything runs;
-    a FasmonError raised while a job simulates takes that job's place in
-    the result, and the other jobs still get their estimates.
+    its job. Invalid job arguments raise DomainError before anything runs.
     """
     jobs = list(jobs)
     totals = _count_hits([_monitor_job(*job) for job in jobs])
-    return [hits if isinstance(hits, FasmonError) else
-            _rate_estimate(_binomial_estimate(hits, n_samples, seed), rate_point)
+    return [_rate_estimate(_binomial_estimate(hits, n_samples, seed), rate_point)
             for hits, (_, _, rate_point, _, n_samples, seed) in zip(totals, jobs)]

@@ -12,8 +12,8 @@ against the sweep variable, with labeled axes and a legend.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 from .errors import DomainError
 from .experiments import ResultRow
@@ -148,7 +148,7 @@ def emit_svg(rows, path: str) -> None:
         parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" font-size="11" '
                      f'text-anchor="end">{yt:.4g}</text>')
 
-    x_label = escape(rows[0].x_name)
+    x_label = html.escape(rows[0].x_name, quote=False)
     parts.append(f'<text x="{_ML + plot_w / 2}" y="{_HEIGHT - 10}" '
                  f'font-size="13" text-anchor="middle">{x_label}</text>')
     parts.append(f'<text x="16" y="{_MT + plot_h / 2}" font-size="13" '
@@ -166,7 +166,7 @@ def emit_svg(rows, path: str) -> None:
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="1.6"/>')
         parts.append(f'<text x="{lx + 27}" y="{ly}" font-size="11">'
-                     f'{escape(name)}</text>')
+                     f'{html.escape(name, quote=False)}</text>')
     parts.append("</svg>")
 
     with open(path, "w", encoding="utf-8") as fh:

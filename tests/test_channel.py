@@ -15,8 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fasmon import (ComputationError, DomainError, correlation_mu,
                     eta_factor)
-from fasmon.channel import (_POWER_BLOCK_ROWS, _mix_weight, _port_power_blocks,
-                            _sample_port_powers)
+from fasmon.channel import _POWER_BLOCK_ROWS, _mix_weight, _port_power_blocks
 
 # (W, mu(W)) multiprecision references
 MU_REFS = (
@@ -121,6 +120,11 @@ def _complex_reference_powers(mu, var, n_ports, n_draws, rng):
     e = s * (rng.standard_normal((n_draws, n_ports))
              + 1j * rng.standard_normal((n_draws, n_ports)))
     return np.abs(mu * g0 + _mix_weight(mu) * e) ** 2
+
+
+def _sample_port_powers(mu, var, n_ports, n_draws, rng):
+    # the whole (n_draws, n_ports) matrix: the row blocks concatenated
+    return np.concatenate(list(_port_power_blocks(mu, var, n_ports, n_draws, rng)))
 
 
 class TestSampling:

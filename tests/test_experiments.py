@@ -260,9 +260,9 @@ class TestPartialFailure:
         rows = run_experiment(spec)
         assert [r.scheme for r in rows] == ["ProposedBisect", "ProposedBisect"]
         assert len(rows) < expected_row_count(spec)
-        err = capsys.readouterr().err
-        assert "synthetic failure" in err
-        assert "Passive" in err
+        assert capsys.readouterr().err.splitlines() == [
+            f"fasmon: ratio_db={x} Passive: ComputationError: synthetic failure"
+            for x in ("-12", "-8")]
 
     def test_curve_link_failure_reports_every_point(self, monkeypatch, capsys):
         def broken(params):
@@ -286,38 +286,6 @@ class TestPartialFailure:
         assert capsys.readouterr().err.splitlines() == [
             f"fasmon: ratio_db={x}: ComputationError: synthetic correlation failure"
             for x in ("-12", "-8")]
-
-    @pytest.mark.parametrize("pairs, failing, message", [
-        (("sweep_variable=ratio_db", "schemes=ProposedBisect,Passive"), (1, 1),
-         "ratio_db=-8"),
-        (("sweep_variable=p_m_db",), (1, 0), "p_m_db=-8"),
-    ], ids=["schemes", "curves"])
-    def test_failed_monte_carlo_job_drops_its_point(self, monkeypatch, capsys,
-                                                    worker_cap, pairs, failing,
-                                                    message):
-        # one row at -8 fails in its second of three blocks, on a worker
-        # thread: every row of the -8 point goes, those with no Monte Carlo
-        # job too, and the -12 point stays
-        worker_cap(3)
-        spec = _spec("experiment=custom", "sweep_values=-12,-8",
-                     "mc_samples=300000", *pairs)
-        clean = run_experiment(spec)
-        failing_seed = row_seed(spec.seed, "custom", *failing)
-        real = fasmon.mcsim._monitor_block_hits
-
-        def flaky(mu, sigma_g2, n_ports, g2_th, seed, idx, size):
-            if seed == failing_seed and idx == 1:
-                raise ComputationError("synthetic Monte Carlo failure")
-            return real(mu, sigma_g2, n_ports, g2_th, seed, idx, size)
-
-        monkeypatch.setattr(fasmon.mcsim, "_monitor_block_hits", flaky)
-        threads = threading.active_count()
-        rows = run_experiment(spec)
-        assert rows == [r for r in clean if r.x_value == -12.0]
-        assert len(rows) in (2, 3)
-        assert capsys.readouterr().err.splitlines() == [
-            f"fasmon: {message}: ComputationError: synthetic Monte Carlo failure"]
-        assert threading.active_count() == threads
 
     def test_worker_fault_propagates(self, monkeypatch, worker_cap):
         # a non-fasmon exception in one block ends the run with that

@@ -220,6 +220,31 @@ class TestDestinationProperties:
         assert r_min == rate_for_pm(params, p_m_max)
 
 
+class TestMonitorOutageProperties:
+    # down to W = 1e-3, where mu is within 1e-6 of 1; the exact outage
+    # refuses a^2/2 > 5e5 with a ComputationError
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(aperture_w=_log_uniform(1e-3, 20.0), n_ports=st.integers(1, 64),
+           frac=st.floats(0.0, 1.0))
+    def test_outage_in_range_and_above_bound_and_approx(self, ref_params,
+                                                        aperture_w, n_ports,
+                                                        frac):
+        params = dataclasses.replace(ref_params, aperture_w=aperture_w,
+                                     n_ports=n_ports)
+        r_min, r_max = rate_bounds(params)
+        rp = RatePoint(r_min + frac * (r_max - r_min))
+        try:
+            link = derive_link(params)
+            true = monitor_outage_true(link, rp, n_ports)
+            bound = monitor_outage_bound(link, rp, n_ports)
+            approx = monitor_outage_approx(link, rp, n_ports)
+        except FasmonError:
+            return
+        assert 0.0 <= true <= 1.0
+        assert bound <= true + 1e-9
+        assert approx <= true + 1e-9
+
+
 class TestPmForRate:
     def test_round_trip(self, ref_params):
         r_min, r_max = rate_bounds(ref_params)
