@@ -10,10 +10,13 @@ through the destination outage constraint):
                          dF/dx = h - g;
 * solve_closed_form    - Lambert-W stationary point of R e^{-(2^R-1)/Gamma};
 * solve_true_grid      - grid search on the exact rate (the expensive
-                         oracle the other two approximate); it evaluates
-                         only the grid rates whose union-bound cap could
-                         still beat the best exact rate found, which leaves
-                         the exhaustive scan's result unchanged, then
+                         oracle the other two approximate); the exact
+                         outage never decreases as R grows, so a coarse
+                         pass caps every grid rate by R times one minus the
+                         outage at the coarse rate below it, and only the
+                         rates whose cap could still beat the best exact
+                         rate found are evaluated, which leaves the
+                         exhaustive scan's result unchanged; it then
                          refines the argmax by two finer scans of the same
                          kind inside its bracket.
 
@@ -48,9 +51,14 @@ _LN2 = math.log(2.0)
 _BISECT_TOL = 1e-9  # bracket width on R at which bisection stops
 _GRID_POINTS = 4096  # uniform R grid of solve_true_grid
 _GRID_BLOCK = 128  # exact rates per block in solve_true_grid
+_COARSE_STEP = 63  # grid index step of solve_true_grid's coarse pass
+_COARSE_BLOCK = 17  # coarse rates per block, left to right
 _REFINE_POINTS = 32  # exact rates per refinement scan of solve_true_grid
 _REFINE_LEVELS = 2  # refinement scans after solve_true_grid's grid scan
-# relative margin on R added to solve_true_grid's bound (see _rate_caps)
+# relative margin on R added to solve_true_grid's caps: the computed outage
+# is accurate to the panel quadrature's settle tolerance, at most 1e-9 for an
+# outage in [0, 1], so R (1 - outage) at two rates may each be off by 1e-9 R;
+# the margin is 1000 times that
 _PRUNE_MARGIN = 1e-6
 
 
@@ -71,7 +79,7 @@ class OptResult:
     destination constraint there; clamped: whether a band endpoint was
     returned instead of an interior stationary point; iterations:
     objective/derivative evaluations spent (for solve_true_grid, the exact
-    rates actually evaluated, which excludes the grid rates its bound
+    rates actually evaluated, which excludes the grid rates its caps
     pruned). The rate at the point is the caller's to evaluate.
     """
 
@@ -204,46 +212,51 @@ def _argmax_upward(values) -> int:
     return arr.size - 1 - int(np.argmax(arr[::-1]))
 
 
-def _rate_caps(params: SystemParams, link: DerivedLink, rates: np.ndarray) -> np.ndarray:
-    """Upper bounds on the computed rates_true at rates.
-
-    The union bound over ports, P_out >= 1 - N e^{-gamma_th/Gamma}, caps
-    the exact rate at min(R, N R e^{-gamma_th/Gamma}), rate_approx capped at
-    R. The computed outage is accurate to the panel quadrature's settle
-    tolerance, at most 1e-9 for an outage in [0, 1], so the computed
-    R (1 - outage) may exceed the exact rate by 1e-9 R; the margin added,
-    _PRUNE_MARGIN R, is 1000 times that.
-    """
-    gammas = np.expm1(rates * _LN2)
-    union = np.minimum(rates, params.n_ports * rates * np.exp(-gammas / link.gamma_cap))
-    return union + _PRUNE_MARGIN * rates
-
-
 def solve_true_grid(params: SystemParams, link: DerivedLink) -> OptResult:
     """Maximization of the exact rate on a uniform grid of _GRID_POINTS
     rates, refined by _REFINE_LEVELS scans of _REFINE_POINTS rates inside
     the winning bracket (_refine_grid_max). Ties prefer the larger R.
 
-    The grid is evaluated in blocks of _GRID_BLOCK rates, in descending
-    order of each rate's certified cap (_rate_caps), each block in grid
-    order; the scan stops once the next rate's cap is below the best exact
-    value so far. A rate left out could not have reached that value, and
-    every evaluated value equals its one-point rate_true, so the winning
-    index and the result are those of the exhaustive scan. A rate left out is
-    never evaluated, so its FasmonError, had it one, cannot fail the solver.
-    iterations counts the exact rates evaluated, grid and refinement
-    together."""
+    The exact outage P never decreases as R grows, so a rate R_j at or above
+    an evaluated R_i has exact rate at most R_j (1 - P(R_i)); plus
+    _PRUNE_MARGIN R_j, that caps the computed rate too. A coarse pass
+    evaluates every _COARSE_STEP-th grid rate and the last, left to right
+    in blocks of _COARSE_BLOCK, and stops once the last one's cap on every
+    rate above it, r_max (1 - P) plus the margin, is below the best value so
+    far; the small blocks keep it out of the far tail of a band whose rate
+    has collapsed, where near mu = 1 the Marcum kernel may raise. A fine
+    pass caps each remaining rate by the nearest evaluated coarse rate at or
+    below it, then evaluates blocks of _GRID_BLOCK rates in descending
+    order of cap, each block in grid order, until the next cap is below the
+    best value. A rate left out could not have reached
+    that value, and every evaluated value equals its one-point rate_true,
+    so the winning index and the result are those of the exhaustive scan.
+    A rate left out is never evaluated, so its FasmonError, had it one,
+    cannot fail the solver. iterations counts the exact rates evaluated,
+    grid and refinement together."""
     r_min, r_max = rate_bounds(params)
     grid = np.linspace(r_min, r_max, _GRID_POINTS)
-    caps = _rate_caps(params, link, grid)
-    order = np.argsort(-caps, kind="stable")
     values = np.full(_GRID_POINTS, -math.inf)
+    coarse = np.append(np.arange(0, _GRID_POINTS - 1, _COARSE_STEP), _GRID_POINTS - 1)
     best = -math.inf
-    evals = 0
-    for start in range(0, _GRID_POINTS, _GRID_BLOCK):
-        if caps[order[start]] < best:
+    for start in range(0, coarse.size, _COARSE_BLOCK):
+        known = coarse[:start + _COARSE_BLOCK]
+        block = known[start:]
+        values[block] = rates_true(params, link, grid[block])
+        best = max(best, float(values[block].max()))
+        if r_max * (values[known[-1]] / grid[known[-1]] + _PRUNE_MARGIN) < best:
             break
-        block = np.sort(order[start:start + _GRID_BLOCK])
+    rest = np.flatnonzero(values == -math.inf)
+    # the nearest evaluated coarse rate below each remaining one; known
+    # starts at grid index 0, so there always is one
+    left = known[np.searchsorted(known, rest) - 1]
+    caps = grid[rest] * (values[left] / grid[left] + _PRUNE_MARGIN)
+    ranked = np.argsort(-caps, kind="stable")
+    evals = known.size
+    for start in range(0, rest.size, _GRID_BLOCK):
+        if caps[ranked[start]] < best:
+            break
+        block = rest[np.sort(ranked[start:start + _GRID_BLOCK])]
         values[block] = rates_true(params, link, grid[block])
         best = max(best, float(values[block].max()))
         evals += block.size

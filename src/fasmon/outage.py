@@ -150,7 +150,7 @@ def _outage_true(link: DerivedLink, gammas: np.ndarray, n_ports: int) -> np.ndar
         raise DomainError(f"n_ports must be >= 1, got {n_ports!r}")
     mu = link.mu
     ratio = gammas / link.gamma_cap
-    if mu == 0.0:
+    if mu == 0.0 or n_ports == 1:
         return (-np.expm1(-ratio)) ** n_ports
     one_minus_mu2 = 1.0 - mu * mu
     a_scale = math.sqrt(2.0 * mu * mu / one_minus_mu2)
@@ -179,10 +179,11 @@ def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int) -> float
     7/15 panels of width min(1, 1/A), so the step of the integrand at
     u = b/A, however sharp near mu = 1, spans a fixed number of panels.
     mu = 0 collapses to the i.i.d. closed form (1 - e^{-gamma_th/Gamma})^N
-    without quadrature. Raises ComputationError where the Marcum kernel
-    would need Poisson weights past a^2/2 = 5e5, that is where b exceeds
-    about 990 (1 - mu^2 below about 2e-5 at gamma_th/Gamma = 10), and
-    AccuracyError if the panels do not settle.
+    without quadrature, and so does a single port, whose outage is
+    1 - e^{-gamma_th/Gamma} for every mu. Raises ComputationError where the
+    Marcum kernel would need Poisson weights past a^2/2 = 5e5, that is where
+    b exceeds about 990 (1 - mu^2 below about 2e-5 at gamma_th/Gamma = 10),
+    and AccuracyError if the panels do not settle.
     """
     return float(_outage_true(link, np.array([rp.gamma_th]), n_ports)[0])
 

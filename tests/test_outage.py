@@ -287,6 +287,15 @@ class TestMonitorOutage:
             assert monitor_outage_true(ref_link, rp, 1) == pytest.approx(
                 closed, abs=1e-8)
 
+    def test_single_port_near_full_correlation(self, ref_params):
+        # at W = 1e-3 the best-port quadrature would need Marcum Q1 past its
+        # Poisson mass check; one port takes the closed form at any mu
+        params = dataclasses.replace(ref_params, aperture_w=1e-3, n_ports=1)
+        link = derive_link(params)
+        rp = RatePoint(rate_bounds(params)[0])
+        assert monitor_outage_true(link, rp, 1) == \
+            -math.expm1(-rp.gamma_th / link.gamma_cap)
+
     def test_uncorrelated_closed_form(self):
         link = DerivedLink(mu=0.0, gamma_cap=1.5848931924611135)
         for r, n in ((0.8, 2), (1.5, 8), (2.0, 32)):
