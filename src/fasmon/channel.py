@@ -131,8 +131,8 @@ def derive_link(params: SystemParams) -> DerivedLink:
 
 def link_for_mu(params: SystemParams, mu: float) -> DerivedLink:
     """The link of a parameter set whose correlation factor,
-    correlation_mu(params.aperture_w), is already known: a sweep that keeps
-    the aperture computes mu once and builds each point's link from it."""
+    correlation_mu(params.aperture_w), is already known: a run computes mu
+    once per distinct aperture and builds each point's link from it."""
     return DerivedLink(mu=mu, gamma_cap=params.p_s * params.sigma_g2 / params.sigma_m2)
 
 

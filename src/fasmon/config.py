@@ -48,7 +48,13 @@ _DEFAULTS = {
     "seed": 12345,
 }
 
-_EXPERIMENTS = ("fig1", "fig2", "fig3", "custom")
+# experiment -> (sweep variable, default sweep values); custom sets both
+_EXPERIMENTS = {
+    "fig1": ("p_m_db", tuple(30.0 * i / 120 for i in range(121))),
+    "fig2": ("ratio_db", tuple(float(v) for v in range(-20, 1, 2))),
+    "fig3": ("n_ports", tuple(float(n) for n in range(2, 17))),
+    "custom": (None, None),
+}
 _SWEEP_VARIABLES = ("p_m_db", "ratio_db", "n_ports")
 
 
@@ -185,17 +191,6 @@ def _read_json(text: str) -> dict:
     return _read_mapping(obj)
 
 
-def _default_sweep(experiment: str):
-    if experiment == "fig1":
-        values = tuple(30.0 * i / 120 for i in range(121))
-        return "p_m_db", values, ()
-    if experiment == "fig2":
-        return "ratio_db", tuple(float(v) for v in range(-20, 1, 2)), _ALL_SCHEMES
-    if experiment == "fig3":
-        return "n_ports", tuple(float(n) for n in range(2, 17)), _ALL_SCHEMES
-    return None
-
-
 def _build_params(values: dict) -> SystemParams:
     sigma_h2 = values["sigma_h2"]
     cross = _linear("sigma_ratio_db", values["sigma_ratio_db"]) * sigma_h2
@@ -232,11 +227,8 @@ def resolve_config(file_values: dict, overrides: dict | None = None) -> Experime
     example ``{"schemes": "Passive"}``) or values the readers already parsed.
     """
     values = dict(_DEFAULTS)
-    explicit = set()
     for source in (file_values, overrides or {}):
-        source = _read_mapping(source)
-        values.update(source)
-        explicit |= set(source)
+        values.update(_read_mapping(source))
 
     experiment = values["experiment"]
     if experiment not in _EXPERIMENTS:
@@ -248,26 +240,18 @@ def resolve_config(file_values: dict, overrides: dict | None = None) -> Experime
     if values["seed"] < 0:
         raise ConfigError("seed must be >= 0", "seed")
 
-    default = _default_sweep(experiment)
-    if default is None and not {"sweep_variable", "sweep_values"} <= explicit:
+    var, default_values = _EXPERIMENTS[experiment]
+    if var is None and not {"sweep_variable", "sweep_values"} <= values.keys():
         raise ConfigError(
             "custom experiment needs explicit sweep_variable and sweep_values",
             "experiment")
-
-    if default is not None:
-        var, def_values, def_schemes = default
-        sweep_variable = values.get("sweep_variable", var)
-        if "sweep_variable" in explicit and sweep_variable != var:
-            raise ConfigError(
-                f"{experiment} sweeps {var}; cannot set sweep_variable={sweep_variable}",
-                "sweep_variable")
-        sweep_values = values["sweep_values"] if "sweep_values" in explicit else def_values
-        schemes = values["schemes"] if "schemes" in explicit else def_schemes
-    else:
-        sweep_variable = values["sweep_variable"]
-        sweep_values = values["sweep_values"]
-        default_schemes = () if sweep_variable == "p_m_db" else _ALL_SCHEMES
-        schemes = values["schemes"] if "schemes" in explicit else default_schemes
+    sweep_variable = values.get("sweep_variable", var)
+    if var is not None and sweep_variable != var:
+        raise ConfigError(
+            f"{experiment} sweeps {var}; cannot set sweep_variable={sweep_variable}",
+            "sweep_variable")
+    sweep_values = values.get("sweep_values", default_values)
+    schemes = values.get("schemes", () if sweep_variable == "p_m_db" else _ALL_SCHEMES)
 
     if sweep_variable not in _SWEEP_VARIABLES:
         raise ConfigError(
@@ -290,11 +274,10 @@ def resolve_config(file_values: dict, overrides: dict | None = None) -> Experime
     # a p_m sweep reports the three analytic rate curves, not scheme rows:
     # the schemes each pick their own p_m, so pinning one is contradictory
     if sweep_variable == "p_m_db":
-        if "schemes" in explicit and values["schemes"]:
+        if schemes:
             raise ConfigError(
                 "a p_m_db sweep reports the three analytic curves; "
                 "schemes cannot be chosen", "schemes")
-        schemes = ()
     elif not schemes:
         raise ConfigError("schemes must be nonempty", "schemes")
 

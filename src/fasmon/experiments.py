@@ -1,21 +1,25 @@
 """Sweep runner: turns an ExperimentSpec into result rows.
 
-Two row flavors exist. A ``p_m_db`` sweep (the ``fig1`` experiment) fixes the
-jamming power at each grid point, solves the destination outage constraint
-for R, and reports the three analytic rate expressions as pseudo-schemes
-``true``, ``bound``, and ``approx``. The other sweeps run the configured
-schemes at each point; each scheme picks its own operating point.
+Every sweep point takes one path: its parameters (the base parameters with
+the swept one replaced), then its link, whose correlation factor the run
+computes once per distinct aperture, then its rows. Two row flavors exist. A
+``p_m_db`` sweep (the ``fig1`` experiment) fixes the jamming power at each
+grid point, solves the destination outage constraint for R, and reports the
+three analytic rate expressions as pseudo-schemes ``true``, ``bound``, and
+``approx``. The other sweeps run the configured schemes at each point; each
+scheme picks its own operating point.
 
 Monte Carlo columns, when enabled, always estimate the TRUE monitoring rate
 at the row's operating point, so simulation never inherits the analytic
 shortcut it is meant to check. Row seeds are spawned from (seed, experiment
 id, sweep index, scheme index), making every row reproducible in isolation.
-A run builds every analytic row first and then hands all rows' Monte Carlo
-jobs to :func:`fasmon.mcsim.estimate_monitoring_rates` in one batch, whose
-blocks run concurrently; the estimates are the ones each row gets alone.
-Each block returns an integer hit count and has no failure of its own, so
-Monte Carlo cannot drop a row: a row is dropped, and reported on stderr,
-only when its analytic part raises a FasmonError.
+Each row comes with its Monte Carlo job, or None; a run builds every
+analytic row first and then hands all rows' jobs to
+:func:`fasmon.mcsim.estimate_monitoring_rates` in one batch, whose blocks run
+concurrently; the estimates are the ones each row gets alone. Each block
+returns an integer hit count and has no failure of its own, so Monte Carlo
+cannot drop a row: a row is dropped, and reported on stderr, only when its
+analytic part raises a FasmonError.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (DerivedLink, SystemParams, correlation_mu, derive_link,
-                      link_for_mu)
+from .channel import DerivedLink, SystemParams, correlation_mu, link_for_mu
 from .config import ExperimentSpec, db_to_linear
 from .errors import FasmonError
 from .mcsim import estimate_monitoring_rates
@@ -38,7 +41,8 @@ from .outage import RatePoint, rate_approx, rate_bound, rate_for_pm, rate_true
 
 _EXPERIMENT_IDS = {"custom": 0, "fig1": 1, "fig2": 2, "fig3": 3}
 
-_CURVE_TAGS = ("true", "bound", "approx")
+# pseudo-scheme tag -> analytic rate of a p_m_db sweep's rows
+_CURVES = {"true": rate_true, "bound": rate_bound, "approx": rate_approx}
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ def row_seed(seed: int, experiment: str, sweep_idx: int, scheme_idx: int) -> int
 
 
 def expected_row_count(spec: ExperimentSpec) -> int:
-    per_point = len(_CURVE_TAGS) if spec.sweep_variable == "p_m_db" else len(spec.schemes)
+    per_point = len(_CURVES) if spec.sweep_variable == "p_m_db" else len(spec.schemes)
     return len(spec.sweep_values) * per_point
 
 
@@ -82,59 +86,50 @@ def _pm_db(p_m: float) -> float:
     return 10.0 * math.log10(p_m) if p_m > 0.0 else float("-inf")
 
 
-def _mc_job(spec: ExperimentSpec, params, link, rate_point: RatePoint,
-            n_ports: int, sweep_idx: int, scheme_idx: int):
-    return (params, link, rate_point, n_ports, spec.mc_samples,
+def _mc_job(spec: ExperimentSpec, params, link, rp: RatePoint, n_ports: int,
+            sweep_idx: int, scheme_idx: int):
+    """The Monte Carlo job of one row, or None when the run simulates
+    nothing."""
+    if spec.mc_samples == 0:
+        return None
+    return (params, link, rp, n_ports, spec.mc_samples,
             row_seed(spec.seed, spec.experiment, sweep_idx, scheme_idx))
 
 
-def _curve_rows(spec: ExperimentSpec, link: DerivedLink, sweep_idx: int,
-                x_value: float) -> tuple[list[ResultRow], list]:
-    params = spec.params
-    p_m = db_to_linear(x_value)
-    rate_r = rate_for_pm(params, p_m)
-    rp = RatePoint(rate_r)
-    evaluators = {"true": rate_true, "bound": rate_bound, "approx": rate_approx}
-    rows, mc_jobs = [], []
-    for scheme_idx, tag in enumerate(_CURVE_TAGS):
-        value = evaluators[tag](params, link, rp)
-        if tag == "true" and spec.mc_samples > 0:
-            mc_jobs.append((len(rows), _mc_job(spec, params, link, rp,
-                                               params.n_ports, sweep_idx,
-                                               scheme_idx)))
-        rows.append(ResultRow(
-            experiment=spec.experiment, scheme=tag,
-            x_name=spec.sweep_variable, x_value=x_value,
-            r_star_bits=rate_r, pm_star_db=x_value,
-            rate_analytic=value, rate_mc_mean=None, rate_mc_ci95=None,
-            clamped=False))
-    return rows, mc_jobs
+def _curve_rows(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
+                sweep_idx: int,
+                x_value: float) -> list[tuple[ResultRow, tuple | None]]:
+    rp = RatePoint(rate_for_pm(params, db_to_linear(x_value)))
+    return [(ResultRow(experiment=spec.experiment, scheme=tag,
+                       x_name=spec.sweep_variable, x_value=x_value,
+                       r_star_bits=rp.rate_r, pm_star_db=x_value,
+                       rate_analytic=rate(params, link, rp),
+                       rate_mc_mean=None, rate_mc_ci95=None, clamped=False),
+             _mc_job(spec, params, link, rp, params.n_ports, sweep_idx, scheme_idx)
+             if tag == "true" else None)
+            for scheme_idx, (tag, rate) in enumerate(_CURVES.items())]
 
 
-def _scheme_rows(spec: ExperimentSpec, mu: float, sweep_idx: int,
-                 x_value: float) -> tuple[list[ResultRow], list]:
-    params = _point_params(spec, x_value)
-    link = link_for_mu(params, mu)
-    rows, mc_jobs = [], []
+def _scheme_rows(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
+                 sweep_idx: int,
+                 x_value: float) -> list[tuple[ResultRow, tuple | None]]:
+    pairs = []
     for scheme_idx, scheme in enumerate(spec.schemes):
         try:
             result = evaluate_scheme(params, link, scheme)
         except FasmonError as exc:
             _report_failure(spec, x_value, exc, scheme.value)
             continue
-        if spec.mc_samples > 0:
-            mc_jobs.append((len(rows), _mc_job(spec, params, link,
-                                               RatePoint(result.r_star),
-                                               result.n_ports, sweep_idx,
-                                               scheme_idx)))
-        rows.append(ResultRow(
-            experiment=spec.experiment, scheme=scheme.value,
-            x_name=spec.sweep_variable, x_value=x_value,
-            r_star_bits=result.r_star, pm_star_db=_pm_db(result.pm_star),
-            rate_analytic=result.rate_true,
-            rate_mc_mean=None, rate_mc_ci95=None,
-            clamped=result.clamped))
-    return rows, mc_jobs
+        pairs.append((
+            ResultRow(experiment=spec.experiment, scheme=scheme.value,
+                      x_name=spec.sweep_variable, x_value=x_value,
+                      r_star_bits=result.r_star, pm_star_db=_pm_db(result.pm_star),
+                      rate_analytic=result.rate_true,
+                      rate_mc_mean=None, rate_mc_ci95=None,
+                      clamped=result.clamped),
+            _mc_job(spec, params, link, RatePoint(result.r_star), result.n_ports,
+                    sweep_idx, scheme_idx)))
+    return pairs
 
 
 def _report_failure(spec: ExperimentSpec, x_value: float, exc: FasmonError,
@@ -149,37 +144,32 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run every sweep point; failed points are reported and skipped.
 
     The caller can compare len(result) with expected_row_count(spec) to
-    detect partial output. No sweep changes the aperture, so the correlation
-    factor is computed once for the whole run, and a ``p_m_db`` sweep, which
-    keeps every channel parameter fixed, derives its whole link once; if
-    that fails, every point is reported as failed. A row is dropped only
-    when its analytic part raises a FasmonError. The analytic rows of every
-    point come first; then the Monte Carlo jobs of all rows run as one
-    batch, which cannot drop a row, and fill in the rows' Monte Carlo cells.
+    detect partial output. Each point builds its parameters and its link,
+    then its rows; the correlation factor is memoized for this run alone, so
+    it is computed once per distinct aperture, and a failure to compute it
+    is not kept, so it is reported once for every point it fails. A row is
+    dropped only when its analytic part raises a FasmonError. The analytic
+    rows of every point come first; then the Monte Carlo jobs of all rows
+    run as one batch, which cannot drop a row, and fill in the rows' Monte
+    Carlo cells.
     """
-    try:
-        if spec.sweep_variable == "p_m_db":
-            point_fn = functools.partial(_curve_rows, spec, derive_link(spec.params))
-        else:
-            point_fn = functools.partial(_scheme_rows, spec,
-                                         correlation_mu(spec.params.aperture_w))
-    except FasmonError as exc:
-        for x_value in spec.sweep_values:
-            _report_failure(spec, x_value, exc)
-        return []
-    rows: list[ResultRow] = []
-    slots, mc_jobs = [], []
+    mu_of = functools.cache(correlation_mu)
+    point_rows = _curve_rows if spec.sweep_variable == "p_m_db" else _scheme_rows
+    pairs = []
     for sweep_idx, x_value in enumerate(spec.sweep_values):
         try:
-            point_rows, point_jobs = point_fn(sweep_idx, x_value)
+            params = _point_params(spec, x_value)
+            link = link_for_mu(params, mu_of(params.aperture_w))
+            pairs.extend(point_rows(spec, params, link, sweep_idx, x_value))
         except FasmonError as exc:
             _report_failure(spec, x_value, exc)
-            continue
-        for row_idx, job in point_jobs:
-            slots.append(len(rows) + row_idx)
-            mc_jobs.append(job)
-        rows.extend(point_rows)
-    for slot, est in zip(slots, estimate_monitoring_rates(mc_jobs)):
-        rows[slot] = dataclasses.replace(rows[slot], rate_mc_mean=est.mean,
-                                         rate_mc_ci95=est.half_width_95)
+    estimates = iter(estimate_monitoring_rates(
+        [job for _, job in pairs if job is not None]))
+    rows = []
+    for row, job in pairs:
+        if job is not None:
+            est = next(estimates)
+            row = dataclasses.replace(row, rate_mc_mean=est.mean,
+                                      rate_mc_ci95=est.half_width_95)
+        rows.append(row)
     return rows

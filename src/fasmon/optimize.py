@@ -90,21 +90,17 @@ class OptResult:
 
 
 @dataclass(frozen=True)
-class SchemeResult:
+class SchemeResult(OptResult):
     """A scheme's operating point and the exact average monitoring rate
     there.
 
     rate_true: R (1 - outage) of the scheme's monitor, which selects among
-    n_ports ports (1 for ConventionalSingle); the other fields are the
-    operating point's (see OptResult).
+    n_ports ports (1 for ConventionalSingle); the inherited fields are the
+    operating point's.
     """
 
-    r_star: float
-    pm_star: float
     rate_true: float
     n_ports: int
-    clamped: bool
-    iterations: int
 
 
 def objective_terms(link: DerivedLink, n_ports: int, x):
@@ -340,6 +336,4 @@ def evaluate_scheme(params: SystemParams, link: DerivedLink,
     else:
         n_ports = params.n_ports
         rate = rate_true(params, link, rp)
-    return SchemeResult(r_star=point.r_star, pm_star=point.pm_star, rate_true=rate,
-                        n_ports=n_ports, clamped=point.clamped,
-                        iterations=point.iterations)
+    return SchemeResult(**vars(point), rate_true=rate, n_ports=n_ports)

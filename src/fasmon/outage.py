@@ -73,15 +73,20 @@ def _gamma_min_root(a_coef: float, b_coef: float, delta: float) -> float:
     raise AccuracyError("destination root solve did not settle", d, d + step)
 
 
+def _rate_without_jamming(params: SystemParams) -> float:
+    """r_max: the rate at which the no-jamming outage equals delta."""
+    # log1p, not log2(1 + x): x can be so small that 1 + x rounds to 1
+    return math.log1p(-params.p_s * params.sigma_h2 * math.log1p(-params.delta)
+                      / params.sigma_d2) / _LN2
+
+
 def rate_bounds(params: SystemParams) -> tuple[float, float]:
     """The feasible band [r_min, r_max] of suspicious rates.
 
     r_max comes from the no-jamming outage hitting delta; r_min from the
     full-power outage hitting delta, rate_for_pm(params, p_m_max).
     """
-    # log1p, not log2(1 + x): x can be so small that 1 + x rounds to 1
-    r_max = math.log1p(-params.p_s * params.sigma_h2 * math.log1p(-params.delta)
-                       / params.sigma_d2) / _LN2
+    r_max = _rate_without_jamming(params)
     r_min = rate_for_pm(params, params.p_m_max)
     if not (0.0 < r_min <= r_max * (1.0 + 1e-12)):
         raise ComputationError(
@@ -131,7 +136,7 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
     if not (math.isfinite(p_m) and 0.0 <= p_m <= params.p_m_max * (1.0 + 1e-12)):
         raise DomainError(f"p_m must lie in [0, p_m_max], got {p_m!r}")
     if p_m == 0.0:
-        return rate_bounds(params)[1]
+        return _rate_without_jamming(params)
     a_coef = params.sigma_d2 / (params.p_s * params.sigma_h2)
     b_coef = p_m * params.sigma_f2 / (params.p_s * params.sigma_h2)
     gamma = _gamma_min_root(a_coef, b_coef, params.delta)

@@ -22,6 +22,18 @@ def _spec(*pairs):
     return resolve_config({}, parse_overrides(list(pairs)))
 
 
+# a short custom sweep of each sweep variable, with two schemes where the
+# variable runs schemes
+_SWEEPS = [
+    ("sweep_variable=p_m_db", "sweep_values=0,10,20"),
+    ("sweep_variable=ratio_db", "sweep_values=-12,-8",
+     "schemes=ProposedBisect,Passive"),
+    ("sweep_variable=n_ports", "sweep_values=2,4",
+     "schemes=ProposedBisect,Passive"),
+]
+_SWEEP_IDS = ["p_m_db", "ratio_db", "n_ports"]
+
+
 def _tiny_fig2(*extra):
     return _spec("experiment=custom", "sweep_variable=ratio_db",
                  "sweep_values=-12,-8", "schemes=ProposedBisect,Passive",
@@ -69,6 +81,22 @@ class TestRowLayout:
         # more ports cannot hurt the best-port monitor at a fixed rate
         assert rows[1].rate_analytic >= rows[0].rate_analytic
 
+    @pytest.mark.parametrize("experiment, variable, values", [
+        ("fig1", "p_m_db", "0,15,30"),
+        ("fig2", "ratio_db", "-18,-10"),
+        ("fig3", "n_ports", "2,8"),
+    ])
+    def test_custom_part_of_a_named_grid(self, experiment, variable, values):
+        # a point's rows depend on its parameters alone, not on the
+        # experiment that names it or on the other points of its sweep
+        named = run_experiment(_spec(f"experiment={experiment}"))
+        spec = _spec("experiment=custom", f"sweep_variable={variable}",
+                     f"sweep_values={values}")
+        custom = run_experiment(spec)
+        assert len(custom) == expected_row_count(spec)
+        assert custom == [dataclasses.replace(row, experiment="custom")
+                          for row in named if row.x_value in spec.sweep_values]
+
 
 class TestCurveSweep:
     def test_three_tagged_rows_per_point(self):
@@ -93,45 +121,30 @@ class TestCurveSweep:
             expected = rate_for_pm(spec.params, 10.0 ** (row.x_value / 10.0))
             assert row.r_star_bits == pytest.approx(expected, rel=1e-12)
 
-    def test_link_derived_once_per_run(self, monkeypatch):
-        calls = []
-        real = fasmon.experiments.derive_link
-
-        def counted(params):
-            calls.append(params)
-            return real(params)
-
-        monkeypatch.setattr(fasmon.experiments, "derive_link", counted)
-        spec = _spec("experiment=custom", "sweep_variable=p_m_db",
-                     "sweep_values=0,10,20")
-        assert len(run_experiment(spec)) == expected_row_count(spec)
-        assert calls == [spec.params]
-
-    @pytest.mark.parametrize("pairs", [
-        ("sweep_variable=ratio_db", "sweep_values=-12,-8"),
-        ("sweep_variable=n_ports", "sweep_values=2,4"),
-    ], ids=["ratio_db", "n_ports"])
+    @pytest.mark.parametrize("pairs", _SWEEPS, ids=_SWEEP_IDS)
     def test_correlation_derived_once_per_scheme_sweep(self, monkeypatch, pairs):
-        # no sweep variable moves the aperture: one mu per run, and every
-        # point's link is the one derive_link gives that point
+        # every sweep variable, the p_m_db curve sweep included, keeps the
+        # aperture here: one mu per run, and every point's link is the one
+        # derive_link gives that point
         calls, links = [], []
         real_mu = fasmon.experiments.correlation_mu
-        real_evaluate = fasmon.experiments.evaluate_scheme
+        real_link = fasmon.experiments.link_for_mu
 
         def counted(aperture_w):
             calls.append(aperture_w)
             return real_mu(aperture_w)
 
-        def recorded(params, link, scheme):
+        def recorded(params, mu):
+            link = real_link(params, mu)
             links.append((params, link))
-            return real_evaluate(params, link, scheme)
+            return link
 
         monkeypatch.setattr(fasmon.experiments, "correlation_mu", counted)
-        monkeypatch.setattr(fasmon.experiments, "evaluate_scheme", recorded)
-        spec = _spec("experiment=custom", "schemes=ProposedBisect,Passive", *pairs)
+        monkeypatch.setattr(fasmon.experiments, "link_for_mu", recorded)
+        spec = _spec("experiment=custom", *pairs)
         assert len(run_experiment(spec)) == expected_row_count(spec)
         assert calls == [spec.params.aperture_w]
-        assert len(links) == 4
+        assert len(links) == len(spec.sweep_values)
         assert all(link == derive_link(params) for params, link in links)
 
     def test_bound_dominates_true(self):
@@ -264,28 +277,23 @@ class TestPartialFailure:
             f"fasmon: ratio_db={x} Passive: ComputationError: synthetic failure"
             for x in ("-12", "-8")]
 
-    def test_curve_link_failure_reports_every_point(self, monkeypatch, capsys):
-        def broken(params):
-            raise ComputationError("synthetic link failure")
+    @pytest.mark.parametrize("pairs", _SWEEPS, ids=_SWEEP_IDS)
+    def test_scheme_sweep_mu_failure_reports_every_point(self, monkeypatch,
+                                                          capsys, pairs):
+        # a failed mu is not memoized: each point retries it and reports it
+        calls = []
 
-        monkeypatch.setattr(fasmon.experiments, "derive_link", broken)
-        spec = _spec("experiment=custom", "sweep_variable=p_m_db",
-                     "sweep_values=0,10,20")
-        assert run_experiment(spec) == []
-        assert capsys.readouterr().err.splitlines() == [
-            f"fasmon: p_m_db={x}: ComputationError: synthetic link failure"
-            for x in ("0", "10", "20")]
-
-    def test_scheme_sweep_mu_failure_reports_every_point(self, monkeypatch, capsys):
         def broken(aperture_w):
+            calls.append(aperture_w)
             raise ComputationError("synthetic correlation failure")
 
         monkeypatch.setattr(fasmon.experiments, "correlation_mu", broken)
-        spec = _tiny_fig2()
+        spec = _spec("experiment=custom", *pairs)
         assert run_experiment(spec) == []
+        assert len(calls) == len(spec.sweep_values)
         assert capsys.readouterr().err.splitlines() == [
-            f"fasmon: ratio_db={x}: ComputationError: synthetic correlation failure"
-            for x in ("-12", "-8")]
+            f"fasmon: {spec.sweep_variable}={x:g}: ComputationError: "
+            "synthetic correlation failure" for x in spec.sweep_values]
 
     def test_worker_fault_propagates(self, monkeypatch, worker_cap):
         # a non-fasmon exception in one block ends the run with that
