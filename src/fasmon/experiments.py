@@ -13,13 +13,15 @@ Monte Carlo columns, when enabled, always estimate the TRUE monitoring rate
 at the row's operating point, so simulation never inherits the analytic
 shortcut it is meant to check. Row seeds are spawned from (seed, experiment
 id, sweep index, scheme index), making every row reproducible in isolation.
-Each row comes with its Monte Carlo job, or None; a run builds every
-analytic row first and then hands all rows' jobs to
+A run evaluates in batches what each row would get alone. It first finds
+every point's operating points, then evaluates the exact rates of all rows
+with :func:`fasmon.optimize.exact_rates`, in quadrature blocks of at most
+128 rates per link, then hands all rows' Monte Carlo jobs to
 :func:`fasmon.mcsim.estimate_monitoring_rates` in one batch, whose blocks run
-concurrently; the estimates are the ones each row gets alone. Each block
-returns an integer hit count and has no failure of its own, so Monte Carlo
-cannot drop a row: a row is dropped, and reported on stderr, only when its
-analytic part raises a FasmonError.
+concurrently. Each Monte Carlo block returns an integer hit count and has no
+failure of its own, so Monte Carlo cannot drop a row: a row is dropped, and
+reported on stderr in row order, only when its analytic part, its exact
+rate included, raises a FasmonError.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import dataclasses
 import functools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,13 +40,14 @@ from .channel import DerivedLink, SystemParams, correlation_mu, link_for_mu
 from .config import ExperimentSpec, db_to_linear
 from .errors import FasmonError
 from .mcsim import estimate_monitoring_rates
-from .optimize import evaluate_scheme
-from .outage import RatePoint, rate_approx, rate_bound, rate_for_pm, rate_true
+from .optimize import OptResult, RateJob, Scheme, exact_rates, scheme_point
+from .outage import RatePoint, rate_approx, rate_bound, rate_for_pm
 
 _EXPERIMENT_IDS = {"custom": 0, "fig1": 1, "fig2": 2, "fig3": 3}
 
-# pseudo-scheme tag -> analytic rate of a p_m_db sweep's rows
-_CURVES = {"true": rate_true, "bound": rate_bound, "approx": rate_approx}
+# pseudo-schemes of a p_m_db sweep's rows: the exact, bound and approximate
+# rates at the point's rate
+_CURVE_TAGS = ("true", "bound", "approx")
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,18 @@ class ResultRow:
     clamped: bool
 
 
+class _Entry(NamedTuple):
+    """The rows of a run that share one exact rate, in row order: a scheme's
+    row, or a curve point's three (scheme None), with the job of that rate
+    and the function from the rate to the (row, Monte Carlo job) pairs; or
+    the FasmonError that dropped them before their rate, with rows None."""
+
+    x_value: float
+    scheme: str | None
+    job: RateJob | FasmonError
+    rows: Callable[[float], list[tuple[ResultRow, tuple | None]]] | None
+
+
 def row_seed(seed: int, experiment: str, sweep_idx: int, scheme_idx: int) -> int:
     """Deterministic per-row substream key, independent of run order."""
     ss = np.random.SeedSequence(
@@ -69,7 +86,7 @@ def row_seed(seed: int, experiment: str, sweep_idx: int, scheme_idx: int) -> int
 
 
 def expected_row_count(spec: ExperimentSpec) -> int:
-    per_point = len(_CURVES) if spec.sweep_variable == "p_m_db" else len(spec.schemes)
+    per_point = len(_CURVE_TAGS) if spec.sweep_variable == "p_m_db" else len(spec.schemes)
     return len(spec.sweep_values) * per_point
 
 
@@ -97,39 +114,54 @@ def _mc_job(spec: ExperimentSpec, params, link, rp: RatePoint, n_ports: int,
 
 
 def _curve_rows(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
-                sweep_idx: int,
-                x_value: float) -> list[tuple[ResultRow, tuple | None]]:
-    rp = RatePoint(rate_for_pm(params, db_to_linear(x_value)))
+                sweep_idx: int, x_value: float, rp: RatePoint,
+                rate: float) -> list[tuple[ResultRow, tuple | None]]:
+    # the bound and approximation only once the exact rate has not failed:
+    # a point reports the first of the three errors in row order
+    rates = (rate, rate_bound(params, link, rp), rate_approx(params, link, rp))
     return [(ResultRow(experiment=spec.experiment, scheme=tag,
                        x_name=spec.sweep_variable, x_value=x_value,
                        r_star_bits=rp.rate_r, pm_star_db=x_value,
-                       rate_analytic=rate(params, link, rp),
+                       rate_analytic=value,
                        rate_mc_mean=None, rate_mc_ci95=None, clamped=False),
              _mc_job(spec, params, link, rp, params.n_ports, sweep_idx, scheme_idx)
              if tag == "true" else None)
-            for scheme_idx, (tag, rate) in enumerate(_CURVES.items())]
+            for scheme_idx, (tag, value) in enumerate(zip(_CURVE_TAGS, rates))]
 
 
-def _scheme_rows(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
-                 sweep_idx: int,
-                 x_value: float) -> list[tuple[ResultRow, tuple | None]]:
-    pairs = []
+def _curve_entries(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
+                   sweep_idx: int, x_value: float) -> list[_Entry]:
+    rp = RatePoint(rate_for_pm(params, db_to_linear(x_value)))
+    return [_Entry(x_value, None, RateJob(link, rp.rate_r, params.n_ports),
+                   functools.partial(_curve_rows, spec, params, link, sweep_idx,
+                                     x_value, rp))]
+
+
+def _scheme_rows(spec: ExperimentSpec, params: SystemParams, sweep_idx: int,
+                 x_value: float, scheme_idx: int, scheme: Scheme, point: OptResult,
+                 job: RateJob, rate: float) -> list[tuple[ResultRow, tuple | None]]:
+    return [(ResultRow(experiment=spec.experiment, scheme=scheme.value,
+                       x_name=spec.sweep_variable, x_value=x_value,
+                       r_star_bits=point.r_star, pm_star_db=_pm_db(point.pm_star),
+                       rate_analytic=rate, rate_mc_mean=None, rate_mc_ci95=None,
+                       clamped=point.clamped),
+             _mc_job(spec, params, job.link, RatePoint(point.r_star), job.n_ports,
+                     sweep_idx, scheme_idx))]
+
+
+def _scheme_entries(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
+                    sweep_idx: int, x_value: float) -> list[_Entry]:
+    entries = []
     for scheme_idx, scheme in enumerate(spec.schemes):
         try:
-            result = evaluate_scheme(params, link, scheme)
+            point, job = scheme_point(params, link, scheme)
         except FasmonError as exc:
-            _report_failure(spec, x_value, exc, scheme.value)
+            entries.append(_Entry(x_value, scheme.value, exc, None))
             continue
-        pairs.append((
-            ResultRow(experiment=spec.experiment, scheme=scheme.value,
-                      x_name=spec.sweep_variable, x_value=x_value,
-                      r_star_bits=result.r_star, pm_star_db=_pm_db(result.pm_star),
-                      rate_analytic=result.rate_true,
-                      rate_mc_mean=None, rate_mc_ci95=None,
-                      clamped=result.clamped),
-            _mc_job(spec, params, link, RatePoint(result.r_star), result.n_ports,
-                    sweep_idx, scheme_idx)))
-    return pairs
+        entries.append(_Entry(x_value, scheme.value, job, functools.partial(
+            _scheme_rows, spec, params, sweep_idx, x_value, scheme_idx, scheme,
+            point, job)))
+    return entries
 
 
 def _report_failure(spec: ExperimentSpec, x_value: float, exc: FasmonError,
@@ -145,24 +177,38 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
     The caller can compare len(result) with expected_row_count(spec) to
     detect partial output. Each point builds its parameters and its link,
-    then its rows; the correlation factor is memoized for this run alone, so
-    it is computed once per distinct aperture, and a failure to compute it
-    is not kept, so it is reported once for every point it fails. A row is
-    dropped only when its analytic part raises a FasmonError. The analytic
-    rows of every point come first; then the Monte Carlo jobs of all rows
-    run as one batch, which cannot drop a row, and fill in the rows' Monte
-    Carlo cells.
+    then its operating points (a curve point its rate); the correlation
+    factor is memoized for this run alone, so it is computed once per
+    distinct aperture, and a failure to compute it is not kept, so it is
+    reported once for every point it fails. Once every point is known, the
+    exact rates of all rows are evaluated together by
+    :func:`fasmon.optimize.exact_rates`, in blocks of at most 128 rates
+    per distinct link (fig1 and fig3 have one link per run, fig2 one per
+    point), each value the one its row gets alone. A row is dropped only when its analytic part, its
+    exact rate included, raises a FasmonError, and the failures are reported
+    in row order. Then the Monte Carlo jobs of all rows run as one batch,
+    which cannot drop a row, and fill in the rows' Monte Carlo cells.
     """
     mu_of = functools.cache(correlation_mu)
-    point_rows = _curve_rows if spec.sweep_variable == "p_m_db" else _scheme_rows
-    pairs = []
+    point_entries = _curve_entries if spec.sweep_variable == "p_m_db" else _scheme_entries
+    entries = []
     for sweep_idx, x_value in enumerate(spec.sweep_values):
         try:
             params = _point_params(spec, x_value)
             link = link_for_mu(params, mu_of(params.aperture_w))
-            pairs.extend(point_rows(spec, params, link, sweep_idx, x_value))
+            entries.extend(point_entries(spec, params, link, sweep_idx, x_value))
         except FasmonError as exc:
-            _report_failure(spec, x_value, exc)
+            entries.append(_Entry(x_value, None, exc, None))
+    rates = iter(exact_rates([e.job for e in entries if isinstance(e.job, RateJob)]))
+    pairs = []
+    for entry in entries:
+        outcome = next(rates) if isinstance(entry.job, RateJob) else entry.job
+        try:
+            if isinstance(outcome, FasmonError):
+                raise outcome
+            pairs.extend(entry.rows(outcome))
+        except FasmonError as exc:
+            _report_failure(spec, entry.x_value, exc, entry.scheme)
     estimates = iter(estimate_monitoring_rates(
         [job for _, job in pairs if job is not None]))
     rows = []

@@ -22,9 +22,11 @@ through the destination outage constraint):
 
 Each solver returns an operating point only: the rate, its jamming power,
 whether a band endpoint was taken and the evaluations spent, never its own
-objective's value. evaluate_scheme looks a scheme up in one table
-(operating-point function, monitor port count) and evaluates the exact rate
-once, at the returned point.
+objective's value. scheme_point looks a scheme up in one table
+(operating-point function, whether the monitor has a single port) and
+returns the point with the job of its exact rate; exact_rates evaluates the
+jobs of many rows at once, grouped by link, and evaluate_scheme is the two
+for one scheme.
 
 The derivative split is NOT globally single-crossing: g decays to zero at
 large x while h keeps a positive floor for mu > 0, so h - g can go
@@ -37,14 +39,16 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import DerivedLink, SystemParams, eta_factor
-from .errors import AccuracyError, DomainError
-from .outage import (RatePoint, pm_for_rate, rate_bound, rate_bounds,
-                     rate_true, rates_true)
+from .errors import AccuracyError, DomainError, FasmonError
+from .outage import (RatePoint, link_rates_true, pm_for_rate, rate_bound,
+                     rate_bounds, rates_true)
 from .specfun import lambert_w0
 
 _LN2 = math.log(2.0)
@@ -315,25 +319,88 @@ _SCHEMES = {
 }
 
 
-def evaluate_scheme(params: SystemParams, link: DerivedLink,
-                    scheme: Scheme) -> SchemeResult:
-    """Run one monitoring scheme: its operating point and the exact rate there.
+class RateJob(NamedTuple):
+    """An exact average monitoring rate to evaluate: R on link for a monitor
+    that selects among n_ports ports, or, with single_port, for the
+    single-antenna monitor (n_ports 1)."""
+
+    link: DerivedLink
+    rate_r: float
+    n_ports: int
+    single_port: bool = False
+
+
+def scheme_point(params: SystemParams, link: DerivedLink,
+                 scheme: Scheme) -> tuple[OptResult, RateJob]:
+    """A monitoring scheme's operating point and the exact-rate job there.
 
     ConstantJamming pins p_m = p_m_max (so R = r_min); Passive pins p_m = 0
-    (so R = r_max); ConventionalSingle is the single-antenna monitor, whose
-    exact rate R e^{-gamma_th/Gamma} the Lambert-W point maximizes. Every
-    other scheme's rate is rate_true over all n_ports ports.
+    (so R = r_max); ConventionalSingle is the single-antenna monitor. Every
+    other scheme's monitor selects among all n_ports ports.
     """
     try:
         operating_point, single_port = _SCHEMES[scheme]
     except KeyError:
         raise DomainError(f"unknown scheme {scheme!r}") from None
     point = operating_point(params, link)
-    rp = RatePoint(point.r_star)
-    if single_port:
-        n_ports = 1
-        rate = rp.rate_r * math.exp(-rp.gamma_th / link.gamma_cap)
-    else:
-        n_ports = params.n_ports
-        rate = rate_true(params, link, rp)
-    return SchemeResult(**vars(point), rate_true=rate, n_ports=n_ports)
+    n_ports = 1 if single_port else params.n_ports
+    return point, RateJob(link, point.r_star, n_ports, single_port)
+
+
+def exact_rates(jobs: Sequence[RateJob]) -> list[float | FasmonError]:
+    """The exact average monitoring rate of every job, or the FasmonError
+    that evaluating the job alone raises.
+
+    R = 0 gives 0.0, and the single-antenna monitor the closed form
+    R e^{-gamma_th/Gamma}, which the Lambert-W point maximizes. The other
+    jobs are grouped by link and evaluated in blocks of at most _GRID_BLOCK
+    rates, in job order, each block one exact-outage quadrature over all its
+    rates and port counts (link_rates_true); every value equals the job's
+    one-point rate_true. A block that raises a FasmonError is evaluated
+    again one job at a time, so a job fails exactly when it fails alone, with
+    the same error.
+    """
+    out: list[float | FasmonError] = [0.0] * len(jobs)
+    by_link: dict[DerivedLink, list[int]] = {}
+    for i, job in enumerate(jobs):
+        if job.rate_r == 0.0:
+            continue
+        if not job.single_port:
+            by_link.setdefault(job.link, []).append(i)
+            continue
+        try:
+            rp = RatePoint(job.rate_r)
+        except FasmonError as exc:
+            out[i] = exc
+            continue
+        out[i] = rp.rate_r * math.exp(-rp.gamma_th / job.link.gamma_cap)
+    for link, idx in by_link.items():
+        for start in range(0, len(idx), _GRID_BLOCK):
+            block = idx[start:start + _GRID_BLOCK]
+            for i, value in zip(block, _link_rates(link, [jobs[i] for i in block])):
+                out[i] = value
+    return out
+
+
+def _link_rates(link: DerivedLink, jobs: list[RateJob]) -> list[float | FasmonError]:
+    """exact_rates of jobs on one link in one block, or one job at a time
+    once the block raises a FasmonError."""
+    try:
+        return link_rates_true(link, [job.rate_r for job in jobs],
+                               [job.n_ports for job in jobs]).tolist()
+    except FasmonError as exc:
+        if len(jobs) == 1:
+            return [exc]
+    return [value for job in jobs for value in _link_rates(link, [job])]
+
+
+def evaluate_scheme(params: SystemParams, link: DerivedLink,
+                    scheme: Scheme) -> SchemeResult:
+    """Run one monitoring scheme: its operating point (scheme_point) and the
+    exact rate there, evaluated by exact_rates as a run evaluates its rows'
+    rates; raises the FasmonError of either step."""
+    point, job = scheme_point(params, link, scheme)
+    rate = exact_rates([job])[0]
+    if isinstance(rate, FasmonError):
+        raise rate
+    return SchemeResult(**vars(point), rate_true=rate, n_ports=job.n_ports)

@@ -147,28 +147,58 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
 # Monitor-side outage
 # ---------------------------------------------------------------------------
 
-def _outage_true(link: DerivedLink, gammas: np.ndarray, n_ports: int) -> np.ndarray:
-    """monitor_outage_true at a block of SNR thresholds gamma_th, one
-    Marcum-Q grid (quadrature nodes x thresholds) per lattice group of
-    panels. Each threshold's value is the same alone as in any block."""
-    if n_ports < 1:
-        raise DomainError(f"n_ports must be >= 1, got {n_ports!r}")
+def _outage_true(link: DerivedLink, gammas: np.ndarray, n_ports) -> np.ndarray:
+    """monitor_outage_true at a block of SNR thresholds gamma_th, threshold j
+    over n_ports[j] ports (one int serves them all).
+
+    The thresholds that need the integral share one Marcum-Q grid per
+    lattice group of panels, quadrature nodes against their sorted distinct
+    second arguments b; 1 - Q1 is raised to each distinct N on that N's
+    columns, the same ** N that a threshold gets alone. Each threshold's
+    value is therefore the same alone as in any block, whatever rates and
+    port counts come with it."""
+    ports = np.broadcast_to(np.asarray(n_ports, dtype=np.int64), gammas.shape)
+    if ports.size and ports.min() < 1:
+        raise DomainError(f"n_ports must be >= 1, got {int(ports.min())!r}")
     mu = link.mu
     ratio = gammas / link.gamma_cap
-    if mu == 0.0 or n_ports == 1:
-        return (-np.expm1(-ratio)) ** n_ports
+    out = np.empty(gammas.shape)
+    # (N, columns) of the thresholds that need the integral; a set, not
+    # np.unique, which imports numpy.ma for an integer array
+    groups = []
+    for n in sorted(set(ports.tolist())):
+        cols = np.flatnonzero(ports == n)
+        if mu == 0.0 or n == 1:
+            out[cols] = (-np.expm1(-ratio[cols])) ** n
+        else:
+            groups.append((n, cols))
+    if not groups:
+        return out
+    quad = np.concatenate([cols for _, cols in groups])
     one_minus_mu2 = 1.0 - mu * mu
     a_scale = math.sqrt(2.0 * mu * mu / one_minus_mu2)
-    b_vals = np.sqrt(2.0 * ratio / one_minus_mu2)
+    b_vals = np.sqrt(2.0 * ratio[quad] / one_minus_mu2)
+    # the grid's columns are the sorted distinct b values; b_col maps each
+    # integral to its column
+    order = np.argsort(b_vals, kind="stable")
+    b_sorted = b_vals[order]
+    distinct = np.concatenate(([True], b_sorted[1:] != b_sorted[:-1]))
+    b_grid = b_sorted[distinct]
+    b_col = np.empty(quad.size, dtype=np.int64)
+    b_col[order] = np.cumsum(distinct) - 1
+    spans = np.split(b_col, np.cumsum([cols.size for _, cols in groups])[:-1])
 
     def integrand(ts):
-        return (1.0 - marcum_q1(a_scale * np.sqrt(ts)[:, None], b_vals[None, :])) ** n_ports
+        cdf = 1.0 - marcum_q1(a_scale * np.sqrt(ts)[:, None], b_grid[None, :])
+        return np.concatenate([cdf[:, span] ** n for (n, _), span in zip(groups, spans)],
+                              axis=1)
 
     # Q1 is exactly 0 (integrand 1) where a_scale u <= b - 11 and exactly 1
     # (integrand 0) where a_scale u >= b + 11
-    return np.clip(integrate_expweighted(
+    out[quad] = np.clip(integrate_expweighted(
         integrand, (b_vals - _MARCUM_EXIT_GAP) / a_scale,
         (b_vals + _MARCUM_EXIT_GAP) / a_scale, min(1.0, 1.0 / a_scale)), 0.0, 1.0)
+    return out
 
 
 def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int) -> float:
@@ -226,14 +256,21 @@ def rate_true(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
 
 
 def rates_true(params: SystemParams, link: DerivedLink, rates: np.ndarray) -> np.ndarray:
-    """rate_true at a block of rates, each equal to its one-point value (the
-    thresholds are RatePoint's 2^R - 1, bit for bit)."""
+    """rate_true at a block of rates over params.n_ports ports, each equal to
+    its one-point value."""
+    return link_rates_true(link, rates, params.n_ports)
+
+
+def link_rates_true(link: DerivedLink, rates: np.ndarray, n_ports) -> np.ndarray:
+    """R (1 - exact outage) at a block of rates on one link, rate j over
+    n_ports[j] ports (one int serves them all), each equal to its one-point
+    rate_true (the thresholds are RatePoint's 2^R - 1, bit for bit)."""
     rates = np.asarray(rates, dtype=float)
     valid = np.isfinite(rates) & (rates >= 0.0)
     if not valid.all():
         raise DomainError(f"rate_r must be finite and >= 0, got {float(rates[~valid][0])!r}")
     gammas = np.array([math.expm1(r * _LN2) for r in rates.tolist()])
-    return rates * (1.0 - _outage_true(link, gammas, params.n_ports))
+    return rates * (1.0 - _outage_true(link, gammas, n_ports))
 
 
 def rate_bound(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:

@@ -11,6 +11,8 @@ import pytest
 
 import fasmon.experiments
 import fasmon.mcsim
+import fasmon.optimize
+import fasmon.outage
 from fasmon import (ComputationError, RatePoint, Scheme, derive_link,
                     estimate_monitoring_rate, expected_row_count,
                     rate_bounds, rate_for_pm, rate_true, resolve_config,
@@ -239,6 +241,41 @@ class TestMonteCarloWiring:
         assert after_run.split()[2] == after_import.split()[2]
 
 
+class TestExactRateBlocks:
+    # counts the exact outage's quadratures apart from those of TrueGrid's
+    # own scans: one block per distinct link, so one for a fig1 or fig3 run
+    # (every point shares the link) and one per point for fig2
+    @pytest.mark.parametrize("pairs, blocks", [
+        (("experiment=fig1",), 1),
+        (("experiment=fig3", "aperture_w=0.1",
+          "schemes=ProposedBisect,ProposedClosedForm,ConstantJamming,Passive,"
+          "ConventionalSingle"), 1),
+        (("experiment=fig2",), 11),
+    ], ids=["fig1", "fig3-w0.1", "fig2"])
+    def test_one_quadrature_per_link(self, monkeypatch, pairs, blocks):
+        calls, in_grid = [], []
+        real_integrate = fasmon.outage.integrate_expweighted
+        real_grid_rates = fasmon.optimize.rates_true
+
+        def counted(*args):
+            calls.append(bool(in_grid))
+            return real_integrate(*args)
+
+        def grid_rates(*args):
+            in_grid.append(True)
+            try:
+                return real_grid_rates(*args)
+            finally:
+                in_grid.pop()
+
+        monkeypatch.setattr(fasmon.outage, "integrate_expweighted", counted)
+        monkeypatch.setattr(fasmon.optimize, "rates_true", grid_rates)
+        spec = _spec(*pairs)
+        assert len(run_experiment(spec)) == expected_row_count(spec)
+        assert calls.count(False) == blocks
+        assert (calls.count(True) > 0) == (Scheme.TRUE_GRID in spec.schemes)
+
+
 class TestExtremeInputs:
     @pytest.mark.parametrize("experiment", ["fig1", "fig2", "fig3"])
     def test_huge_destination_noise_gives_every_row(self, experiment):
@@ -261,14 +298,10 @@ class TestSeeding:
 
 class TestPartialFailure:
     def test_failed_scheme_skipped_with_diagnostic(self, monkeypatch, capsys):
-        real = fasmon.experiments.evaluate_scheme
+        def flaky(params, link):
+            raise ComputationError("synthetic failure")
 
-        def flaky(params, link, scheme):
-            if scheme is Scheme.PASSIVE:
-                raise ComputationError("synthetic failure")
-            return real(params, link, scheme)
-
-        monkeypatch.setattr(fasmon.experiments, "evaluate_scheme", flaky)
+        monkeypatch.setitem(fasmon.optimize._SCHEMES, Scheme.PASSIVE, (flaky, False))
         spec = _tiny_fig2()
         rows = run_experiment(spec)
         assert [r.scheme for r in rows] == ["ProposedBisect", "ProposedBisect"]
@@ -276,6 +309,78 @@ class TestPartialFailure:
         assert capsys.readouterr().err.splitlines() == [
             f"fasmon: ratio_db={x} Passive: ComputationError: synthetic failure"
             for x in ("-12", "-8")]
+
+    def test_failed_rate_drops_only_its_row(self, monkeypatch, capsys):
+        # the exact rates are evaluated after every operating point, in one
+        # block per link; a block that raises is evaluated again one rate at
+        # a time, so only the failing rate's row drops, and the failures are
+        # reported in row order, not in the order they were met
+        spec = _spec("experiment=custom", "sweep_variable=ratio_db",
+                     "sweep_values=-12,-8",
+                     "schemes=ProposedBisect,ProposedClosedForm,Passive,"
+                     "ConventionalSingle")
+        reference = run_experiment(spec)
+        params = {x: fasmon.experiments._point_params(spec, x) for x in (-12.0, -8.0)}
+        # ProposedClosedForm's rate at -12 dB is interior; ConventionalSingle
+        # shares it, but its single-antenna rate takes no outage kernel
+        failing = next(r for r in reference
+                       if (r.x_value, r.scheme) == (-12.0, "ProposedClosedForm"))
+        failing_link = derive_link(params[-12.0])
+        failing_gamma = RatePoint(failing.r_star_bits).gamma_th
+        real_kernel = fasmon.outage._outage_true
+
+        def kernel(link, gammas, n_ports):
+            if link == failing_link and failing_gamma in gammas:
+                raise ComputationError("synthetic rate failure")
+            return real_kernel(link, gammas, n_ports)
+
+        def failing_at(x_value, scheme):
+            real, single_port = fasmon.optimize._SCHEMES[scheme]
+
+            def operating_point(point_params, link):
+                if point_params == params[x_value]:
+                    raise ComputationError("synthetic operating-point failure")
+                return real(point_params, link)
+            return operating_point, single_port
+
+        monkeypatch.setattr(fasmon.outage, "_outage_true", kernel)
+        for x_value, scheme in ((-12.0, Scheme.PASSIVE),
+                                (-8.0, Scheme.PROPOSED_BISECT)):
+            monkeypatch.setitem(fasmon.optimize._SCHEMES, scheme,
+                                failing_at(x_value, scheme))
+        rows = run_experiment(spec)
+        dropped = {(-12.0, "ProposedClosedForm"), (-12.0, "Passive"),
+                   (-8.0, "ProposedBisect")}
+        kept = [r for r in reference if (r.x_value, r.scheme) not in dropped]
+        assert [repr(r) for r in rows] == [repr(r) for r in kept]
+        assert capsys.readouterr().err.splitlines() == [
+            "fasmon: ratio_db=-12 ProposedClosedForm: ComputationError: "
+            "synthetic rate failure",
+            "fasmon: ratio_db=-12 Passive: ComputationError: "
+            "synthetic operating-point failure",
+            "fasmon: ratio_db=-8 ProposedBisect: ComputationError: "
+            "synthetic operating-point failure"]
+
+    def test_failed_curve_rate_drops_its_point(self, monkeypatch, capsys):
+        # a curve point's three rows share its exact rate, which fails the
+        # point as a whole, reported without a scheme
+        spec = _spec("experiment=custom", "sweep_variable=p_m_db",
+                     "sweep_values=0,10,20")
+        reference = run_experiment(spec)
+        failing_gamma = RatePoint(rate_for_pm(spec.params, 10.0)).gamma_th
+        real_kernel = fasmon.outage._outage_true
+
+        def kernel(link, gammas, n_ports):
+            if failing_gamma in gammas:
+                raise ComputationError("synthetic rate failure")
+            return real_kernel(link, gammas, n_ports)
+
+        monkeypatch.setattr(fasmon.outage, "_outage_true", kernel)
+        rows = run_experiment(spec)
+        assert [repr(r) for r in rows] == [repr(r) for r in reference
+                                           if r.x_value != 10.0]
+        assert capsys.readouterr().err.splitlines() == [
+            "fasmon: p_m_db=10: ComputationError: synthetic rate failure"]
 
     @pytest.mark.parametrize("pairs", _SWEEPS, ids=_SWEEP_IDS)
     def test_scheme_sweep_mu_failure_reports_every_point(self, monkeypatch,

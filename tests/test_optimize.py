@@ -383,14 +383,16 @@ class TestEvaluateScheme:
 
     def test_true_grid_route(self, ref_params, ref_link, monkeypatch):
         # a cheap stand-in for the exact rate, looked up where the solver
-        # (block of rates) and evaluate_scheme (one rate) find it
+        # (rates_true) and evaluate_scheme's exact_rates (link_rates_true)
+        # find it
         def fake_rate(params, link, rp):
             return rp.rate_r * math.exp(-rp.rate_r)
 
         def fake_rates(params, link, rates):
             return np.array([fake_rate(params, link, RatePoint(float(r))) for r in rates])
 
-        monkeypatch.setattr(fasmon.optimize, "rate_true", fake_rate)
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true",
+                            lambda link, rates, n_ports: fake_rates(None, link, rates))
         monkeypatch.setattr(fasmon.optimize, "rates_true", fake_rates)
         res = evaluate_scheme(ref_params, ref_link, Scheme.TRUE_GRID)
         point = solve_true_grid(ref_params, ref_link)

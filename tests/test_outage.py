@@ -28,6 +28,7 @@ from fasmon import (ConstraintInfeasibleError, DegenerateRateError,
                     rate_bound, rate_bounds, rate_for_pm, rate_true,
                     sd_outage)
 import fasmon.outage
+from fasmon.optimize import RateJob, exact_rates
 from fasmon.outage import _outage_true, rates_true
 
 R_MIN_REF = 0.39114170868809469468
@@ -243,6 +244,42 @@ class TestMonitorOutageProperties:
         assert 0.0 <= true <= 1.0
         assert bound <= true + 1e-9
         assert approx <= true + 1e-9
+
+
+# links of the batch property: the reference link, the same mu at another
+# gain, mu = 0 (the closed form) and mu near 1 with a sharp step
+_BATCH_LINKS = (
+    DerivedLink(mu=0.25192418235400032489, gamma_cap=1.5848931924611134852),
+    DerivedLink(mu=0.25192418235400032489, gamma_cap=0.7),
+    DerivedLink(mu=0.0, gamma_cap=1.5848931924611135),
+    _HIGH_LINK,
+)
+_BATCH_JOB = st.tuples(st.integers(0, len(_BATCH_LINKS) - 1),
+                       st.sampled_from([0.0, 0.5, 2.4, 2.6]) | st.floats(0.0, 4.0),
+                       st.sampled_from([1, 2, 8, 22]))
+
+
+class TestRateBatchProperties:
+    @settings(max_examples=10, deadline=None, database=None)
+    @example(jobs=[(3, 2.6, 22), (0, 2.4, 8), (2, 0.5, 8), (3, 0.0, 22),
+                   (0, 0.5, 1), (1, 2.4, 8), (0, 2.4, 8), (3, 2.4, 2),
+                   (0, 0.0, 8), (3, 2.6, 8)])
+    @given(jobs=st.lists(_BATCH_JOB, min_size=1, max_size=24))
+    def test_batch_equals_one_rate_at_a_time(self, ref_params, jobs):
+        # several links, unsorted and repeated rates, port counts mixed in
+        # one block, N = 1, mu = 0 and R = 0: every value is the one-point
+        # rate_true's, bit for bit
+        batch = exact_rates([RateJob(_BATCH_LINKS[k], r, n) for k, r, n in jobs])
+        for (k, r, n), value in zip(jobs, batch):
+            params = dataclasses.replace(ref_params, n_ports=n)
+            try:
+                alone = rate_true(params, _BATCH_LINKS[k], RatePoint(r))
+            except FasmonError as exc:
+                alone = exc
+            if isinstance(alone, FasmonError):
+                assert type(value) is type(alone) and str(value) == str(alone)
+            else:
+                assert value.hex() == alone.hex(), (k, r, n)
 
 
 class TestPmForRate:
