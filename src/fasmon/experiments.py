@@ -30,7 +30,6 @@ import dataclasses
 import functools
 import math
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,7 +39,7 @@ from .channel import DerivedLink, SystemParams, correlation_mu, link_for_mu
 from .config import ExperimentSpec, db_to_linear
 from .errors import FasmonError
 from .mcsim import estimate_monitoring_rates
-from .optimize import OptResult, RateJob, Scheme, exact_rates, scheme_point
+from .optimize import RateJob, exact_rates, scheme_point
 from .outage import RatePoint, rate_approx, rate_bound, rate_for_pm
 
 _EXPERIMENT_IDS = {"custom": 0, "fig1": 1, "fig2": 2, "fig3": 3}
@@ -67,15 +66,16 @@ class ResultRow:
 
 
 class _Entry(NamedTuple):
-    """The rows of a run that share one exact rate, in row order: a scheme's
-    row, or a curve point's three (scheme None), with the job of that rate
-    and the function from the rate to the (row, Monte Carlo job) pairs; or
-    the FasmonError that dropped them before their rate, with rows None."""
+    """The rows of a run that share one exact rate, in row order, each with
+    its Monte Carlo job or None: a scheme's row, or a curve point's three
+    (scheme None). The first row's rate_analytic is None until the rate of
+    job is known; rows is empty and job the FasmonError when the rows failed
+    before their rate."""
 
     x_value: float
     scheme: str | None
+    rows: list[tuple[ResultRow, tuple | None]]
     job: RateJob | FasmonError
-    rows: Callable[[float], list[tuple[ResultRow, tuple | None]]] | None
 
 
 def row_seed(seed: int, experiment: str, sweep_idx: int, scheme_idx: int) -> int:
@@ -113,13 +113,11 @@ def _mc_job(spec: ExperimentSpec, params, link, rp: RatePoint, n_ports: int,
             row_seed(spec.seed, spec.experiment, sweep_idx, scheme_idx))
 
 
-def _curve_rows(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
-                sweep_idx: int, x_value: float, rp: RatePoint,
-                rate: float) -> list[tuple[ResultRow, tuple | None]]:
-    # the bound and approximation only once the exact rate has not failed:
-    # a point reports the first of the three errors in row order
-    rates = (rate, rate_bound(params, link, rp), rate_approx(params, link, rp))
-    return [(ResultRow(experiment=spec.experiment, scheme=tag,
+def _curve_entries(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
+                   sweep_idx: int, x_value: float) -> list[_Entry]:
+    rp = RatePoint(rate_for_pm(params, db_to_linear(x_value)))
+    rates = (None, rate_bound(params, link, rp), rate_approx(params, link, rp))
+    rows = [(ResultRow(experiment=spec.experiment, scheme=tag,
                        x_name=spec.sweep_variable, x_value=x_value,
                        r_star_bits=rp.rate_r, pm_star_db=x_value,
                        rate_analytic=value,
@@ -127,26 +125,7 @@ def _curve_rows(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
              _mc_job(spec, params, link, rp, params.n_ports, sweep_idx, scheme_idx)
              if tag == "true" else None)
             for scheme_idx, (tag, value) in enumerate(zip(_CURVE_TAGS, rates))]
-
-
-def _curve_entries(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
-                   sweep_idx: int, x_value: float) -> list[_Entry]:
-    rp = RatePoint(rate_for_pm(params, db_to_linear(x_value)))
-    return [_Entry(x_value, None, RateJob(link, rp.rate_r, params.n_ports),
-                   functools.partial(_curve_rows, spec, params, link, sweep_idx,
-                                     x_value, rp))]
-
-
-def _scheme_rows(spec: ExperimentSpec, params: SystemParams, sweep_idx: int,
-                 x_value: float, scheme_idx: int, scheme: Scheme, point: OptResult,
-                 job: RateJob, rate: float) -> list[tuple[ResultRow, tuple | None]]:
-    return [(ResultRow(experiment=spec.experiment, scheme=scheme.value,
-                       x_name=spec.sweep_variable, x_value=x_value,
-                       r_star_bits=point.r_star, pm_star_db=_pm_db(point.pm_star),
-                       rate_analytic=rate, rate_mc_mean=None, rate_mc_ci95=None,
-                       clamped=point.clamped),
-             _mc_job(spec, params, job.link, RatePoint(point.r_star), job.n_ports,
-                     sweep_idx, scheme_idx))]
+    return [_Entry(x_value, None, rows, RateJob(link, rp.rate_r, params.n_ports))]
 
 
 def _scheme_entries(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
@@ -155,12 +134,17 @@ def _scheme_entries(spec: ExperimentSpec, params: SystemParams, link: DerivedLin
     for scheme_idx, scheme in enumerate(spec.schemes):
         try:
             point, job = scheme_point(params, link, scheme)
+            mc = _mc_job(spec, params, link, RatePoint(point.r_star), job.n_ports,
+                         sweep_idx, scheme_idx)
         except FasmonError as exc:
-            entries.append(_Entry(x_value, scheme.value, exc, None))
+            entries.append(_Entry(x_value, scheme.value, [], exc))
             continue
-        entries.append(_Entry(x_value, scheme.value, job, functools.partial(
-            _scheme_rows, spec, params, sweep_idx, x_value, scheme_idx, scheme,
-            point, job)))
+        row = ResultRow(experiment=spec.experiment, scheme=scheme.value,
+                        x_name=spec.sweep_variable, x_value=x_value,
+                        r_star_bits=point.r_star, pm_star_db=_pm_db(point.pm_star),
+                        rate_analytic=None, rate_mc_mean=None, rate_mc_ci95=None,
+                        clamped=point.clamped)
+        entries.append(_Entry(x_value, scheme.value, [(row, mc)], job))
     return entries
 
 
@@ -180,11 +164,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     then its operating points (a curve point its rate); the correlation
     factor is memoized for this run alone, so it is computed once per
     distinct aperture, and a failure to compute it is not kept, so it is
-    reported once for every point it fails. Once every point is known, the
-    exact rates of all rows are evaluated together by
-    :func:`fasmon.optimize.exact_rates`, in blocks of at most 128 rates
-    per distinct link (fig1 and fig3 have one link per run, fig2 one per
-    point), each value the one its row gets alone. A row is dropped only when its analytic part, its
+    reported once for every point it fails. Every row is built then, its
+    exact-rate cell left empty. Once every point is known, the exact rates of
+    all rows are evaluated together by :func:`fasmon.optimize.exact_rates`,
+    in blocks of at most 128 rates per distinct link (fig1 and fig3 have one
+    link per run, fig2 one per point), each value the one its row gets alone,
+    and fill those cells. A row is dropped only when its analytic part, its
     exact rate included, raises a FasmonError, and the failures are reported
     in row order. Then the Monte Carlo jobs of all rows run as one batch,
     which cannot drop a row, and fill in the rows' Monte Carlo cells.
@@ -198,17 +183,16 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             link = link_for_mu(params, mu_of(params.aperture_w))
             entries.extend(point_entries(spec, params, link, sweep_idx, x_value))
         except FasmonError as exc:
-            entries.append(_Entry(x_value, None, exc, None))
+            entries.append(_Entry(x_value, None, [], exc))
     rates = iter(exact_rates([e.job for e in entries if isinstance(e.job, RateJob)]))
     pairs = []
     for entry in entries:
-        outcome = next(rates) if isinstance(entry.job, RateJob) else entry.job
-        try:
-            if isinstance(outcome, FasmonError):
-                raise outcome
-            pairs.extend(entry.rows(outcome))
-        except FasmonError as exc:
-            _report_failure(spec, entry.x_value, exc, entry.scheme)
+        rate = next(rates) if isinstance(entry.job, RateJob) else entry.job
+        if isinstance(rate, FasmonError):
+            _report_failure(spec, entry.x_value, rate, entry.scheme)
+            continue
+        (row, job), *rest = entry.rows
+        pairs += [(dataclasses.replace(row, rate_analytic=rate), job), *rest]
     estimates = iter(estimate_monitoring_rates(
         [job for _, job in pairs if job is not None]))
     rows = []
