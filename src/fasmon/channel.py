@@ -27,6 +27,9 @@ from .errors import ComputationError, DomainError
 from .specfun import bessel_j, hyp1f2_half
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
+# the largest port count: the exact outage and the Monte Carlo sampler hold
+# port counts in int64
+_MAX_PORTS = int(np.iinfo(np.int64).max)
 
 
 def _is_finite_real(value) -> bool:
@@ -68,8 +71,9 @@ class SystemParams:
         if not (_is_finite_real(self.delta) and 0.0 < self.delta < 1.0):
             raise DomainError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not (_is_finite_real(self.n_ports) and int(self.n_ports) == self.n_ports
-                and self.n_ports >= 1):
-            raise DomainError(f"n_ports must be an integer >= 1, got {self.n_ports!r}")
+                and 1 <= self.n_ports <= _MAX_PORTS):
+            raise DomainError(
+                f"n_ports must be an integer in [1, {_MAX_PORTS}], got {self.n_ports!r}")
 
 
 @dataclass(frozen=True)

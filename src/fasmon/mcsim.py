@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemParams, DerivedLink, _port_power_blocks
+from .channel import _MAX_PORTS, SystemParams, DerivedLink, _port_power_blocks
 from .errors import DomainError
 from .outage import RatePoint
 
@@ -143,8 +143,8 @@ def _monitor_job(params: SystemParams, link: DerivedLink,
                  seed: int):
     """The (count_block, n_samples) job of one best-port outage estimate."""
     _check_run(n_samples, seed)
-    if n_ports < 1:
-        raise DomainError(f"n_ports must be >= 1, got {n_ports}")
+    if not 1 <= n_ports <= _MAX_PORTS:
+        raise DomainError(f"n_ports must lie in [1, {_MAX_PORTS}], got {n_ports}")
     # SNR threshold expressed on |g_max|^2 to avoid per-draw division
     g2_th = rate_point.gamma_th * params.sigma_m2 / params.p_s
     return (functools.partial(_monitor_block_hits, link.mu, params.sigma_g2,

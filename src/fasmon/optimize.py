@@ -26,7 +26,9 @@ objective's value. scheme_point looks a scheme up in one table
 (operating-point function, whether the monitor has a single port) and
 returns the point with the job of its exact rate; exact_rates evaluates the
 jobs of many rows at once, grouped by link, and evaluate_scheme is the two
-for one scheme.
+for one scheme. Every exact rate here, TrueGrid's scans and the
+single-antenna monitor's included, comes from one block evaluator,
+outage.link_rates_true, looked up in this module at call time.
 
 The derivative split is NOT globally single-crossing: g decays to zero at
 large x while h keeps a positive floor for mu > 0, so h - g can go
@@ -48,7 +50,7 @@ import numpy as np
 from .channel import DerivedLink, SystemParams, eta_factor
 from .errors import AccuracyError, DomainError, FasmonError
 from .outage import (RatePoint, link_rates_true, pm_for_rate, rate_bound,
-                     rate_bounds, rates_true)
+                     rate_bounds)
 from .specfun import lambert_w0
 
 _LN2 = math.log(2.0)
@@ -242,7 +244,7 @@ def solve_true_grid(params: SystemParams, link: DerivedLink) -> OptResult:
     for start in range(0, coarse.size, _COARSE_BLOCK):
         known = coarse[:start + _COARSE_BLOCK]
         block = known[start:]
-        values[block] = rates_true(params, link, grid[block])
+        values[block] = link_rates_true(link, grid[block], params.n_ports)
         best = max(best, float(values[block].max()))
         if r_max * (values[known[-1]] / grid[known[-1]] + _PRUNE_MARGIN) < best:
             break
@@ -257,7 +259,7 @@ def solve_true_grid(params: SystemParams, link: DerivedLink) -> OptResult:
         if caps[ranked[start]] < best:
             break
         block = rest[np.sort(ranked[start:start + _GRID_BLOCK])]
-        values[block] = rates_true(params, link, grid[block])
+        values[block] = link_rates_true(link, grid[block], params.n_ports)
         best = max(best, float(values[block].max()))
         evals += block.size
     return _refine_grid_max(params, link, grid, values, evals)
@@ -270,9 +272,9 @@ def _refine_grid_max(params: SystemParams, link: DerivedLink, grid: np.ndarray,
     scans; evals is the count of grid rates evaluated.
 
     Each scan evaluates _REFINE_POINTS rates evenly spaced strictly between
-    the current argmax's two neighbours, in one rates_true call, keeps the
-    neighbours' known values and takes the upward argmax again, so no rate
-    is evaluated twice and no pruned one at all. The final spacing is the
+    the current argmax's two neighbours, in one link_rates_true call, keeps
+    the neighbours' known values and takes the upward argmax again, so no
+    rate is evaluated twice and no pruned one at all. The final spacing is the
     grid's times (2/(_REFINE_POINTS + 1))^2: fine enough that r* lies within
     about half of it of the exact rate's maximiser (1e-6 on the default
     sweeps), coarse enough that the best and runner-up values differ far
@@ -285,7 +287,7 @@ def _refine_grid_max(params: SystemParams, link: DerivedLink, grid: np.ndarray,
         lo, hi = max(idx - 1, 0), min(idx + 1, rates.size - 1)
         rates = np.linspace(rates[lo], rates[hi], _REFINE_POINTS + 2)
         scores = np.concatenate(([scores[lo]],
-                                 rates_true(params, link, rates[1:-1]),
+                                 link_rates_true(link, rates[1:-1], params.n_ports),
                                  [scores[hi]]))
         idx = _argmax_upward(scores)
     r_star = float(rates[idx])
@@ -321,13 +323,11 @@ _SCHEMES = {
 
 class RateJob(NamedTuple):
     """An exact average monitoring rate to evaluate: R on link for a monitor
-    that selects among n_ports ports, or, with single_port, for the
-    single-antenna monitor (n_ports 1)."""
+    that selects among n_ports ports (1 for the single-antenna monitor)."""
 
     link: DerivedLink
     rate_r: float
     n_ports: int
-    single_port: bool = False
 
 
 def scheme_point(params: SystemParams, link: DerivedLink,
@@ -339,41 +339,30 @@ def scheme_point(params: SystemParams, link: DerivedLink,
     other scheme's monitor selects among all n_ports ports.
     """
     try:
-        operating_point, single_port = _SCHEMES[scheme]
+        operating_point, single_antenna = _SCHEMES[scheme]
     except KeyError:
         raise DomainError(f"unknown scheme {scheme!r}") from None
     point = operating_point(params, link)
-    n_ports = 1 if single_port else params.n_ports
-    return point, RateJob(link, point.r_star, n_ports, single_port)
+    n_ports = 1 if single_antenna else params.n_ports
+    return point, RateJob(link, point.r_star, n_ports)
 
 
 def exact_rates(jobs: Sequence[RateJob]) -> list[float | FasmonError]:
     """The exact average monitoring rate of every job, or the FasmonError
     that evaluating the job alone raises.
 
-    R = 0 gives 0.0, and the single-antenna monitor the closed form
-    R e^{-gamma_th/Gamma}, which the Lambert-W point maximizes. The other
-    jobs are grouped by link and evaluated in blocks of at most _GRID_BLOCK
-    rates, in job order, each block one exact-outage quadrature over all its
-    rates and port counts (link_rates_true); every value equals the job's
-    one-point rate_true. A block that raises a FasmonError is evaluated
-    again one job at a time, so a job fails exactly when it fails alone, with
-    the same error.
+    The jobs are grouped by link and evaluated in blocks of at most
+    _GRID_BLOCK rates, in job order, each block one link_rates_true call over
+    all its rates and port counts, whose single-antenna columns take the
+    closed form 1 - e^{-gamma_th/Gamma} with no quadrature. Every value
+    equals the job's one-point rate_true. A block that raises a FasmonError is evaluated again one job
+    at a time, so a job fails exactly when it fails alone, with the same
+    error.
     """
     out: list[float | FasmonError] = [0.0] * len(jobs)
     by_link: dict[DerivedLink, list[int]] = {}
     for i, job in enumerate(jobs):
-        if job.rate_r == 0.0:
-            continue
-        if not job.single_port:
-            by_link.setdefault(job.link, []).append(i)
-            continue
-        try:
-            rp = RatePoint(job.rate_r)
-        except FasmonError as exc:
-            out[i] = exc
-            continue
-        out[i] = rp.rate_r * math.exp(-rp.gamma_th / job.link.gamma_cap)
+        by_link.setdefault(job.link, []).append(i)
     for link, idx in by_link.items():
         for start in range(0, len(idx), _GRID_BLOCK):
             block = idx[start:start + _GRID_BLOCK]

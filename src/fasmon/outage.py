@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import DerivedLink, SystemParams, eta_factor
+from .channel import _MAX_PORTS, DerivedLink, SystemParams, eta_factor
 from .errors import (AccuracyError, ComputationError,
                      ConstraintInfeasibleError, DegenerateRateError, DomainError)
 from .specfun import _MARCUM_EXIT_GAP, integrate_expweighted, marcum_q1
@@ -157,7 +157,10 @@ def _outage_true(link: DerivedLink, gammas: np.ndarray, n_ports) -> np.ndarray:
     columns, the same ** N that a threshold gets alone. Each threshold's
     value is therefore the same alone as in any block, whatever rates and
     port counts come with it."""
-    ports = np.broadcast_to(np.asarray(n_ports, dtype=np.int64), gammas.shape)
+    try:
+        ports = np.broadcast_to(np.asarray(n_ports, dtype=np.int64), gammas.shape)
+    except OverflowError:
+        raise DomainError(f"n_ports must lie in [1, {_MAX_PORTS}]") from None
     if ports.size and ports.min() < 1:
         raise DomainError(f"n_ports must be >= 1, got {int(ports.min())!r}")
     mu = link.mu
@@ -250,15 +253,7 @@ def monitor_outage_approx(link: DerivedLink, rp: RatePoint, n_ports: int) -> flo
 
 def rate_true(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
     """R * (1 - exact monitor outage)."""
-    if rp.rate_r == 0.0:
-        return 0.0
     return rp.rate_r * (1.0 - monitor_outage_true(link, rp, params.n_ports))
-
-
-def rates_true(params: SystemParams, link: DerivedLink, rates: np.ndarray) -> np.ndarray:
-    """rate_true at a block of rates over params.n_ports ports, each equal to
-    its one-point value."""
-    return link_rates_true(link, rates, params.n_ports)
 
 
 def link_rates_true(link: DerivedLink, rates: np.ndarray, n_ports) -> np.ndarray:
@@ -275,14 +270,10 @@ def link_rates_true(link: DerivedLink, rates: np.ndarray, n_ports) -> np.ndarray
 
 def rate_bound(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
     """R * (1 - outage lower bound); an upper bound on rate_true."""
-    if rp.rate_r == 0.0:
-        return 0.0
     return rp.rate_r * (1.0 - monitor_outage_bound(link, rp, params.n_ports))
 
 
 def rate_approx(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
     """N * R * e^{-gamma_th/Gamma}, the raw approximate rate (also an upper
     bound on rate_true)."""
-    if rp.rate_r == 0.0:
-        return 0.0
     return params.n_ports * rp.rate_r * math.exp(-rp.gamma_th / link.gamma_cap)

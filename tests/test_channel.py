@@ -5,6 +5,7 @@ Distributional checks use fixed seeds and generous test sizes; the laws
 scipy.stats, which shares nothing with the sampler.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -15,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from fasmon import (ComputationError, DomainError, correlation_mu,
                     eta_factor)
-from fasmon.channel import _POWER_BLOCK_ROWS, _mix_weight, _port_power_blocks
+from fasmon.channel import (_MAX_PORTS, _POWER_BLOCK_ROWS, _mix_weight,
+                            _port_power_blocks)
 
 # (W, mu(W)) multiprecision references
 MU_REFS = (
@@ -98,15 +100,19 @@ class TestDerivedLink:
 
 class TestSystemParams:
     def test_field_validation(self, ref_params):
-        import dataclasses
         bad = [("p_s", 0.0), ("p_m_max", -1.0), ("sigma_h2", 0.0),
                ("sigma_g2", -0.5), ("delta", 0.0), ("delta", 1.0),
                ("n_ports", 0), ("aperture_w", 0.0),
                ("n_ports", math.inf), ("n_ports", math.nan),
-               ("delta", "0.05"), ("p_s", True)]
+               ("delta", "0.05"), ("p_s", True),
+               ("n_ports", _MAX_PORTS + 1), ("n_ports", 2 ** 64), ("n_ports", 1e19)]
         for field, value in bad:
             with pytest.raises(DomainError):
                 dataclasses.replace(ref_params, **{field: value})
+
+    def test_port_count_bound_is_int64(self, ref_params):
+        assert _MAX_PORTS == 2 ** 63 - 1
+        assert dataclasses.replace(ref_params, n_ports=_MAX_PORTS).n_ports == _MAX_PORTS
 
 
 def _complex_reference_powers(mu, var, n_ports, n_draws, rng):

@@ -115,6 +115,33 @@ class TestRun:
         assert "DomainError" in out.stderr and "aperture_w" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_port_count_past_int64_is_a_config_error(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "n_ports = 18446744073709551616\n")
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "rows.csv")])
+        assert rc == 2
+        assert "n_ports must be an integer in [1, 9223372036854775807]" in \
+            capsys.readouterr().err
+
+    def test_port_sweep_past_int64_drops_its_point(self, tmp_path):
+        # a fresh process, as above; the point past int64 drops with one
+        # stderr line, and the rest of the sweep completes
+        src = os.path.dirname(os.path.dirname(fasmon.specfun.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        cfg = _cfg(tmp_path, "experiment = custom\n"
+                             "sweep_variable = n_ports\n"
+                             "sweep_values = 2, 1e19\n"
+                             "schemes = Passive\n")
+        out = tmp_path / "rows.csv"
+        run = subprocess.run(
+            [sys.executable, "-m", "fasmon.cli", "run", "--config", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 3
+        assert "Traceback" not in run.stderr
+        assert run.stderr.splitlines()[0].startswith(
+            "fasmon: n_ports=1e+19: DomainError: n_ports must be an integer in")
+        assert [(r.scheme, r.x_value) for r in parse_csv(str(out))] == [("Passive", 2.0)]
+
     def test_unwritable_output(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "experiment = custom\n"
                              "sweep_variable = ratio_db\n"

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import fasmon.experiments
@@ -255,25 +256,41 @@ class TestExactRateBlocks:
     def test_one_quadrature_per_link(self, monkeypatch, pairs, blocks):
         calls, in_grid = [], []
         real_integrate = fasmon.outage.integrate_expweighted
-        real_grid_rates = fasmon.optimize.rates_true
+        real_grid, single_port = fasmon.optimize._SCHEMES[Scheme.TRUE_GRID]
 
         def counted(*args):
             calls.append(bool(in_grid))
             return real_integrate(*args)
 
-        def grid_rates(*args):
+        def grid_point(*args):
+            # TrueGrid's scans call the same link_rates_true as the run's
+            # blocks, so they are told apart by running inside its solver
             in_grid.append(True)
             try:
-                return real_grid_rates(*args)
+                return real_grid(*args)
             finally:
                 in_grid.pop()
 
         monkeypatch.setattr(fasmon.outage, "integrate_expweighted", counted)
-        monkeypatch.setattr(fasmon.optimize, "rates_true", grid_rates)
+        monkeypatch.setitem(fasmon.optimize._SCHEMES, Scheme.TRUE_GRID,
+                            (grid_point, single_port))
         spec = _spec(*pairs)
         assert len(run_experiment(spec)) == expected_row_count(spec)
         assert calls.count(False) == blocks
         assert (calls.count(True) > 0) == (Scheme.TRUE_GRID in spec.schemes)
+
+    def test_single_antenna_rows_are_one_port_exact_rates(self):
+        # ConventionalSingle's rows share their link's block with the N-port
+        # rows; each rate is rate_true over one port, bit for bit (at -2 dB
+        # that is one ulp off R e^{-gamma_th/Gamma})
+        spec = _spec("experiment=fig2", "schemes=ProposedClosedForm,ConventionalSingle")
+        rows = [r for r in run_experiment(spec) if r.scheme == "ConventionalSingle"]
+        assert len(rows) == len(spec.sweep_values)
+        for row in rows:
+            params = dataclasses.replace(
+                fasmon.experiments._point_params(spec, row.x_value), n_ports=1)
+            alone = rate_true(params, derive_link(params), RatePoint(row.r_star_bits))
+            assert row.rate_analytic.hex() == alone.hex(), row.x_value
 
 
 class TestExtremeInputs:
@@ -322,7 +339,8 @@ class TestPartialFailure:
         reference = run_experiment(spec)
         params = {x: fasmon.experiments._point_params(spec, x) for x in (-12.0, -8.0)}
         # ProposedClosedForm's rate at -12 dB is interior; ConventionalSingle
-        # shares it, but its single-antenna rate takes no outage kernel
+        # shares it and its kernel call, but on one port, so only the column
+        # with N > 1 fails
         failing = next(r for r in reference
                        if (r.x_value, r.scheme) == (-12.0, "ProposedClosedForm"))
         failing_link = derive_link(params[-12.0])
@@ -330,7 +348,8 @@ class TestPartialFailure:
         real_kernel = fasmon.outage._outage_true
 
         def kernel(link, gammas, n_ports):
-            if link == failing_link and failing_gamma in gammas:
+            ports = np.broadcast_to(n_ports, gammas.shape)
+            if link == failing_link and np.any((gammas == failing_gamma) & (ports > 1)):
                 raise ComputationError("synthetic rate failure")
             return real_kernel(link, gammas, n_ports)
 

@@ -177,3 +177,11 @@ class TestInputChecks:
             estimate_sd_outage(ref_params, rp, -1.0, 100, seed=1)
         with pytest.raises(DomainError):
             estimate_monitor_outage(ref_params, ref_link, rp, 0, 100, seed=1)
+
+    def test_rejects_a_port_count_past_int64(self, ref_params, ref_link):
+        # refused before any draw, not by numpy's array-size check
+        rp = RatePoint(1.0)
+        with pytest.raises(DomainError, match="n_ports must lie in"):
+            estimate_monitor_outage(ref_params, ref_link, rp, 2 ** 64, 100, seed=1)
+        with pytest.raises(DomainError, match="n_ports must lie in"):
+            estimate_monitor_outage(ref_params, ref_link, rp, 2 ** 63, 100, seed=1)

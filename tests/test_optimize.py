@@ -30,7 +30,7 @@ from fasmon import (DerivedLink, DomainError, FasmonError, RatePoint, Scheme,
 from fasmon.optimize import (_COARSE_BLOCK, _COARSE_STEP, _GRID_BLOCK,
                              _PRUNE_MARGIN, _REFINE_POINTS, _SCHEMES,
                              _argmax_upward, _refine_grid_max)
-from fasmon.outage import rates_true
+from fasmon.outage import link_rates_true
 from fasmon.validation import _laguerre_outage
 
 _LN2 = math.log(2.0)
@@ -216,7 +216,7 @@ class TestTrueGrid:
         link = derive_link(params)
         grid = np.linspace(*rate_bounds(params), 4096)
         exhaustive = _refine_grid_max(params, link, grid,
-                                      rates_true(params, link, grid), grid.size)
+                                      link_rates_true(link, grid, params.n_ports), grid.size)
         res = solve_true_grid(params, link)
         assert (res.r_star, res.pm_star, res.clamped) == \
             (exhaustive.r_star, exhaustive.pm_star, exhaustive.clamped)
@@ -248,7 +248,7 @@ class TestTrueGrid:
         try:
             link = derive_link(params)
             grid = np.linspace(*rate_bounds(params), 33)
-            exact = rates_true(params, link, grid)
+            exact = link_rates_true(link, grid, params.n_ports)
         except FasmonError:
             assume(False)
         # caps[i, j] = R_j (value_i / R_i + margin), checked where i <= j
@@ -264,22 +264,22 @@ class TestTrueGrid:
         assert value == pytest.approx(GRID_VALUE_REF, abs=1e-4)
         assert not res.clamped
         # the block evaluation the solver ranks by is the caller's one-point one
-        assert value == rates_true(ref_params, ref_link, np.array([res.r_star]))[0]
+        assert value == link_rates_true(ref_link, np.array([res.r_star]), ref_params.n_ports)[0]
 
     def test_refinement_scans(self, ref_params, ref_link, monkeypatch):
         # the coarse blocks: every _COARSE_STEP-th grid rate and the last,
         # left to right, _COARSE_BLOCK at a time (the coarse pass runs to the
         # band top here); then blocks of _GRID_BLOCK other grid rates, each
-        # in grid order; then two rates_true calls of 32 rates each, strictly
+        # in grid order; then two link_rates_true calls of 32 rates each, strictly
         # inside the previous argmax's bracket and on no rate the grid
         # evaluated or pruned
         calls = []
 
-        def recording_rates(params, link, rates):
+        def recording_rates(link, rates, n_ports):
             calls.append(np.array(rates))
-            return rates_true(params, link, rates)
+            return link_rates_true(link, rates, n_ports)
 
-        monkeypatch.setattr(fasmon.optimize, "rates_true", recording_rates)
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", recording_rates)
         params, link = ref_params, ref_link
         res = solve_true_grid(params, link)
         blocks, scans = calls[:-2], calls[-2:]
@@ -300,7 +300,7 @@ class TestTrueGrid:
 
         values = np.full(grid.size, -math.inf)
         for block in blocks:
-            values[np.searchsorted(grid, block)] = rates_true(params, link, block)
+            values[np.searchsorted(grid, block)] = link_rates_true(link, block, params.n_ports)
         rates, scores = grid, values
         for scan in scans:
             idx = _argmax_upward(scores)
@@ -308,7 +308,7 @@ class TestTrueGrid:
             assert np.intersect1d(scan, grid).size == 0
             rates = np.concatenate(([rates[idx - 1]], scan, [rates[idx + 1]]))
             scores = np.concatenate(([scores[idx - 1]],
-                                     rates_true(params, link, scan),
+                                     link_rates_true(link, scan, params.n_ports),
                                      [scores[idx + 1]]))
         assert res.r_star == rates[_argmax_upward(scores)]
         assert np.intersect1d(scans[0], scans[1]).size == 0
@@ -324,7 +324,7 @@ class TestTrueGrid:
         params = _changed_params(ref_params, changes)
         link = derive_link(params)
         grid = np.linspace(*rate_bounds(params), 4096)
-        idx = _argmax_upward(rates_true(params, link, grid))
+        idx = _argmax_upward(link_rates_true(link, grid, params.n_ports))
         found = minimize_scalar(
             lambda r: -rate_true(params, link, RatePoint(r)), method="bounded",
             bounds=(grid[idx - 1], grid[idx + 1]), options={"xatol": 1e-12})
@@ -363,6 +363,23 @@ class TestTrueGrid:
         assert _argmax_upward([4.0]) == 0
 
 
+def _assert_points_in_the_band(params, schemes):
+    """Each scheme gives r* in the band and a rate in [0, r*], or raises a
+    FasmonError; any other exception fails the caller."""
+    try:
+        link = derive_link(params)
+        r_min, r_max = rate_bounds(params)
+    except FasmonError:
+        return
+    for scheme in schemes:
+        try:
+            res = evaluate_scheme(params, link, scheme)
+        except FasmonError:
+            continue
+        assert r_min <= res.r_star <= r_max, scheme
+        assert 0.0 <= res.rate_true <= res.r_star, scheme
+
+
 class TestEvaluateScheme:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_every_scheme_has_a_table_entry(self, scheme):
@@ -382,18 +399,15 @@ class TestEvaluateScheme:
             assert res.n_ports == ref_params.n_ports
 
     def test_true_grid_route(self, ref_params, ref_link, monkeypatch):
-        # a cheap stand-in for the exact rate, looked up where the solver
-        # (rates_true) and evaluate_scheme's exact_rates (link_rates_true)
-        # find it
+        # a cheap stand-in for the exact rate, looked up where the solver's
+        # scans and evaluate_scheme's exact_rates both find it
         def fake_rate(params, link, rp):
             return rp.rate_r * math.exp(-rp.rate_r)
 
-        def fake_rates(params, link, rates):
-            return np.array([fake_rate(params, link, RatePoint(float(r))) for r in rates])
+        def fake_rates(link, rates, n_ports):
+            return np.array([fake_rate(None, link, RatePoint(float(r))) for r in rates])
 
-        monkeypatch.setattr(fasmon.optimize, "link_rates_true",
-                            lambda link, rates, n_ports: fake_rates(None, link, rates))
-        monkeypatch.setattr(fasmon.optimize, "rates_true", fake_rates)
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", fake_rates)
         res = evaluate_scheme(ref_params, ref_link, Scheme.TRUE_GRID)
         point = solve_true_grid(ref_params, ref_link)
         assert (res.r_star, res.pm_star, res.clamped, res.iterations) == \
@@ -423,6 +437,14 @@ class TestEvaluateScheme:
         assert (single.r_star, single.pm_star, single.clamped) == \
             (closed.r_star, closed.pm_star, closed.clamped)
         assert single.n_ports == 1
+
+    def test_single_antenna_rate_is_the_one_port_exact_rate(self, ref_params, ref_link):
+        # no closed form of its own: the single-antenna monitor's rate is
+        # rate_true over one port, bit for bit
+        res = evaluate_scheme(ref_params, ref_link, Scheme.CONVENTIONAL_SINGLE)
+        one_port = dataclasses.replace(ref_params, n_ports=1)
+        assert res.rate_true.hex() == \
+            rate_true(one_port, ref_link, RatePoint(res.r_star)).hex()
 
     def test_single_antenna_closed_vs_quadrature(self, ref_params, ref_link):
         # the exponential closed form must match the one-port Marcum-Q
@@ -455,20 +477,28 @@ class TestEvaluateScheme:
                                                     n_ports, log_delta):
         # every scheme, TrueGrid included, gives r* in the band and a rate
         # in [0, r*], or a FasmonError
-        params = dataclasses.replace(ref_params, aperture_w=10.0 ** log_w,
-                                     n_ports=n_ports, delta=10.0 ** log_delta)
-        try:
-            link = derive_link(params)
-            r_min, r_max = rate_bounds(params)
-        except FasmonError:
-            return
-        for scheme in Scheme:
-            try:
-                res = evaluate_scheme(params, link, scheme)
-            except FasmonError:
-                continue
-            assert r_min <= res.r_star <= r_max, scheme
-            assert 0.0 <= res.rate_true <= res.r_star, scheme
+        _assert_points_in_the_band(dataclasses.replace(
+            ref_params, aperture_w=10.0 ** log_w, n_ports=n_ports,
+            delta=10.0 ** log_delta), list(Scheme))
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(corner=st.one_of(
+               st.tuples(st.floats(-3.0, math.log10(0.05), exclude_max=True),
+                         st.integers(1, 64)),
+               st.tuples(st.floats(math.log10(0.05), math.log10(20.0)),
+                         st.integers(33, 64))),
+           log_delta=st.floats(-6.0, math.log10(0.8)))
+    def test_every_scheme_gives_a_point_at_high_correlation(self, ref_params,
+                                                            corner, log_delta):
+        # the rest of the domain: W below 0.05 or N above 32. TrueGrid runs
+        # only from W = 0.05 up, where its pruned scan stays cheap; below,
+        # a CI step compares it with the exhaustive scan instead
+        log_w, n_ports = corner
+        schemes = [s for s in Scheme
+                   if s is not Scheme.TRUE_GRID or log_w >= math.log10(0.05)]
+        _assert_points_in_the_band(dataclasses.replace(
+            ref_params, aperture_w=10.0 ** log_w, n_ports=n_ports,
+            delta=10.0 ** log_delta), schemes)
 
     def test_rejects_unknown_scheme(self, ref_params, ref_link):
         with pytest.raises(DomainError):

@@ -28,8 +28,9 @@ from fasmon import (ConstraintInfeasibleError, DegenerateRateError,
                     rate_bound, rate_bounds, rate_for_pm, rate_true,
                     sd_outage)
 import fasmon.outage
+from fasmon.channel import _MAX_PORTS
 from fasmon.optimize import RateJob, exact_rates
-from fasmon.outage import _outage_true, rates_true
+from fasmon.outage import _outage_true, link_rates_true
 
 R_MIN_REF = 0.39114170868809469468
 R_MAX_REF = 2.6157292487448686686
@@ -344,6 +345,21 @@ class TestMonitorOutage:
     def test_zero_threshold(self, ref_link):
         assert monitor_outage_true(ref_link, RatePoint(0.0), 8) == 0.0
 
+    @pytest.mark.parametrize("n_ports", [_MAX_PORTS + 1, 2 ** 64])
+    def test_port_count_past_int64_is_a_domain_error(self, ref_link, n_ports):
+        rp = RatePoint(1.0)
+        with pytest.raises(DomainError, match="n_ports must lie in"):
+            monitor_outage_true(ref_link, rp, n_ports)
+        with pytest.raises(DomainError, match="n_ports must lie in"):
+            link_rates_true(ref_link, [1.0, 2.0], [8, n_ports])
+
+    def test_port_count_past_int64_fails_only_its_job(self, ref_params, ref_link):
+        # exact_rates, the path of evaluate_scheme and of a run, reports the
+        # DomainError as that job's result
+        rates = exact_rates([RateJob(ref_link, 1.0, 8), RateJob(ref_link, 1.0, 2 ** 64)])
+        assert rates[0] == rate_true(ref_params, ref_link, RatePoint(1.0))
+        assert isinstance(rates[1], DomainError)
+
     def test_sharp_transition_matches_the_oracle(self):
         # mu near 1 with many ports: a = 6.6 sqrt(t), so the integrand
         # steps within about 1/6.6 in u = sqrt(t)
@@ -356,7 +372,7 @@ class TestMonitorOutage:
     def test_block_values_equal_one_point_values(self, ref_params, ref_link):
         # bitwise: a rate's exact outage may not depend on the block it is in
         rates = np.linspace(*rate_bounds(ref_params), 37)
-        block = rates_true(ref_params, ref_link, rates)
+        block = link_rates_true(ref_link, rates, ref_params.n_ports)
         for r, value in zip(rates, block):
             assert value == rate_true(ref_params, ref_link, RatePoint(float(r)))
         high = _HIGH_LINK
@@ -456,14 +472,24 @@ class TestRateWrappers:
 
         monkeypatch.setattr(fasmon.outage, "_outage_true", fake_outage)
         rates = np.linspace(*rate_bounds(ref_params), 4096)
-        assert np.array_equal(rates_true(ref_params, ref_link, rates), rates)
+        assert np.array_equal(link_rates_true(ref_link, rates, ref_params.n_ports), rates)
         expected = [RatePoint(float(r)).gamma_th for r in rates]
         assert seen[0].tolist() == expected
 
     @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
     def test_block_rejects_bad_rates(self, ref_params, ref_link, bad):
         with pytest.raises(DomainError, match="rate_r must be finite"):
-            rates_true(ref_params, ref_link, np.array([1.0, bad, 2.0]))
+            link_rates_true(ref_link, np.array([1.0, bad, 2.0]), ref_params.n_ports)
+
+    @pytest.mark.parametrize("n_ports", [1, 8])
+    @pytest.mark.parametrize("mu", [0.0, None], ids=["mu0", "ref-mu"])
+    def test_zero_rate_is_zero(self, ref_params, ref_link, n_ports, mu):
+        # no shortcut: each formula gives exactly +0.0 at R = 0
+        link = ref_link if mu is None else dataclasses.replace(ref_link, mu=mu)
+        params = dataclasses.replace(ref_params, n_ports=n_ports)
+        for rate in (rate_true, rate_bound, rate_approx):
+            value = rate(params, link, RatePoint(0.0))
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, rate.__name__
 
     def test_definitions(self, ref_params, ref_link):
         rp = RatePoint(1.5)
