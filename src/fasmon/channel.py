@@ -18,24 +18,17 @@ small enough to reduce while they are in cache.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, DomainError
+from .errors import ComputationError, check_count, check_real
 from .specfun import bessel_j, hyp1f2_half
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
-# the largest port count: the exact outage and the Monte Carlo sampler hold
-# port counts in int64
+# the largest port count any entry point accepts: the exact outage raises to
+# the power N in int64, and the Monte Carlo sampler's array shapes are int64
 _MAX_PORTS = int(np.iinfo(np.int64).max)
-
-
-def _is_finite_real(value) -> bool:
-    # bool is an int subclass but never a physical quantity
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -48,7 +41,8 @@ class SystemParams:
     at the destination and at the monitor; delta: target destination outage
     in (0, 1); n_ports: number of selectable ports (1 only for the
     conventional single-antenna baseline); aperture_w: aperture size in
-    wavelengths.
+    wavelengths. A field that is not finite, or is a bool, raises
+    DomainError; n_ports may be 8.0 or a numpy integer, not 8.5.
     """
 
     p_s: float
@@ -65,15 +59,9 @@ class SystemParams:
     def __post_init__(self):
         for name in ("p_s", "p_m_max", "sigma_h2", "sigma_g2", "sigma_f2",
                      "sigma_d2", "sigma_m2", "aperture_w"):
-            value = getattr(self, name)
-            if not (_is_finite_real(value) and value > 0):
-                raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-        if not (_is_finite_real(self.delta) and 0.0 < self.delta < 1.0):
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if not (_is_finite_real(self.n_ports) and int(self.n_ports) == self.n_ports
-                and 1 <= self.n_ports <= _MAX_PORTS):
-            raise DomainError(
-                f"n_ports must be an integer in [1, {_MAX_PORTS}], got {self.n_ports!r}")
+            check_real(name, getattr(self, name), "positive", lambda v: v > 0.0)
+        check_real("delta", self.delta, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+        check_count("n_ports", self.n_ports, 1, _MAX_PORTS)
 
 
 @dataclass(frozen=True)
@@ -90,10 +78,8 @@ class DerivedLink:
     gamma_cap: float
 
     def __post_init__(self):
-        if not (0.0 <= self.mu < 1.0):
-            raise DomainError(f"mu must lie in [0, 1), got {self.mu!r}")
-        if not self.gamma_cap > 0.0:
-            raise DomainError(f"gamma_cap must be positive, got {self.gamma_cap!r}")
+        check_real("mu", self.mu, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
+        check_real("gamma_cap", self.gamma_cap, "positive", lambda v: v > 0.0)
 
 
 def correlation_mu(aperture_w: float) -> float:
@@ -110,9 +96,7 @@ def correlation_mu(aperture_w: float) -> float:
     Absolute accuracy is ~1e-12 by design; against 40-digit references it is
     within 2.5e-14 at W from 1e-3 to 1e4.
     """
-    aperture_w = float(aperture_w)
-    if not (math.isfinite(aperture_w) and aperture_w > 0.0):
-        raise DomainError(f"aperture_w must be positive and finite, got {aperture_w!r}")
+    aperture_w = check_real("aperture_w", aperture_w, "positive", lambda v: v > 0.0)
     a = 2.0 * math.pi * aperture_w
     radicand = hyp1f2_half(aperture_w) - bessel_j(1, a) / a
     if radicand < -1e-12 or radicand > 1.0 + 1e-12:

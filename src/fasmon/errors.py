@@ -1,4 +1,10 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the three checks, one
+per kind of argument, with which every entry point raises DomainError."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class FasmonError(Exception):
@@ -47,3 +53,38 @@ class ConfigError(FasmonError):
         super().__init__(message)
         self.key = key
         self.line = line
+
+
+def check_real(name: str, value, rule: str, ok) -> float:
+    """value as a float, if it is a finite real number, not a bool, for which
+    ok(value) holds; rule says in words what ok requires."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an int past the float range
+            real = math.inf
+        if math.isfinite(real) and ok(real):
+            return real
+    raise DomainError(f"{name} must be finite and {rule}, got {value!r}")
+
+
+def check_count(name: str, value, low: int, high: float = math.inf) -> int:
+    """value as an int, if it is an integral real number, not a bool, in
+    [low, high]; numpy integers and integral floats such as 8.0 pass."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            count = int(value)
+        except (OverflowError, ValueError):  # inf or nan
+            count = None
+        if count == value and low <= count <= high:
+            return count
+    raise DomainError(f"{name} must lie in [{low}, {high}] and be an integer, got {value!r}")
+
+
+def check_nonneg_array(name: str, value) -> np.ndarray:
+    """value as a float array, if every element is finite and nonnegative."""
+    arr = np.asarray(value, dtype=float)
+    bad = arr[~(np.isfinite(arr) & (arr >= 0.0))]
+    if bad.size:
+        raise DomainError(f"{name} must be finite and nonnegative, got {float(bad[0])!r}")
+    return arr

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _MAX_PORTS, SystemParams, DerivedLink, _port_power_blocks
-from .errors import DomainError
+from .errors import check_count, check_real
 from .outage import RatePoint
 
 # Draws are processed in fixed-size blocks so memory stays flat and the
@@ -54,13 +54,6 @@ class McEstimate:
     half_width_95: float
     n_samples: int
     seed: int
-
-
-def _check_run(n_samples: int, seed: int) -> None:
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
 
 
 def _binomial_estimate(hits: int, n_samples: int, seed: int) -> McEstimate:
@@ -142,9 +135,9 @@ def _monitor_job(params: SystemParams, link: DerivedLink,
                  rate_point: RatePoint, n_ports: int, n_samples: int,
                  seed: int):
     """The (count_block, n_samples) job of one best-port outage estimate."""
-    _check_run(n_samples, seed)
-    if not 1 <= n_ports <= _MAX_PORTS:
-        raise DomainError(f"n_ports must lie in [1, {_MAX_PORTS}], got {n_ports}")
+    n_ports = check_count("n_ports", n_ports, 1, _MAX_PORTS)
+    n_samples = check_count("n_samples", n_samples, 1)
+    seed = check_count("seed", seed, 0)
     # SNR threshold expressed on |g_max|^2 to avoid per-draw division
     g2_th = rate_point.gamma_th * params.sigma_m2 / params.p_s
     return (functools.partial(_monitor_block_hits, link.mu, params.sigma_g2,
@@ -166,9 +159,9 @@ def estimate_sd_outage(params: SystemParams, rate_point: RatePoint, p_m: float,
     exponentially; the outage indicator uses a strict inequality, matching
     the analytic CDF convention.
     """
-    _check_run(n_samples, seed)
-    if p_m < 0.0:
-        raise DomainError(f"p_m must be >= 0, got {p_m}")
+    p_m = check_real("p_m", p_m, "nonnegative", lambda v: v >= 0.0)
+    n_samples = check_count("n_samples", n_samples, 1)
+    seed = check_count("seed", seed, 0)
     count_block = functools.partial(_sd_block_hits, params, p_m,
                                     rate_point.gamma_th, seed)
     hits = _count_hits([(count_block, n_samples)])[0]

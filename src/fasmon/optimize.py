@@ -47,8 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import DerivedLink, SystemParams, eta_factor
-from .errors import AccuracyError, DomainError, FasmonError
+from .channel import _MAX_PORTS, DerivedLink, SystemParams, eta_factor
+from .errors import (AccuracyError, DomainError, FasmonError, check_count,
+                     check_nonneg_array)
 from .outage import (RatePoint, link_rates_true, pm_for_rate, rate_bound,
                      rate_bounds)
 from .specfun import lambert_w0
@@ -116,13 +117,11 @@ def objective_terms(link: DerivedLink, n_ports: int, x):
         g(x) = (N log2(1+x) / c) eta u^{N-1} e^{-x/c},   c = Gamma (1-mu^2),
 
     with dF/dx = h - g for F(x) = log2(1+x) (1 - eta u^N), the bound rate
-    rate_bound at R = log2(1+x). Accepts a float or an ndarray of x values.
+    rate_bound at R = log2(1+x). Accepts a float or an ndarray of finite,
+    nonnegative x values, and an integer n_ports >= 2.
     """
-    if n_ports < 2:
-        raise DomainError(f"objective split needs n_ports >= 2, got {n_ports!r}")
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0):
-        raise DomainError("x must be >= 0")
+    n_ports = check_count("n_ports", n_ports, 2, _MAX_PORTS)
+    xs = check_nonneg_array("x", x)
     eta = eta_factor(link.mu, n_ports)
     c = link.gamma_cap * (1.0 - link.mu * link.mu)
     decay = np.exp(-xs / c)
@@ -141,10 +140,9 @@ def solve_bound_bisect(params: SystemParams, link: DerivedLink) -> OptResult:
     Scans a 129-point grid over [r_min, r_max] for + -> - derivative sign
     transitions, bisects each bracket to 1e-9 on R, and returns the best of
     {interior roots, r_min, r_max} under the bound objective. `clamped` is
-    False only when an interior root wins.
+    False only when an interior root wins. A single port has no objective
+    split: objective_terms raises DomainError.
     """
-    if params.n_ports < 2:
-        raise DomainError("solve_bound_bisect needs n_ports >= 2")
     r_min, r_max = rate_bounds(params)
 
     def deriv(r: float) -> float:

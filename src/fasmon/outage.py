@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import _MAX_PORTS, DerivedLink, SystemParams, eta_factor
-from .errors import (AccuracyError, ComputationError,
-                     ConstraintInfeasibleError, DegenerateRateError, DomainError)
+from .errors import (AccuracyError, ComputationError, ConstraintInfeasibleError,
+                     DegenerateRateError, DomainError, check_count,
+                     check_nonneg_array, check_real)
 from .specfun import _MARCUM_EXIT_GAP, integrate_expweighted, marcum_q1
 
 _LN2 = math.log(2.0)
@@ -32,9 +33,8 @@ class RatePoint:
     gamma_th: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate_r) and self.rate_r >= 0.0):
-            raise DomainError(f"rate_r must be finite and >= 0, got {self.rate_r!r}")
-        object.__setattr__(self, "gamma_th", math.expm1(self.rate_r * _LN2))
+        rate_r = check_real("rate_r", self.rate_r, "nonnegative", lambda v: v >= 0.0)
+        object.__setattr__(self, "gamma_th", math.expm1(rate_r * _LN2))
 
 
 def sd_outage(params: SystemParams, rp: RatePoint, p_m: float) -> float:
@@ -43,8 +43,7 @@ def sd_outage(params: SystemParams, rp: RatePoint, p_m: float) -> float:
         P_out = 1 - exp(-gamma_th sigma_d2 / (p_s sigma_h2))
                     / (1 + gamma_th p_m sigma_f2 / (p_s sigma_h2))
     """
-    if not (math.isfinite(p_m) and p_m >= 0.0):
-        raise DomainError(f"p_m must be finite and >= 0, got {p_m!r}")
+    p_m = check_real("p_m", p_m, "nonnegative", lambda v: v >= 0.0)
     ps_h = params.p_s * params.sigma_h2
     gamma = rp.gamma_th
     x = gamma * params.sigma_d2 / ps_h
@@ -133,8 +132,8 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
     closed form (1/A) W((A/B) e^{A/B}/(1-delta)) - 1/B would overflow (large
     A/B) or cancel (small delta).
     """
-    if not (math.isfinite(p_m) and 0.0 <= p_m <= params.p_m_max * (1.0 + 1e-12)):
-        raise DomainError(f"p_m must lie in [0, p_m_max], got {p_m!r}")
+    p_m = check_real("p_m", p_m, "in [0, p_m_max]",
+                     lambda v: 0.0 <= v <= params.p_m_max * (1.0 + 1e-12))
     if p_m == 0.0:
         return _rate_without_jamming(params)
     a_coef = params.sigma_d2 / (params.p_s * params.sigma_h2)
@@ -147,36 +146,40 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
 # Monitor-side outage
 # ---------------------------------------------------------------------------
 
-def _outage_true(link: DerivedLink, gammas: np.ndarray, n_ports) -> np.ndarray:
-    """monitor_outage_true at a block of SNR thresholds gamma_th, threshold j
-    over n_ports[j] ports (one int serves them all).
+def _outage_true(link: DerivedLink, gammas: np.ndarray,
+                 n_ports) -> tuple[np.ndarray, np.ndarray]:
+    """(P, S): monitor_outage_true and the success probability S at a block
+    of SNR thresholds gamma_th, threshold j over n_ports[j] ports (one count
+    serves them all).
 
-    The thresholds that need the integral share one Marcum-Q grid per
-    lattice group of panels, quadrature nodes against their sorted distinct
-    second arguments b; 1 - Q1 is raised to each distinct N on that N's
-    columns, the same ** N that a threshold gets alone. Each threshold's
-    value is therefore the same alone as in any block, whatever rates and
-    port counts come with it."""
+    At N = 1 or mu = 0, S = -expm1(N log1p(-e^{-x})), x = gamma_th/Gamma,
+    keeps its relative precision however small it is. The thresholds that
+    need the integral share one Marcum-Q grid per lattice group of panels,
+    quadrature nodes against their sorted distinct second arguments b;
+    1 - Q1 is raised to each distinct N on that N's columns, the same ** N
+    that a threshold gets alone, and S = 1 - P. Each threshold's values are
+    therefore the same alone as in any block, whatever comes with it."""
     try:
-        ports = np.broadcast_to(np.asarray(n_ports, dtype=np.int64), gammas.shape)
-    except OverflowError:
-        raise DomainError(f"n_ports must lie in [1, {_MAX_PORTS}]") from None
-    if ports.size and ports.min() < 1:
-        raise DomainError(f"n_ports must be >= 1, got {int(ports.min())!r}")
+        ports = np.broadcast_to(np.asarray(n_ports, dtype=object), gammas.shape)
+    except ValueError:
+        raise DomainError(f"n_ports does not broadcast to {gammas.size} thresholds") from None
     mu = link.mu
     ratio = gammas / link.gamma_cap
     out = np.empty(gammas.shape)
+    success = np.empty(gammas.shape)
     # (N, columns) of the thresholds that need the integral; a set, not
     # np.unique, which imports numpy.ma for an integer array
     groups = []
-    for n in sorted(set(ports.tolist())):
+    for n in sorted({check_count("n_ports", n, 1, _MAX_PORTS) for n in set(ports.tolist())}):
         cols = np.flatnonzero(ports == n)
         if mu == 0.0 or n == 1:
             out[cols] = (-np.expm1(-ratio[cols])) ** n
+            with np.errstate(divide="ignore"):  # log1p(-1) = -inf at gamma_th = 0
+                success[cols] = -np.expm1(n * np.log1p(-np.exp(-ratio[cols])))
         else:
             groups.append((n, cols))
     if not groups:
-        return out
+        return out, success
     quad = np.concatenate([cols for _, cols in groups])
     one_minus_mu2 = 1.0 - mu * mu
     a_scale = math.sqrt(2.0 * mu * mu / one_minus_mu2)
@@ -201,7 +204,8 @@ def _outage_true(link: DerivedLink, gammas: np.ndarray, n_ports) -> np.ndarray:
     out[quad] = np.clip(integrate_expweighted(
         integrand, (b_vals - _MARCUM_EXIT_GAP) / a_scale,
         (b_vals + _MARCUM_EXIT_GAP) / a_scale, min(1.0, 1.0 / a_scale)), 0.0, 1.0)
-    return out
+    success[quad] = 1.0 - out[quad]
+    return out, success
 
 
 def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int) -> float:
@@ -218,19 +222,19 @@ def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int) -> float
     u = b/A, however sharp near mu = 1, spans a fixed number of panels.
     mu = 0 collapses to the i.i.d. closed form (1 - e^{-gamma_th/Gamma})^N
     without quadrature, and so does a single port, whose outage is
-    1 - e^{-gamma_th/Gamma} for every mu. Raises ComputationError where the
-    Marcum kernel would need Poisson weights past a^2/2 = 5e5, that is where
-    b exceeds about 990 (1 - mu^2 below about 2e-5 at gamma_th/Gamma = 10),
-    and AccuracyError if the panels do not settle.
+    1 - e^{-gamma_th/Gamma} for every mu. Raises DomainError unless n_ports
+    is an integer in [1, 2^63 - 1], ComputationError where the Marcum kernel
+    needs Poisson weights past a^2/2 = 5e5 (b above about 990, 1 - mu^2
+    below about 2e-5 at gamma_th/Gamma = 10), and AccuracyError if the
+    panels do not settle.
     """
-    return float(_outage_true(link, np.array([rp.gamma_th]), n_ports)[0])
+    return float(_outage_true(link, np.array([rp.gamma_th]), n_ports)[0][0])
 
 
 def monitor_outage_bound(link: DerivedLink, rp: RatePoint, n_ports: int) -> float:
     """Closed-form lower bound on the exact outage:
     eta * (1 - e^{-gamma_th/(Gamma(1-mu^2))})^N."""
-    if n_ports < 1:
-        raise DomainError(f"n_ports must be >= 1, got {n_ports!r}")
+    n_ports = check_count("n_ports", n_ports, 1, _MAX_PORTS)
     eta = eta_factor(link.mu, n_ports)
     scale = link.gamma_cap * (1.0 - link.mu * link.mu)
     return eta * (-math.expm1(-rp.gamma_th / scale)) ** n_ports
@@ -242,8 +246,7 @@ def monitor_outage_approx(link: DerivedLink, rp: RatePoint, n_ports: int) -> flo
     Returned raw (it goes negative when N e^{-gamma_th/Gamma} > 1): the
     optimizer needs the smooth form. Reporting layers clamp to [0, 1].
     """
-    if n_ports < 1:
-        raise DomainError(f"n_ports must be >= 1, got {n_ports!r}")
+    n_ports = check_count("n_ports", n_ports, 1, _MAX_PORTS)
     return 1.0 - n_ports * math.exp(-rp.gamma_th / link.gamma_cap)
 
 
@@ -252,20 +255,17 @@ def monitor_outage_approx(link: DerivedLink, rp: RatePoint, n_ports: int) -> flo
 # ---------------------------------------------------------------------------
 
 def rate_true(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
-    """R * (1 - exact monitor outage)."""
-    return rp.rate_r * (1.0 - monitor_outage_true(link, rp, params.n_ports))
+    """R S, S = 1 - exact monitor outage: link_rates_true at one rate."""
+    return float(link_rates_true(link, [rp.rate_r], params.n_ports)[0])
 
 
 def link_rates_true(link: DerivedLink, rates: np.ndarray, n_ports) -> np.ndarray:
-    """R (1 - exact outage) at a block of rates on one link, rate j over
-    n_ports[j] ports (one int serves them all), each equal to its one-point
-    rate_true (the thresholds are RatePoint's 2^R - 1, bit for bit)."""
-    rates = np.asarray(rates, dtype=float)
-    valid = np.isfinite(rates) & (rates >= 0.0)
-    if not valid.all():
-        raise DomainError(f"rate_r must be finite and >= 0, got {float(rates[~valid][0])!r}")
+    """R S, S the exact success probability of _outage_true, at a block of
+    rates on one link, rate j over n_ports[j] ports (one count serves them
+    all); the thresholds are RatePoint's 2^R - 1, bit for bit."""
+    rates = check_nonneg_array("rate_r", rates)
     gammas = np.array([math.expm1(r * _LN2) for r in rates.tolist()])
-    return rates * (1.0 - _outage_true(link, gammas, n_ports))
+    return rates * _outage_true(link, gammas, n_ports)[1]
 
 
 def rate_bound(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:

@@ -119,7 +119,7 @@ class TestRun:
         cfg = _cfg(tmp_path, "n_ports = 18446744073709551616\n")
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "rows.csv")])
         assert rc == 2
-        assert "n_ports must be an integer in [1, 9223372036854775807]" in \
+        assert "n_ports must lie in [1, 9223372036854775807] and be an integer" in \
             capsys.readouterr().err
 
     def test_port_sweep_past_int64_drops_its_point(self, tmp_path):
@@ -139,7 +139,7 @@ class TestRun:
         assert run.returncode == 3
         assert "Traceback" not in run.stderr
         assert run.stderr.splitlines()[0].startswith(
-            "fasmon: n_ports=1e+19: DomainError: n_ports must be an integer in")
+            "fasmon: n_ports=1e+19: DomainError: n_ports must lie in [1, ")
         assert [(r.scheme, r.x_value) for r in parse_csv(str(out))] == [("Passive", 2.0)]
 
     def test_unwritable_output(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,7 @@ from scipy.special import chndtr
 
 from fasmon import (ConstraintInfeasibleError, DegenerateRateError,
                     DerivedLink, DomainError, FasmonError, RatePoint,
-                    SystemParams, derive_link, eta_factor,
+                    SystemParams, correlation_mu, derive_link, eta_factor,
                     monitor_outage_approx, monitor_outage_bound,
                     monitor_outage_true, pm_for_rate, rate_approx,
                     rate_bound, rate_bounds, rate_for_pm, rate_true,
@@ -378,7 +379,7 @@ class TestMonitorOutage:
         high = _HIGH_LINK
         rates = np.array([2.4, 2.5, 2.6157292487448686686, 2.7])
         gammas = np.array([RatePoint(r).gamma_th for r in rates])
-        block = _outage_true(high, gammas, 22)
+        block = _outage_true(high, gammas, 22)[0]
         for r, value in zip(rates, block):
             assert value == monitor_outage_true(high, RatePoint(r), 22)
 
@@ -387,13 +388,13 @@ class TestMonitorOutage:
         # evaluation takes every Poisson-weight block from the cache
         high = _HIGH_LINK
         gammas = np.array([RatePoint(r).gamma_th for r in (2.4, 2.5, 2.6, 2.7)])
-        cold = _outage_true(high, gammas, 22)
-        assert np.array_equal(_outage_true(high, gammas, 22), cold)
+        cold = _outage_true(high, gammas, 22)[0]
+        assert np.array_equal(_outage_true(high, gammas, 22)[0], cold)
         for gamma, value in zip(gammas, cold):
             empty_weight_cache()
-            single = _outage_true(high, np.array([gamma]), 22)
+            single = _outage_true(high, np.array([gamma]), 22)[0]
             assert single[0] == value
-            assert np.array_equal(_outage_true(high, np.array([gamma]), 22), single)
+            assert np.array_equal(_outage_true(high, np.array([gamma]), 22)[0], single)
 
     def test_bound_formula_and_direction(self, ref_link):
         n = 8
@@ -468,7 +469,7 @@ class TestRateWrappers:
 
         def fake_outage(link, gammas, n_ports):
             seen.append(gammas)
-            return np.zeros(gammas.shape)
+            return np.zeros(gammas.shape), np.ones(gammas.shape)
 
         monkeypatch.setattr(fasmon.outage, "_outage_true", fake_outage)
         rates = np.linspace(*rate_bounds(ref_params), 4096)
@@ -507,3 +508,36 @@ class TestRateWrappers:
             true = rate_true(ref_params, ref_link, rp)
             assert rate_bound(ref_params, ref_link, rp) >= true - 1e-9
             assert rate_approx(ref_params, ref_link, rp) >= true - 1e-9
+
+
+class TestClosedFormSuccess:
+    """At one port or at mu = 0 the success probability S = 1 - P is a
+    closed form, so the exact rate R S keeps its relative precision where
+    1 - P would round to 0."""
+
+    def test_one_port_rate_in_the_deep_tail(self):
+        # gamma_th/Gamma = 58.5, where 1 - (1 - e^{-58.5}) is exactly 0
+        link = DerivedLink(mu=correlation_mu(0.41), gamma_cap=1.0)
+        rate = link_rates_true(link, [math.log2(59.5)], 1)[0]
+        assert rate == pytest.approx(2.3133598413680654e-25, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n_ports", [2, 8])
+    def test_independent_ports_against_mpmath(self, n_ports):
+        # S = 1 - (1 - e^{-x})^N, from 0.4 down to about 1e-54
+        link = DerivedLink(mu=0.0, gamma_cap=1.0)
+        rates = np.linspace(0.5, 7.0, 14)
+        values = link_rates_true(link, rates, n_ports)
+        with mpmath.workdps(40):
+            for r, value in zip(rates.tolist(), values):
+                x = mpmath.mpf(RatePoint(r).gamma_th)
+                exact = r * -mpmath.expm1(n_ports * mpmath.log1p(-mpmath.exp(-x)))
+                assert value == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    def test_one_point_rate_is_the_block_rate(self, ref_params, mu):
+        link = DerivedLink(mu=mu, gamma_cap=1.0)
+        params = dataclasses.replace(ref_params, n_ports=1)
+        rates = [0.0, 1.0, 5.0, 9.0]
+        block = link_rates_true(link, rates, 1)
+        assert block[-1] > 0.0
+        assert [rate_true(params, link, RatePoint(r)) for r in rates] == block.tolist()
