@@ -1,10 +1,12 @@
 """Experiment configuration: file parsing, CLI overrides, and defaults.
 
 Config files are either flat ``key = value`` text (``#`` comments allowed) or
-a single JSON object with the same keys. Powers are given in dB and converted
-to linear exactly once, here; everything downstream is linear. The gain ratio
-``ratio_db`` sets both cross-link variances: sigma_g2 = sigma_f2 =
-10^(ratio_db/10) * sigma_h2.
+a single JSON object with the same keys. Every source, text lines, JSON pairs,
+``--set`` overrides and library mappings, yields (key, raw value, line)
+entries to one parser, which maps aliases and refuses unknown and repeated
+keys. Powers are given in dB and converted to linear exactly once, here;
+everything downstream is linear. The gain ratio ``ratio_db`` sets both
+cross-link variances, in ``_with_ratio``.
 
 An empty file resolves to the reference setup: p_s 20 dB, p_m_max 30 dB,
 ratio -18 dB, unit noise and SS-link variances, delta 0.05, 8 ports, W = 5,
@@ -13,17 +15,17 @@ experiment fig2.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .channel import SystemParams
 from .errors import ConfigError
 from .optimize import Scheme
 
-_ALL_SCHEMES = tuple(Scheme)
-
-# canonical key -> accepted spellings
+# accepted spelling -> canonical key
 _ALIASES = {"ratio_db": "sigma_ratio_db"}
 
 _FLOAT_KEYS = {"p_s_db", "p_m_max_db", "sigma_ratio_db", "sigma_h2",
@@ -47,15 +49,6 @@ _DEFAULTS = {
     "mc_samples": 0,
     "seed": 12345,
 }
-
-# experiment -> (sweep variable, default sweep values); custom sets both
-_EXPERIMENTS = {
-    "fig1": ("p_m_db", tuple(30.0 * i / 120 for i in range(121))),
-    "fig2": ("ratio_db", tuple(float(v) for v in range(-20, 1, 2))),
-    "fig3": ("n_ports", tuple(float(n) for n in range(2, 17))),
-    "custom": (None, None),
-}
-_SWEEP_VARIABLES = ("p_m_db", "ratio_db", "n_ports")
 
 
 @dataclass(frozen=True)
@@ -84,30 +77,68 @@ def _linear(key: str, value_db: float) -> float:
         raise ConfigError(f"{key}: {value_db!r} dB overflows", key) from None
 
 
-def _finite(key: str, value: float, line: int) -> float:
+def _with_ratio(params: SystemParams, ratio_db: float) -> SystemParams:
+    """params at gain ratio ratio_db: sigma_g2 = sigma_f2 = 10^(ratio_db/10)
+    sigma_h2."""
+    cross = _linear("sigma_ratio_db", ratio_db) * params.sigma_h2
+    return dataclasses.replace(params, sigma_g2=cross, sigma_f2=cross)
+
+
+def _check_db(value: float) -> None:
+    # a dB sweep value is converted at every point
+    _linear("sweep_values", value)
+
+
+def _check_ports(value: float) -> None:
+    if value != int(value) or value < 1:
+        raise ConfigError(f"n_ports sweep values must be positive integers, got {value}",
+                          "sweep_values")
+
+
+# sweep variable -> (check of one sweep value, the point's parameters from
+# the base parameters and the value)
+_SWEEPS = {
+    "p_m_db": (_check_db, lambda params, x: params),
+    "ratio_db": (_check_db, _with_ratio),
+    "n_ports": (_check_ports, lambda params, x: dataclasses.replace(params, n_ports=int(x))),
+}
+
+# experiment -> (row-seed id, sweep variable, default sweep values); custom
+# sets both
+_EXPERIMENTS = {
+    "fig1": (1, "p_m_db", tuple(30.0 * i / 120 for i in range(121))),
+    "fig2": (2, "ratio_db", tuple(float(v) for v in range(-20, 1, 2))),
+    "fig3": (3, "n_ports", tuple(float(n) for n in range(2, 17))),
+    "custom": (0, None, None),
+}
+
+
+def _parse_number(key: str, raw, line: int, kind=float):
+    """One number of type kind: a string in its syntax, or a number, not a
+    bool, that is an int where kind is int. A float must be finite."""
+    if isinstance(raw, str):
+        try:
+            raw = kind(raw.strip())
+        except ValueError:
+            what = "a number" if kind is float else "an integer"
+            raise ConfigError(f"{key}: not {what}: {raw.strip()!r}", key, line) from None
+    elif isinstance(raw, bool) or not isinstance(raw, numbers.Real if kind is float else int):
+        raise ConfigError(f"{key}: unexpected value {raw!r}", key, line)
+    if kind is int:
+        return raw
+    try:
+        value = float(raw)
+    except OverflowError:  # an int past the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{key}: must be finite, got {value!r}", key, line)
     return value
 
 
-def _parse_scalar(key: str, raw: str, line: int):
-    if key in _FLOAT_KEYS:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: not a number: {raw!r}", key, line) from None
-        return _finite(key, value, line)
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: not an integer: {raw!r}", key, line) from None
-    return raw
-
-
 def _parse_value(key: str, raw, line: int):
-    """Normalize one config value. Text values arrive as strings; JSON values
-    keep their native type."""
+    """One config value, parsed. Text values arrive as strings, JSON and
+    library values keep their native type, and a parsed value parses to
+    itself."""
     if key in _LIST_KEYS:
         if isinstance(raw, str):
             items = [s.strip() for s in raw.split(",") if s.strip()]
@@ -116,108 +147,56 @@ def _parse_value(key: str, raw, line: int):
         else:
             raise ConfigError(f"{key}: expected a list", key, line)
         if key == "schemes":
-            out = []
+            schemes = []
             for item in items:
                 try:
-                    out.append(Scheme(item))
+                    scheme = Scheme(item)
                 except ValueError:
                     known = ", ".join(s.value for s in Scheme)
-                    raise ConfigError(
-                        f"schemes: unknown scheme {item!r} (known: {known})",
-                        key, line) from None
-            return tuple(out)
-        try:
-            values = tuple(float(v) for v in items)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected numbers", key, line) from None
-        return tuple(_finite(key, v, line) for v in values)
-    if isinstance(raw, str):
-        return _parse_scalar(key, raw.strip(), line)
-    if key in _FLOAT_KEYS and isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return _finite(key, float(raw), line)
-    if key in _INT_KEYS and isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
+                    raise ConfigError(f"schemes: unknown scheme {item!r} (known: {known})",
+                                      key, line) from None
+                if scheme in schemes:
+                    raise ConfigError(f"schemes: {scheme.value} is listed twice", key, line)
+                schemes.append(scheme)
+            return tuple(schemes)
+        return tuple(_parse_number(key, v, line) for v in items)
     if key in _STR_KEYS:
-        raise ConfigError(f"{key}: expected a string", key, line)
-    raise ConfigError(f"{key}: unexpected value {raw!r}", key, line)
+        if not isinstance(raw, str):
+            raise ConfigError(f"{key}: expected a string", key, line)
+        return raw.strip()
+    return _parse_number(key, raw, line, float if key in _FLOAT_KEYS else int)
 
 
-def _canonical(key: str, line: int) -> str:
-    key = _ALIASES.get(key, key)
-    if key not in _ALL_KEYS:
-        raise ConfigError(f"unknown key {key!r}", key, line)
-    return key
-
-
-def _read_text(text: str) -> dict:
+def _collect(entries, later_wins: bool = False) -> dict:
+    """Canonical keys and parsed values of (key, raw value, line) entries,
+    line 0 where it is unknown. A key that repeats, under any spelling, is a
+    ConfigError unless later_wins, when the later entry wins."""
     values = {}
-    seen_lines = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected key = value, got {line!r}", "", lineno)
-        key_raw, _, val = line.partition("=")
-        key = _canonical(key_raw.strip(), lineno)
-        if key in values:
-            raise ConfigError(
-                f"duplicate key {key!r} (first set on line {seen_lines[key]})",
-                key, lineno)
-        values[key] = _parse_value(key, val, lineno)
-        seen_lines[key] = lineno
+    lines = {}
+    for key, raw, line in entries:
+        key = _ALIASES.get(key, key)
+        if key not in _ALL_KEYS:
+            raise ConfigError(f"unknown key {key!r}", key, line)
+        if key in values and not later_wins:
+            first = f" (first set on line {lines[key]})" if lines[key] else ""
+            raise ConfigError(f"duplicate key {key!r}{first}", key, line)
+        values[key] = _parse_value(key, raw, line)
+        lines[key] = line
     return values
 
 
-def _read_mapping(obj: dict) -> dict:
-    """Canonical keys and normalized values for a mapping of config values.
-    Idempotent, so values that a reader already parsed pass unchanged."""
-    values = {}
-    for key_raw, val in obj.items():
-        key = _canonical(str(key_raw), 0)
-        if key in values:
-            raise ConfigError(f"duplicate key {key!r}", key, 0)
-        values[key] = _parse_value(key, val, 0)
-    return values
-
-
-def _read_json(text: str) -> dict:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON config: {exc}", "", exc.lineno) from None
-    if not isinstance(obj, dict):
-        raise ConfigError("JSON config must be a single object", "", 1)
-    return _read_mapping(obj)
-
-
-def _build_params(values: dict) -> SystemParams:
-    sigma_h2 = values["sigma_h2"]
-    cross = _linear("sigma_ratio_db", values["sigma_ratio_db"]) * sigma_h2
-    return SystemParams(
-        p_s=_linear("p_s_db", values["p_s_db"]),
-        p_m_max=_linear("p_m_max_db", values["p_m_max_db"]),
-        sigma_h2=sigma_h2,
-        sigma_g2=cross,
-        sigma_f2=cross,
-        sigma_d2=values["sigma_d2"],
-        sigma_m2=values["sigma_m2"],
-        delta=values["delta"],
-        n_ports=values["n_ports"],
-        aperture_w=values["aperture_w"],
-    )
+def _entry(text: str, line: int, form: str) -> tuple:
+    """The (key, raw value, line) entry of one ``key = value`` text."""
+    key, eq, raw = text.partition("=")
+    if not eq:
+        raise ConfigError(f"{form}, got {text!r}", "", line)
+    return key.strip(), raw, line
 
 
 def parse_overrides(pairs) -> dict:
     """Parse ``--set key=value`` pairs; later pairs win over earlier ones."""
-    values = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must be key=value, got {pair!r}")
-        key_raw, _, val = pair.partition("=")
-        key = _canonical(key_raw.strip(), 0)
-        values[key] = _parse_value(key, val, 0)
-    return values
+    return _collect((_entry(pair, 0, "override must be key=value") for pair in pairs),
+                    later_wins=True)
 
 
 def resolve_config(file_values: dict, overrides: dict | None = None) -> ExperimentSpec:
@@ -228,19 +207,18 @@ def resolve_config(file_values: dict, overrides: dict | None = None) -> Experime
     """
     values = dict(_DEFAULTS)
     for source in (file_values, overrides or {}):
-        values.update(_read_mapping(source))
+        values.update(_collect((str(key), raw, 0) for key, raw in source.items()))
 
     experiment = values["experiment"]
     if experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"experiment must be one of {', '.join(_EXPERIMENTS)}, got {experiment!r}",
             "experiment")
-    if values["mc_samples"] < 0:
-        raise ConfigError("mc_samples must be >= 0", "mc_samples")
-    if values["seed"] < 0:
-        raise ConfigError("seed must be >= 0", "seed")
+    for key in ("mc_samples", "seed"):
+        if values[key] < 0:
+            raise ConfigError(f"{key} must be >= 0", key)
 
-    var, default_values = _EXPERIMENTS[experiment]
+    _, var, default_values = _EXPERIMENTS[experiment]
     if var is None and not {"sweep_variable", "sweep_values"} <= values.keys():
         raise ConfigError(
             "custom experiment needs explicit sweep_variable and sweep_values",
@@ -251,26 +229,19 @@ def resolve_config(file_values: dict, overrides: dict | None = None) -> Experime
             f"{experiment} sweeps {var}; cannot set sweep_variable={sweep_variable}",
             "sweep_variable")
     sweep_values = values.get("sweep_values", default_values)
-    schemes = values.get("schemes", () if sweep_variable == "p_m_db" else _ALL_SCHEMES)
+    schemes = values.get("schemes", () if sweep_variable == "p_m_db" else tuple(Scheme))
 
-    if sweep_variable not in _SWEEP_VARIABLES:
+    if sweep_variable not in _SWEEPS:
         raise ConfigError(
-            f"sweep_variable must be one of {', '.join(_SWEEP_VARIABLES)}",
+            f"sweep_variable must be one of {', '.join(_SWEEPS)}",
             "sweep_variable")
     if not sweep_values:
         raise ConfigError("sweep_values must be nonempty", "sweep_values")
     if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
         raise ConfigError("sweep_values must be strictly increasing", "sweep_values")
-    if sweep_variable == "n_ports":
-        for v in sweep_values:
-            if v != int(v) or v < 1:
-                raise ConfigError(
-                    f"n_ports sweep values must be positive integers, got {v}",
-                    "sweep_values")
-    else:
-        # ratio_db and p_m_db are converted at every point
-        for v in sweep_values:
-            _linear("sweep_values", v)
+    check_value, _ = _SWEEPS[sweep_variable]
+    for v in sweep_values:
+        check_value(v)
     # a p_m sweep reports the three analytic rate curves, not scheme rows:
     # the schemes each pick their own p_m, so pinning one is contradictory
     if sweep_variable == "p_m_db":
@@ -282,7 +253,14 @@ def resolve_config(file_values: dict, overrides: dict | None = None) -> Experime
         raise ConfigError("schemes must be nonempty", "schemes")
 
     try:
-        params = _build_params(values)
+        # the cross-link variances are set from the gain ratio
+        params = _with_ratio(SystemParams(
+            p_s=_linear("p_s_db", values["p_s_db"]),
+            p_m_max=_linear("p_m_max_db", values["p_m_max_db"]),
+            sigma_g2=1.0, sigma_f2=1.0,
+            **{key: values[key] for key in ("sigma_h2", "sigma_d2", "sigma_m2",
+                                            "delta", "n_ports", "aperture_w")},
+        ), values["sigma_ratio_db"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -301,6 +279,22 @@ def parse_config(file_path: str, cli_overrides=()) -> ExperimentSpec:
     """Load a config file, apply overrides, and resolve the experiment."""
     with open(file_path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    file_values = _read_json(text) if stripped.startswith("{") else _read_text(text)
+    if text.lstrip().startswith("{"):
+        # the hook sees the pairs of every object, repeated keys included,
+        # and those of the outermost object last
+        objects = []
+
+        def keep_pairs(pairs):
+            objects.append(pairs)
+            return dict(pairs)
+
+        try:
+            json.loads(text, object_pairs_hook=keep_pairs)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON config: {exc}", "", exc.lineno) from None
+        file_values = _collect((key, raw, 0) for key, raw in objects[-1])
+    else:
+        lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+        file_values = _collect(_entry(line, n, "expected key = value")
+                               for n, line in enumerate(lines, start=1) if line)
     return resolve_config(file_values, parse_overrides(cli_overrides))

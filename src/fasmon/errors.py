@@ -81,8 +81,22 @@ def check_count(name: str, value, low: int, high: float = math.inf) -> int:
     raise DomainError(f"{name} must lie in [{low}, {high}] and be an integer, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number, not a bool, or an array or sequence
+    of them. An ndarray is judged by its dtype and a list or tuple element by
+    element, since numpy converts strings and bools among numbers to floats."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(_is_real(v) for v in value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_nonneg_array(name: str, value) -> np.ndarray:
-    """value as a float array, if every element is finite and nonnegative."""
+    """value as a float array, if it holds real numbers, not bools, and every
+    element is finite and nonnegative."""
+    if not _is_real(value):
+        raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
     arr = np.asarray(value, dtype=float)
     bad = arr[~(np.isfinite(arr) & (arr >= 0.0))]
     if bad.size:

@@ -36,13 +36,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import DerivedLink, SystemParams, correlation_mu, link_for_mu
-from .config import ExperimentSpec, db_to_linear
+from .config import _EXPERIMENTS, _SWEEPS, ExperimentSpec, db_to_linear
 from .errors import FasmonError
 from .mcsim import estimate_monitoring_rates
 from .optimize import RateJob, exact_rates, scheme_point
 from .outage import RatePoint, rate_approx, rate_bound, rate_for_pm
-
-_EXPERIMENT_IDS = {"custom": 0, "fig1": 1, "fig2": 2, "fig3": 3}
 
 # pseudo-schemes of a p_m_db sweep's rows: the exact, bound and approximate
 # rates at the point's rate
@@ -80,23 +78,14 @@ class _Entry(NamedTuple):
 
 def row_seed(seed: int, experiment: str, sweep_idx: int, scheme_idx: int) -> int:
     """Deterministic per-row substream key, independent of run order."""
-    ss = np.random.SeedSequence(
-        [seed, _EXPERIMENT_IDS[experiment], sweep_idx, scheme_idx])
+    seed_id, _, _ = _EXPERIMENTS[experiment]
+    ss = np.random.SeedSequence([seed, seed_id, sweep_idx, scheme_idx])
     return int(ss.generate_state(1)[0])
 
 
 def expected_row_count(spec: ExperimentSpec) -> int:
     per_point = len(_CURVE_TAGS) if spec.sweep_variable == "p_m_db" else len(spec.schemes)
     return len(spec.sweep_values) * per_point
-
-
-def _point_params(spec: ExperimentSpec, x_value: float) -> SystemParams:
-    if spec.sweep_variable == "ratio_db":
-        cross = db_to_linear(x_value) * spec.params.sigma_h2
-        return dataclasses.replace(spec.params, sigma_g2=cross, sigma_f2=cross)
-    if spec.sweep_variable == "n_ports":
-        return dataclasses.replace(spec.params, n_ports=int(x_value))
-    return spec.params
 
 
 def _pm_db(p_m: float) -> float:
@@ -175,11 +164,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     which cannot drop a row, and fill in the rows' Monte Carlo cells.
     """
     mu_of = functools.cache(correlation_mu)
+    _, point_params = _SWEEPS[spec.sweep_variable]
     point_entries = _curve_entries if spec.sweep_variable == "p_m_db" else _scheme_entries
     entries = []
     for sweep_idx, x_value in enumerate(spec.sweep_values):
         try:
-            params = _point_params(spec, x_value)
+            params = point_params(spec.params, x_value)
             link = link_for_mu(params, mu_of(params.aperture_w))
             entries.extend(point_entries(spec, params, link, sweep_idx, x_value))
         except FasmonError as exc:

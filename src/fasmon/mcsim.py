@@ -56,13 +56,6 @@ class McEstimate:
     seed: int
 
 
-def _binomial_estimate(hits: int, n_samples: int, seed: int) -> McEstimate:
-    mean = hits / n_samples
-    half = _Z95 * math.sqrt(mean * (1.0 - mean) / n_samples)
-    return McEstimate(mean=mean, half_width_95=half,
-                      n_samples=n_samples, seed=seed)
-
-
 def _chunks(n_samples: int):
     start = 0
     idx = 0
@@ -72,8 +65,9 @@ def _chunks(n_samples: int):
         idx += 1
 
 
-def _count_hits(jobs: list) -> list[int]:
-    """Total hit count of each (count_block, n_samples) job, in job order.
+def _estimates(jobs: list) -> list[McEstimate]:
+    """The binomial estimate of each (count_block, n_samples, seed) job, from
+    its total hit count, in job order.
 
     count_block(index, size) counts the hits of one block of draws. Every
     block of every job is one task; the tasks run on a thread pool opened
@@ -83,7 +77,7 @@ def _count_hits(jobs: list) -> list[int]:
     running ones end.
     """
     tasks = [(job, count_block, block)
-             for job, (count_block, n_samples) in enumerate(jobs)
+             for job, (count_block, n_samples, _) in enumerate(jobs)
              for block in _chunks(n_samples)]
 
     def run(task):
@@ -106,7 +100,13 @@ def _count_hits(jobs: list) -> list[int]:
     totals = [0] * len(jobs)
     for (job, _, _), hits in zip(tasks, counts):
         totals[job] += hits
-    return totals
+    estimates = []
+    for hits, (_, n_samples, seed) in zip(totals, jobs):
+        mean = hits / n_samples
+        half = _Z95 * math.sqrt(mean * (1.0 - mean) / n_samples)
+        estimates.append(McEstimate(mean=mean, half_width_95=half,
+                                    n_samples=n_samples, seed=seed))
+    return estimates
 
 
 def _sd_block_hits(params: SystemParams, p_m: float, gamma_th: float,
@@ -134,14 +134,15 @@ def _monitor_block_hits(mu: float, sigma_g2: float, n_ports: int,
 def _monitor_job(params: SystemParams, link: DerivedLink,
                  rate_point: RatePoint, n_ports: int, n_samples: int,
                  seed: int):
-    """The (count_block, n_samples) job of one best-port outage estimate."""
+    """The (count_block, n_samples, seed) job of one best-port outage
+    estimate, its counts checked."""
     n_ports = check_count("n_ports", n_ports, 1, _MAX_PORTS)
     n_samples = check_count("n_samples", n_samples, 1)
     seed = check_count("seed", seed, 0)
     # SNR threshold expressed on |g_max|^2 to avoid per-draw division
     g2_th = rate_point.gamma_th * params.sigma_m2 / params.p_s
     return (functools.partial(_monitor_block_hits, link.mu, params.sigma_g2,
-                              n_ports, g2_th, seed), n_samples)
+                              n_ports, g2_th, seed), n_samples, seed)
 
 
 def _rate_estimate(outage: McEstimate, rate_point: RatePoint) -> McEstimate:
@@ -164,8 +165,7 @@ def estimate_sd_outage(params: SystemParams, rate_point: RatePoint, p_m: float,
     seed = check_count("seed", seed, 0)
     count_block = functools.partial(_sd_block_hits, params, p_m,
                                     rate_point.gamma_th, seed)
-    hits = _count_hits([(count_block, n_samples)])[0]
-    return _binomial_estimate(hits, n_samples, seed)
+    return _estimates([(count_block, n_samples, seed)])[0]
 
 
 def estimate_monitor_outage(params: SystemParams, link: DerivedLink,
@@ -178,8 +178,7 @@ def estimate_monitor_outage(params: SystemParams, link: DerivedLink,
     but not to the quadrature route; the best port is their maximum over the
     n_ports columns. n_ports = 1 degrades to the single-antenna monitor.
     """
-    job = _monitor_job(params, link, rate_point, n_ports, n_samples, seed)
-    return _binomial_estimate(_count_hits([job])[0], n_samples, seed)
+    return _estimates([_monitor_job(params, link, rate_point, n_ports, n_samples, seed)])[0]
 
 
 def estimate_monitoring_rate(params: SystemParams, link: DerivedLink,
@@ -201,6 +200,6 @@ def estimate_monitoring_rates(jobs) -> list[McEstimate]:
     its job. Invalid job arguments raise DomainError before anything runs.
     """
     jobs = list(jobs)
-    totals = _count_hits([_monitor_job(*job) for job in jobs])
-    return [_rate_estimate(_binomial_estimate(hits, n_samples, seed), rate_point)
-            for hits, (_, _, rate_point, _, n_samples, seed) in zip(totals, jobs)]
+    outages = _estimates([_monitor_job(*job) for job in jobs])
+    return [_rate_estimate(outage, rate_point)
+            for outage, (_, _, rate_point, *_) in zip(outages, jobs)]

@@ -170,7 +170,9 @@ def _outage_true(link: DerivedLink, gammas: np.ndarray,
     # (N, columns) of the thresholds that need the integral; a set, not
     # np.unique, which imports numpy.ma for an integer array
     groups = []
-    for n in sorted({check_count("n_ports", n, 1, _MAX_PORTS) for n in set(ports.tolist())}):
+    # each distinct (type, value) pair is checked: True == 1 would hide a bool
+    distinct = {(type(n), n) for n in ports.tolist()}
+    for n in sorted({check_count("n_ports", n, 1, _MAX_PORTS) for _, n in distinct}):
         cols = np.flatnonzero(ports == n)
         if mu == 0.0 or n == 1:
             out[cols] = (-np.expm1(-ratio[cols])) ** n

@@ -126,6 +126,36 @@ class TestErrors:
         assert err.value.line == 3
         assert "line 1" in str(err.value)
 
+    def test_json_duplicate_key(self, tmp_path):
+        # json.loads alone would keep the last value
+        text = '{"seed": 1, "ratio_db": -6, "seed": 2}'
+        with pytest.raises(ConfigError, match="duplicate key 'seed'") as err:
+            parse_config(_write(tmp_path, text, "run.json"))
+        assert err.value.key == "seed"
+
+    def test_json_alias_duplicate_key(self, tmp_path):
+        text = '{"ratio_db": -6, "sigma_ratio_db": -8}'
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, text, "run.json"))
+        assert err.value.key == "sigma_ratio_db"
+
+    def test_repeated_scheme_in_text(self, tmp_path):
+        # each scheme would otherwise emit every one of its rows twice
+        with pytest.raises(ConfigError, match="Passive") as err:
+            parse_config(_write(tmp_path, "seed = 1\nschemes = Passive, TrueGrid, Passive\n"))
+        assert (err.value.key, err.value.line) == ("schemes", 2)
+
+    def test_repeated_scheme_in_json(self, tmp_path):
+        text = '{"schemes": ["Passive", "Passive"]}'
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, text, "run.json"))
+        assert err.value.key == "schemes"
+
+    def test_repeated_scheme_in_override(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_write(tmp_path, ""), ["schemes=Passive,Passive"])
+        assert (err.value.key, err.value.line) == ("schemes", 0)
+
     def test_missing_equals(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_config(_write(tmp_path, "just some words\n"))
@@ -200,6 +230,16 @@ class TestErrors:
         ({"experiment": "fig1", "sweep_values": [0.0, 1e308]}, "sweep_values")])
     def test_overflowing_db_value_names_its_key(self, values, key):
         # 10^(dB/10) overflows a float: a ConfigError, not an OverflowError
+        with pytest.raises(ConfigError) as err:
+            resolve_config(values)
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("values, key", [
+        ({"experiment": "fig2", "sweep_values": [True, 2]}, "sweep_values"),
+        ({"p_s_db": 10 ** 400}, "p_s_db"),
+        ({"experiment": "fig2", "sweep_values": [-4, 10 ** 400]}, "sweep_values")])
+    def test_bool_or_int_past_float_range_names_its_key(self, values, key):
+        # a bool list item read as 1.0, and float() of the int overflowed
         with pytest.raises(ConfigError) as err:
             resolve_config(values)
         assert err.value.key == key

@@ -39,6 +39,9 @@ _NONNEG_REAL = _REAL + [-1]
 _COUNT = _NONNEG_REAL + [8.5]
 _PORT_COUNT = _COUNT + [0, 2 ** 64]
 _ELEMENT = _NON_FINITE + [-1.0]
+# numpy turns a string or bool among numbers into a float; a whole array of
+# them keeps a dtype that is not a real number's
+_NON_REAL_ARRAYS = [np.array(["1.0"]), np.array([True]), np.array([1j])]
 
 
 def _params(**fields):
@@ -70,12 +73,16 @@ _TABLE = [
     ("link_rates_true.n_ports",
      lambda v: link_rates_true(_LINK, [1.0, 1.0], [8, v]), _PORT_COUNT),
     ("link_rates_true.rates",
-     lambda v: link_rates_true(_LINK, [1.0, v], 8), _ELEMENT),
+     lambda v: link_rates_true(_LINK, [1.0, v], 8), _ELEMENT + _NON_REAL),
+    ("link_rates_true.rates_array", lambda v: link_rates_true(_LINK, v, 8), _NON_REAL_ARRAYS),
     ("objective_terms.n_ports", lambda v: objective_terms(_LINK, v, 1.0), _PORT_COUNT + [1]),
-    ("objective_terms.x", lambda v: objective_terms(_LINK, 8, np.array([1.0, v])), _ELEMENT),
-    ("objective_terms.scalar_x", lambda v: objective_terms(_LINK, 8, v), _ELEMENT),
-    ("marcum_q1.a", lambda v: marcum_q1(np.array([1.0, v]), 1.0), _ELEMENT),
-    ("marcum_q1.b", lambda v: marcum_q1(1.0, np.array([1.0, v])), _ELEMENT),
+    ("objective_terms.x", lambda v: objective_terms(_LINK, 8, np.array([1.0, v])),
+     _ELEMENT + ["8"]),
+    ("objective_terms.scalar_x", lambda v: objective_terms(_LINK, 8, v), _ELEMENT + _NON_REAL),
+    ("marcum_q1.a", lambda v: marcum_q1(np.array([1.0, v]), 1.0), _ELEMENT + ["8"]),
+    ("marcum_q1.b", lambda v: marcum_q1(1.0, np.array([1.0, v])), _ELEMENT + ["8"]),
+    ("marcum_q1.a_array", lambda v: marcum_q1(v, 1.0), _NON_REAL + _NON_REAL_ARRAYS),
+    ("marcum_q1.b_array", lambda v: marcum_q1(1.0, v), _NON_REAL + _NON_REAL_ARRAYS),
     ("integrate_expweighted.width",
      lambda v: integrate_expweighted(np.exp, 0.0, math.inf, width=v), _NONNEG_REAL + [0]),
     ("estimate_sd_outage.p_m",
@@ -113,6 +120,13 @@ def test_bad_arguments_are_domain_errors(call, values):
         else:
             wrong.append(f"{value!r}: returned")
     assert wrong == []
+
+
+@pytest.mark.parametrize("ports", [[1, True], [True, 1]])
+def test_bool_port_count_in_a_block_is_refused_in_either_order(ports):
+    # True == 1, so a check of each distinct value once would see only one
+    with pytest.raises(DomainError, match="got True"):
+        link_rates_true(_LINK, [1.0, 1.0], ports)
 
 
 @pytest.mark.filterwarnings("error")

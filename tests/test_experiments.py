@@ -10,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+import fasmon.config
 import fasmon.experiments
 import fasmon.mcsim
 import fasmon.optimize
@@ -23,6 +24,12 @@ from fasmon.config import parse_overrides
 
 def _spec(*pairs):
     return resolve_config({}, parse_overrides(list(pairs)))
+
+
+def _point_params(spec, x_value):
+    # the parameters of one sweep point, from the sweep variable's row
+    _, point_params = fasmon.config._SWEEPS[spec.sweep_variable]
+    return point_params(spec.params, x_value)
 
 
 # a short custom sweep of each sweep variable, with two schemes where the
@@ -287,8 +294,7 @@ class TestExactRateBlocks:
         rows = [r for r in run_experiment(spec) if r.scheme == "ConventionalSingle"]
         assert len(rows) == len(spec.sweep_values)
         for row in rows:
-            params = dataclasses.replace(
-                fasmon.experiments._point_params(spec, row.x_value), n_ports=1)
+            params = dataclasses.replace(_point_params(spec, row.x_value), n_ports=1)
             alone = rate_true(params, derive_link(params), RatePoint(row.r_star_bits))
             assert row.rate_analytic.hex() == alone.hex(), row.x_value
 
@@ -337,7 +343,7 @@ class TestPartialFailure:
                      "schemes=ProposedBisect,ProposedClosedForm,Passive,"
                      "ConventionalSingle")
         reference = run_experiment(spec)
-        params = {x: fasmon.experiments._point_params(spec, x) for x in (-12.0, -8.0)}
+        params = {x: _point_params(spec, x) for x in (-12.0, -8.0)}
         # ProposedClosedForm's rate at -12 dB is interior; ConventionalSingle
         # shares it and its kernel call, but on one port, so only the column
         # with N > 1 fails

@@ -66,6 +66,19 @@ class TestReproducibility:
         assert est.n_samples == (1 << 17) + 1234
         assert est.seed == 3
 
+    def test_estimates_carry_the_checked_ints(self, ref_params, ref_link):
+        # integral floats are accepted as counts; the estimate reports them
+        # as the ints the draws used
+        rp = RatePoint(1.0)
+        estimates = [
+            estimate_sd_outage(ref_params, rp, 50.0, 100.0, 7.0),
+            estimate_monitor_outage(ref_params, ref_link, rp, 8, 100.0, 7.0),
+            *fasmon.mcsim.estimate_monitoring_rates(
+                [(ref_params, ref_link, rp, 8, 100.0, 7.0)])]
+        for est in estimates:
+            assert (est.n_samples, est.seed) == (100, 7)
+            assert type(est.n_samples) is int and type(est.seed) is int
+
 
 class TestWorkerCount:
     def test_monitor_outage_independent_of_workers(self, ref_params, ref_link,

@@ -1,10 +1,11 @@
 """The package namespace: every advertised name is importable, every
-top-level name is used, and the import loads no module that fasmon does not
-use: no numpy subpackage, and none of the network stack that xml.sax pulls
-in."""
+top-level name is used, every name the benchmark's tracer patches exists,
+and the import loads no module that fasmon does not use: no numpy
+subpackage, and none of the network stack that xml.sax pulls in."""
 
 import ast
 import glob
+import importlib
 import os
 import re
 import subprocess
@@ -67,3 +68,26 @@ def test_every_top_level_name_is_used():
     unused = [f"{module}: {name}" for module, name in defined
               if name not in loaded | named | set(fasmon.__all__)]
     assert unused == []
+
+
+def test_every_name_the_tracer_patches_exists():
+    # perfbench/layertrace.py wraps <module>.<name> functions of fasmon in
+    # Tracer.install; one that is renamed or deleted would otherwise show
+    # only in a traced benchmark run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "layertrace.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    tracer = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Tracer")
+    install = next(node for node in tracer.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    modules = {alias.asname or alias.name for node in ast.walk(install)
+               if isinstance(node, ast.ImportFrom) and node.module == "fasmon"
+               for alias in node.names}
+    patched = {(node.value.id, node.attr) for node in ast.walk(install)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules}
+    assert len(patched) >= 10
+    missing = [f"{module}.{name}" for module, name in sorted(patched)
+               if not hasattr(importlib.import_module(f"fasmon.{module}"), name)]
+    assert missing == []
