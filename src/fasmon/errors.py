@@ -95,6 +95,8 @@ def _is_real(value) -> bool:
 def check_nonneg_array(name: str, value) -> np.ndarray:
     """value as a float array, if it holds real numbers, not bools, and every
     element is finite and nonnegative."""
+    if type(value) is float and 0.0 <= value < math.inf:  # no numpy checks needed
+        return np.array(value)
     if not _is_real(value):
         raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
     arr = np.asarray(value, dtype=float)

@@ -13,10 +13,13 @@ Monte Carlo columns, when enabled, always estimate the TRUE monitoring rate
 at the row's operating point, so simulation never inherits the analytic
 shortcut it is meant to check. Row seeds are spawned from (seed, experiment
 id, sweep index, scheme index), making every row reproducible in isolation.
-A run evaluates in batches what each row would get alone. It first finds
-every point's operating points, then evaluates the exact rates of all rows
-with :func:`fasmon.optimize.exact_rates`, in quadrature blocks of at most
-128 rates per link, then hands all rows' Monte Carlo jobs to
+A run evaluates in batches what each row would get alone. It first builds
+every point's work: a curve point's exact-rate job, or each scheme's steps
+(:func:`fasmon.optimize.scheme_steps`). It hands all of them to
+:func:`fasmon.optimize.exact_rates`, the one rate scheduler, which advances
+every scheme's steps, TrueGrid's searches included, in lockstep rounds and
+evaluates each round's exact rates on links that share mu together. Then it
+hands all rows' Monte Carlo jobs to
 :func:`fasmon.mcsim.estimate_monitoring_rates` in one batch, whose blocks run
 concurrently. Each Monte Carlo block returns an integer hit count and has no
 failure of its own, so Monte Carlo cannot drop a row: a row is dropped, and
@@ -31,7 +34,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Generator, NamedTuple
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .channel import DerivedLink, SystemParams, correlation_mu, link_for_mu
 from .config import _EXPERIMENTS, _SWEEPS, ExperimentSpec, db_to_linear
 from .errors import FasmonError
 from .mcsim import estimate_monitoring_rates
-from .optimize import RateJob, exact_rates, scheme_point
+from .optimize import RateJob, SchemeResult, exact_rates, scheme_steps
 from .outage import RatePoint, rate_approx, rate_bound, rate_for_pm
 
 # pseudo-schemes of a p_m_db sweep's rows: the exact, bound and approximate
@@ -64,16 +67,15 @@ class ResultRow:
 
 
 class _Entry(NamedTuple):
-    """The rows of a run that share one exact rate, in row order, each with
-    its Monte Carlo job or None: a scheme's row, or a curve point's three
-    (scheme None). The first row's rate_analytic is None until the rate of
-    job is known; rows is empty and job the FasmonError when the rows failed
-    before their rate."""
+    """The rows of a run that share one exact rate: a scheme's row, or a
+    curve point's three (scheme None). task is what exact_rates evaluates
+    for them, or the FasmonError met before it; rows turns the task's result
+    into the rows, in row order, each with its Monte Carlo job or None."""
 
     x_value: float
     scheme: str | None
-    rows: list[tuple[ResultRow, tuple | None]]
-    job: RateJob | FasmonError
+    task: RateJob | Generator | FasmonError
+    rows: Callable | None
 
 
 def row_seed(seed: int, experiment: str, sweep_idx: int, scheme_idx: int) -> int:
@@ -105,36 +107,37 @@ def _mc_job(spec: ExperimentSpec, params, link, rp: RatePoint, n_ports: int,
 def _curve_entries(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
                    sweep_idx: int, x_value: float) -> list[_Entry]:
     rp = RatePoint(rate_for_pm(params, db_to_linear(x_value)))
-    rates = (None, rate_bound(params, link, rp), rate_approx(params, link, rp))
-    rows = [(ResultRow(experiment=spec.experiment, scheme=tag,
-                       x_name=spec.sweep_variable, x_value=x_value,
-                       r_star_bits=rp.rate_r, pm_star_db=x_value,
-                       rate_analytic=value,
-                       rate_mc_mean=None, rate_mc_ci95=None, clamped=False),
-             _mc_job(spec, params, link, rp, params.n_ports, sweep_idx, scheme_idx)
-             if tag == "true" else None)
-            for scheme_idx, (tag, value) in enumerate(zip(_CURVE_TAGS, rates))]
-    return [_Entry(x_value, None, rows, RateJob(link, rp.rate_r, params.n_ports))]
+    others = (rate_bound(params, link, rp), rate_approx(params, link, rp))
+    mc = _mc_job(spec, params, link, rp, params.n_ports, sweep_idx, 0)
+
+    def rows(rate: float):
+        return [(ResultRow(experiment=spec.experiment, scheme=tag,
+                           x_name=spec.sweep_variable, x_value=x_value,
+                           r_star_bits=rp.rate_r, pm_star_db=x_value,
+                           rate_analytic=value,
+                           rate_mc_mean=None, rate_mc_ci95=None, clamped=False),
+                 mc if tag == "true" else None)
+                for tag, value in zip(_CURVE_TAGS, (rate, *others))]
+    return [_Entry(x_value, None, RateJob(link, rp.rate_r, params.n_ports), rows)]
+
+
+def _scheme_rows(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
+                 sweep_idx: int, x_value: float, scheme_idx: int, res: SchemeResult):
+    row = ResultRow(experiment=spec.experiment, scheme=spec.schemes[scheme_idx].value,
+                    x_name=spec.sweep_variable, x_value=x_value,
+                    r_star_bits=res.r_star, pm_star_db=_pm_db(res.pm_star),
+                    rate_analytic=res.rate_true, rate_mc_mean=None, rate_mc_ci95=None,
+                    clamped=res.clamped)
+    return [(row, _mc_job(spec, params, link, RatePoint(res.r_star), res.n_ports,
+                          sweep_idx, scheme_idx))]
 
 
 def _scheme_entries(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
                     sweep_idx: int, x_value: float) -> list[_Entry]:
-    entries = []
-    for scheme_idx, scheme in enumerate(spec.schemes):
-        try:
-            point, job = scheme_point(params, link, scheme)
-            mc = _mc_job(spec, params, link, RatePoint(point.r_star), job.n_ports,
-                         sweep_idx, scheme_idx)
-        except FasmonError as exc:
-            entries.append(_Entry(x_value, scheme.value, [], exc))
-            continue
-        row = ResultRow(experiment=spec.experiment, scheme=scheme.value,
-                        x_name=spec.sweep_variable, x_value=x_value,
-                        r_star_bits=point.r_star, pm_star_db=_pm_db(point.pm_star),
-                        rate_analytic=None, rate_mc_mean=None, rate_mc_ci95=None,
-                        clamped=point.clamped)
-        entries.append(_Entry(x_value, scheme.value, [(row, mc)], job))
-    return entries
+    return [_Entry(x_value, scheme.value, scheme_steps(params, link, scheme),
+                   functools.partial(_scheme_rows, spec, params, link, sweep_idx,
+                                     x_value, scheme_idx))
+            for scheme_idx, scheme in enumerate(spec.schemes)]
 
 
 def _report_failure(spec: ExperimentSpec, x_value: float, exc: FasmonError,
@@ -150,18 +153,20 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
     The caller can compare len(result) with expected_row_count(spec) to
     detect partial output. Each point builds its parameters and its link,
-    then its operating points (a curve point its rate); the correlation
-    factor is memoized for this run alone, so it is computed once per
-    distinct aperture, and a failure to compute it is not kept, so it is
-    reported once for every point it fails. Every row is built then, its
-    exact-rate cell left empty. Once every point is known, the exact rates of
-    all rows are evaluated together by :func:`fasmon.optimize.exact_rates`,
-    in blocks of at most 128 rates per distinct link (fig1 and fig3 have one
-    link per run, fig2 one per point), each value the one its row gets alone,
-    and fill those cells. A row is dropped only when its analytic part, its
-    exact rate included, raises a FasmonError, and the failures are reported
-    in row order. Then the Monte Carlo jobs of all rows run as one batch,
-    which cannot drop a row, and fill in the rows' Monte Carlo cells.
+    then its work: a curve point its rate and that rate's exact-rate job, a
+    scheme point one set of steps per scheme. The correlation factor is
+    memoized for this run alone, so it is computed once per distinct
+    aperture, and a failure to compute it is not kept, so it is reported
+    once for every point it fails. Once every point is built, all the work
+    goes to :func:`fasmon.optimize.exact_rates`, which finds the operating
+    points and evaluates the exact rates in rounds, each round's rates on
+    links that share mu in one link_rates_true call (at most
+    optimize._CALL_COLUMNS rates; one mu per default fig1, fig2 or fig3
+    run), each value the one its row gets alone. A row is dropped only when
+    its analytic part, its exact rate included, raises a FasmonError, and
+    the failures are reported in row order. Then the Monte Carlo jobs of all
+    rows run as one batch, which cannot drop a row, and fill in the rows'
+    Monte Carlo cells.
     """
     mu_of = functools.cache(correlation_mu)
     _, point_params = _SWEEPS[spec.sweep_variable]
@@ -173,16 +178,16 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             link = link_for_mu(params, mu_of(params.aperture_w))
             entries.extend(point_entries(spec, params, link, sweep_idx, x_value))
         except FasmonError as exc:
-            entries.append(_Entry(x_value, None, [], exc))
-    rates = iter(exact_rates([e.job for e in entries if isinstance(e.job, RateJob)]))
+            entries.append(_Entry(x_value, None, exc, None))
+    results = iter(exact_rates([e.task for e in entries
+                                if not isinstance(e.task, FasmonError)]))
     pairs = []
     for entry in entries:
-        rate = next(rates) if isinstance(entry.job, RateJob) else entry.job
-        if isinstance(rate, FasmonError):
-            _report_failure(spec, entry.x_value, rate, entry.scheme)
-            continue
-        (row, job), *rest = entry.rows
-        pairs += [(dataclasses.replace(row, rate_analytic=rate), job), *rest]
+        result = entry.task if isinstance(entry.task, FasmonError) else next(results)
+        if isinstance(result, FasmonError):
+            _report_failure(spec, entry.x_value, result, entry.scheme)
+        else:
+            pairs += entry.rows(result)
     estimates = iter(estimate_monitoring_rates(
         [job for _, job in pairs if job is not None]))
     rows = []

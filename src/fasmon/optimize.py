@@ -11,24 +11,29 @@ through the destination outage constraint):
 * solve_closed_form    - Lambert-W stationary point of R e^{-(2^R-1)/Gamma};
 * solve_true_grid      - grid search on the exact rate (the expensive
                          oracle the other two approximate); the exact
-                         outage never decreases as R grows, so a coarse
-                         pass caps every grid rate by R times one minus the
-                         outage at the coarse rate below it, and only the
+                         outage never decreases as R grows, so each grid
+                         rate is capped by R times one minus the outage at
+                         the nearest evaluated rate below it, and only the
                          rates whose cap could still beat the best exact
-                         rate found are evaluated, which leaves the
-                         exhaustive scan's result unchanged; it then
-                         refines the argmax by two finer scans of the same
-                         kind inside its bracket.
+                         rate found are evaluated (one coarse request, then
+                         two finer levels), which leaves the exhaustive
+                         scan's result unchanged; it then refines the argmax
+                         by two finer scans of the same kind inside its
+                         bracket.
 
 Each solver returns an operating point only: the rate, its jamming power,
 whether a band endpoint was taken and the evaluations spent, never its own
-objective's value. scheme_point looks a scheme up in one table
-(operating-point function, whether the monitor has a single port) and
-returns the point with the job of its exact rate; exact_rates evaluates the
-jobs of many rows at once, grouped by link, and evaluate_scheme is the two
-for one scheme. Every exact rate here, TrueGrid's scans and the
-single-antenna monitor's included, comes from one block evaluator,
-outage.link_rates_true, looked up in this module at call time.
+objective's value. A scheme is one row of a table (operating-point
+function, whether the monitor has a single port), and scheme_steps runs it
+as steps: its operating point, then a request for the exact rate there.
+TrueGrid's operating point is itself steps, which request their grid rates.
+exact_rates is the one rate scheduler: it advances a run's steps in
+lockstep rounds and sends each round's requests on links that share mu to
+link_rates_true together, each distinct (link, port count, rate) column
+once per run; evaluate_scheme and solve_true_grid run their steps under it
+alone. Every exact rate here, TrueGrid's scans and the single-antenna
+monitor's included, comes from one block evaluator, outage.link_rates_true,
+looked up in this module at call time.
 
 The derivative split is NOT globally single-crossing: g decays to zero at
 large x while h keeps a positive floor for mu > 0, so h - g can go
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,11 +62,13 @@ from .specfun import lambert_w0
 _LN2 = math.log(2.0)
 _BISECT_TOL = 1e-9  # bracket width on R at which bisection stops
 _GRID_POINTS = 4096  # uniform R grid of solve_true_grid
-_GRID_BLOCK = 128  # exact rates per block in solve_true_grid
 _COARSE_STEP = 63  # grid index step of solve_true_grid's coarse pass
-_COARSE_BLOCK = 17  # coarse rates per block, left to right
+_COARSE_BLOCK = 17  # coarse rates per block, left to right, once it raises
+_FINE_STEP = 8  # grid index step of the first level of the fine pass
 _REFINE_POINTS = 32  # exact rates per refinement scan of solve_true_grid
 _REFINE_LEVELS = 2  # refinement scans after solve_true_grid's grid scan
+# columns (link, port count, rate) per link_rates_true call of exact_rates
+_CALL_COLUMNS = 1024
 # relative margin on R added to solve_true_grid's caps: the computed outage
 # is accurate to the panel quadrature's settle tolerance, at most 1e-9 for an
 # outage in [0, 1], so R (1 - outage) at two rates may each be off by 1e-9 R;
@@ -212,55 +219,97 @@ def _argmax_upward(values) -> int:
     return arr.size - 1 - int(np.argmax(arr[::-1]))
 
 
-def solve_true_grid(params: SystemParams, link: DerivedLink) -> OptResult:
-    """Maximization of the exact rate on a uniform grid of _GRID_POINTS
-    rates, refined by _REFINE_LEVELS scans of _REFINE_POINTS rates inside
-    the winning bracket (_refine_grid_max). Ties prefer the larger R.
+def _true_grid_steps(params: SystemParams, link: DerivedLink):
+    """solve_true_grid as steps for exact_rates, a run's TrueGrid point:
+    the grid scan's steps, then the refinement's; returns the OptResult."""
+    grid, values, evals = yield from _grid_scan_steps(params, link)
+    return (yield from _refine_steps(params, link, grid, values, evals))
 
-    The exact outage P never decreases as R grows, so a rate R_j at or above
-    an evaluated R_i has exact rate at most R_j (1 - P(R_i)); plus
-    _PRUNE_MARGIN R_j, that caps the computed rate too. A coarse pass
-    evaluates every _COARSE_STEP-th grid rate and the last, left to right
-    in blocks of _COARSE_BLOCK, and stops once the last one's cap on every
-    rate above it, r_max (1 - P) plus the margin, is below the best value so
-    far; the small blocks keep it out of the far tail of a band whose rate
-    has collapsed, where near mu = 1 the Marcum kernel may raise. A fine
-    pass caps each remaining rate by the nearest evaluated coarse rate at or
-    below it, then evaluates blocks of _GRID_BLOCK rates in descending
-    order of cap, each block in grid order, until the next cap is below the
-    best value. A rate left out could not have reached
-    that value, and every evaluated value equals its one-point rate_true,
-    so the winning index and the result are those of the exhaustive scan.
-    A rate left out is never evaluated, so its FasmonError, had it one,
-    cannot fail the solver. iterations counts the exact rates evaluated,
-    grid and refinement together."""
+
+def _grid_scan_steps(params: SystemParams, link: DerivedLink):
+    """solve_true_grid's pruned grid scan as steps for exact_rates: yields
+    RateJobs of grid rates, receives their exact rates and returns the grid,
+    its values (-inf where not evaluated) and the count evaluated."""
     r_min, r_max = rate_bounds(params)
     grid = np.linspace(r_min, r_max, _GRID_POINTS)
     values = np.full(_GRID_POINTS, -math.inf)
     coarse = np.append(np.arange(0, _GRID_POINTS - 1, _COARSE_STEP), _GRID_POINTS - 1)
-    best = -math.inf
-    for start in range(0, coarse.size, _COARSE_BLOCK):
-        known = coarse[:start + _COARSE_BLOCK]
-        block = known[start:]
-        values[block] = link_rates_true(link, grid[block], params.n_ports)
-        best = max(best, float(values[block].max()))
-        if r_max * (values[known[-1]] / grid[known[-1]] + _PRUNE_MARGIN) < best:
-            break
-    rest = np.flatnonzero(values == -math.inf)
-    # the nearest evaluated coarse rate below each remaining one; known
-    # starts at grid index 0, so there always is one
-    left = known[np.searchsorted(known, rest) - 1]
-    caps = grid[rest] * (values[left] / grid[left] + _PRUNE_MARGIN)
-    ranked = np.argsort(-caps, kind="stable")
-    evals = known.size
-    for start in range(0, rest.size, _GRID_BLOCK):
-        if caps[ranked[start]] < best:
-            break
-        block = rest[np.sort(ranked[start:start + _GRID_BLOCK])]
-        values[block] = link_rates_true(link, grid[block], params.n_ports)
-        best = max(best, float(values[block].max()))
-        evals += block.size
-    return _refine_grid_max(params, link, grid, values, evals)
+    try:
+        values[coarse] = yield RateJob(link, grid[coarse], params.n_ports)
+    except FasmonError:
+        for start in range(0, coarse.size, _COARSE_BLOCK):
+            known = coarse[:start + _COARSE_BLOCK]
+            block = known[start:]
+            values[block] = yield RateJob(link, grid[block], params.n_ports)
+            if r_max * (values[known[-1]] / grid[known[-1]] + _PRUNE_MARGIN) < values.max():
+                break
+    for step in (_FINE_STEP, 1):
+        block = _within_cap(grid, values, step)
+        if block.size:
+            values[block] = yield RateJob(link, grid[block], params.n_ports)
+    return grid, values, int(np.count_nonzero(values > -math.inf))
+
+
+def _within_cap(grid: np.ndarray, values: np.ndarray, step: int) -> np.ndarray:
+    """The grid indices, among every step-th, whose rate is unevaluated
+    (-inf in values) and whose cap, by the nearest evaluated rate below,
+    reaches the best value so far."""
+    rest = np.flatnonzero(values[::step] == -math.inf) * step
+    # grid index 0 is a coarse rate, so every rest has an evaluated one below
+    done = np.flatnonzero(values > -math.inf)
+    left = done[np.searchsorted(done, rest) - 1]
+    return rest[grid[rest] * (values[left] / grid[left] + _PRUNE_MARGIN) >= values.max()]
+
+
+def solve_true_grid(params: SystemParams, link: DerivedLink) -> OptResult:
+    """Maximization of the exact rate on a uniform grid of _GRID_POINTS
+    rates, refined by _REFINE_LEVELS scans of _REFINE_POINTS rates inside
+    the winning bracket (_refine_grid_max). Ties prefer the larger R. Its
+    two parts run as steps under exact_rates: here one after the other,
+    each alone; in a run as _true_grid_steps, in lockstep with every other
+    point's, with the same requests and values.
+
+    The exact outage P never decreases as R grows, so a rate R_j at or above
+    an evaluated R_i has exact rate at most R_j (1 - P(R_i)); plus
+    _PRUNE_MARGIN R_j, that caps the computed rate too. A coarse pass
+    evaluates every _COARSE_STEP-th grid rate and the last in one request.
+    If that raises a FasmonError, it evaluates them again left to right in
+    blocks of _COARSE_BLOCK and stops once the last one's cap on every rate
+    above it, r_max (1 - P) plus the margin, is below the best value so far;
+    the small blocks keep it out of the far tail of a band whose rate has
+    collapsed, where near mu = 1 the Marcum kernel may raise. A fine pass
+    then takes two levels, every _FINE_STEP-th grid rate and then all the
+    rest: at each, every unevaluated rate is capped by the nearest evaluated
+    rate at or below it, and those whose cap reaches the best value so far
+    are evaluated in one request, in grid order. A rate left out could not
+    have reached that value, and every evaluated value equals its one-point
+    rate_true, so the winning index and the result are those of the
+    exhaustive scan. A rate left out is never evaluated, so its
+    FasmonError, had it one, cannot fail the solver. iterations counts the
+    exact rates evaluated, grid and refinement together."""
+    return _refine_grid_max(params, link, *_alone(_grid_scan_steps(params, link)))
+
+
+def _refine_steps(params: SystemParams, link: DerivedLink, grid: np.ndarray,
+                  values: np.ndarray, evals: int):
+    """_refine_grid_max as steps for exact_rates: yields its two scans and
+    returns the OptResult."""
+    idx = _argmax_upward(values)
+    clamped = idx in (0, grid.size - 1)
+    rates, scores = grid, values
+    for _ in range(_REFINE_LEVELS):
+        lo, hi = max(idx - 1, 0), min(idx + 1, rates.size - 1)
+        rates = np.linspace(rates[lo], rates[hi], _REFINE_POINTS + 2)
+        scan = yield RateJob(link, rates[1:-1], params.n_ports)
+        scores = np.concatenate(([scores[lo]], scan, [scores[hi]]))
+        idx = _argmax_upward(scores)
+    r_star = float(rates[idx])
+    return OptResult(
+        r_star=r_star,
+        pm_star=pm_for_rate(params, RatePoint(r_star)),
+        clamped=clamped,
+        iterations=evals + _REFINE_LEVELS * _REFINE_POINTS,
+    )
 
 
 def _refine_grid_max(params: SystemParams, link: DerivedLink, grid: np.ndarray,
@@ -270,31 +319,15 @@ def _refine_grid_max(params: SystemParams, link: DerivedLink, grid: np.ndarray,
     scans; evals is the count of grid rates evaluated.
 
     Each scan evaluates _REFINE_POINTS rates evenly spaced strictly between
-    the current argmax's two neighbours, in one link_rates_true call, keeps
-    the neighbours' known values and takes the upward argmax again, so no
-    rate is evaluated twice and no pruned one at all. The final spacing is the
+    the current argmax's two neighbours, in one request, keeps the
+    neighbours' known values and takes the upward argmax again, so no rate
+    is evaluated twice and no pruned one at all. The final spacing is the
     grid's times (2/(_REFINE_POINTS + 1))^2: fine enough that r* lies within
     about half of it of the exact rate's maximiser (1e-6 on the default
     sweeps), coarse enough that the best and runner-up values differ far
     above the exact rate's rounding, so no last bit of that rounding picks
     another point. clamped is that of the grid argmax."""
-    idx = _argmax_upward(values)
-    clamped = idx in (0, grid.size - 1)
-    rates, scores = grid, values
-    for _ in range(_REFINE_LEVELS):
-        lo, hi = max(idx - 1, 0), min(idx + 1, rates.size - 1)
-        rates = np.linspace(rates[lo], rates[hi], _REFINE_POINTS + 2)
-        scores = np.concatenate(([scores[lo]],
-                                 link_rates_true(link, rates[1:-1], params.n_ports),
-                                 [scores[hi]]))
-        idx = _argmax_upward(scores)
-    r_star = float(rates[idx])
-    return OptResult(
-        r_star=r_star,
-        pm_star=pm_for_rate(params, RatePoint(r_star)),
-        clamped=clamped,
-        iterations=evals + _REFINE_LEVELS * _REFINE_POINTS,
-    )
+    return _alone(_refine_steps(params, link, grid, values, evals))
 
 
 def _constant_jamming(params: SystemParams, link: DerivedLink) -> OptResult:
@@ -308,11 +341,12 @@ def _passive(params: SystemParams, link: DerivedLink) -> OptResult:
     return OptResult(r_star=r_max, pm_star=0.0, clamped=False, iterations=0)
 
 
-# scheme -> (operating-point function, whether the monitor has a single port)
+# scheme -> (operating-point function, whether the monitor has a single
+# port); TrueGrid's function gives steps for exact_rates, not a point
 _SCHEMES = {
     Scheme.PROPOSED_BISECT: (solve_bound_bisect, False),
     Scheme.PROPOSED_CLOSED_FORM: (solve_closed_form, False),
-    Scheme.TRUE_GRID: (solve_true_grid, False),
+    Scheme.TRUE_GRID: (_true_grid_steps, False),
     Scheme.CONSTANT_JAMMING: (_constant_jamming, False),
     Scheme.PASSIVE: (_passive, False),
     Scheme.CONVENTIONAL_SINGLE: (solve_closed_form, True),
@@ -320,17 +354,19 @@ _SCHEMES = {
 
 
 class RateJob(NamedTuple):
-    """An exact average monitoring rate to evaluate: R on link for a monitor
-    that selects among n_ports ports (1 for the single-antenna monitor)."""
+    """Exact average monitoring rates to evaluate: R on link for a monitor
+    that selects among n_ports ports (1 for the single-antenna monitor);
+    rate_r is one rate or, in a request of a solver's steps, an array."""
 
     link: DerivedLink
-    rate_r: float
+    rate_r: float | np.ndarray
     n_ports: int
 
 
-def scheme_point(params: SystemParams, link: DerivedLink,
-                 scheme: Scheme) -> tuple[OptResult, RateJob]:
-    """A monitoring scheme's operating point and the exact-rate job there.
+def scheme_steps(params: SystemParams, link: DerivedLink, scheme: Scheme):
+    """A monitoring scheme as steps for exact_rates: the operating point
+    (TrueGrid's through its own requests), then a request for the exact rate
+    there; returns the SchemeResult.
 
     ConstantJamming pins p_m = p_m_max (so R = r_min); Passive pins p_m = 0
     (so R = r_max); ConventionalSingle is the single-antenna monitor. Every
@@ -341,53 +377,153 @@ def scheme_point(params: SystemParams, link: DerivedLink,
     except KeyError:
         raise DomainError(f"unknown scheme {scheme!r}") from None
     point = operating_point(params, link)
+    if isinstance(point, Generator):
+        point = yield from point
     n_ports = 1 if single_antenna else params.n_ports
-    return point, RateJob(link, point.r_star, n_ports)
+    rate = yield RateJob(link, point.r_star, n_ports)
+    return SchemeResult(**vars(point), rate_true=float(rate[0]), n_ports=n_ports)
 
 
-def exact_rates(jobs: Sequence[RateJob]) -> list[float | FasmonError]:
-    """The exact average monitoring rate of every job, or the FasmonError
-    that evaluating the job alone raises.
+def exact_rates(tasks: Sequence[RateJob | Generator]) -> list:
+    """The run's one rate scheduler: the result of every task, or the
+    FasmonError that the task raises alone.
 
-    The jobs are grouped by link and evaluated in blocks of at most
-    _GRID_BLOCK rates, in job order, each block one link_rates_true call over
-    all its rates and port counts, whose single-antenna columns take the
-    closed form 1 - e^{-gamma_th/Gamma} with no quadrature. Every value
-    equals the job's one-point rate_true. A block that raises a FasmonError is evaluated again one job
-    at a time, so a job fails exactly when it fails alone, with the same
+    A task is a RateJob, whose result is its exact rate, or a generator of
+    steps (scheme_steps, solve_true_grid's), which yields RateJobs, receives
+    each one's exact rates as an array, and whose result is its return value.
+    The tasks advance in rounds: the RateJobs and every generator's first
+    request make round one, and each round's replies bring the next
+    requests. Each round's requests on links that share mu go to
+    link_rates_true together (_round), and a per-run memo keyed by link,
+    port count and rate evaluates each of those columns once, so a
+    TrueGrid point's exact rate at r* is the value its scan computed. Every
+    value equals the one the task gets alone: a column's value depends only
+    on its own link, rate and port count. A request whose call raises is
+    evaluated again alone, and its own FasmonError is thrown into its
+    generator, so a task fails exactly when it fails alone, with the same
     error.
     """
-    out: list[float | FasmonError] = [0.0] * len(jobs)
-    by_link: dict[DerivedLink, list[int]] = {}
-    for i, job in enumerate(jobs):
-        by_link.setdefault(job.link, []).append(i)
-    for link, idx in by_link.items():
-        for start in range(0, len(idx), _GRID_BLOCK):
-            block = idx[start:start + _GRID_BLOCK]
-            for i, value in zip(block, _link_rates(link, [jobs[i] for i in block])):
-                out[i] = value
+    out: list = [None] * len(tasks)
+    memo: dict[tuple, dict[int, float]] = {}
+    pending = []  # (task index, generator or None for a RateJob, request)
+    for i, task in enumerate(tasks):
+        if isinstance(task, RateJob):
+            pending.append((i, None, task))
+        else:
+            _advance(pending, out, i, task, None)
+    while pending:
+        current, pending = pending, []
+        for (i, task, _), reply in zip(current, _round([job for _, _, job in current], memo)):
+            if task is not None:
+                _advance(pending, out, i, task, reply)
+            elif isinstance(reply, FasmonError):
+                out[i] = reply
+            else:
+                out[i] = float(reply[0])
     return out
 
 
-def _link_rates(link: DerivedLink, jobs: list[RateJob]) -> list[float | FasmonError]:
-    """exact_rates of jobs on one link in one block, or one job at a time
-    once the block raises a FasmonError."""
+def _advance(pending: list, out: list, i: int, task: Generator, reply) -> None:
+    """Send reply into task i (None starts it; a FasmonError is thrown into
+    it), then queue its next request on pending, or put its return value or
+    FasmonError in out[i] once it finishes."""
     try:
-        return link_rates_true(link, [job.rate_r for job in jobs],
-                               [job.n_ports for job in jobs]).tolist()
+        job = task.throw(reply) if isinstance(reply, FasmonError) else task.send(reply)
+    except StopIteration as stop:
+        out[i] = stop.value
     except FasmonError as exc:
-        if len(jobs) == 1:
-            return [exc]
-    return [value for job in jobs for value in _link_rates(link, [job])]
+        out[i] = exc
+    else:
+        pending.append((i, task, job))
+
+
+def _round(jobs: list[RateJob], memo: dict) -> list:
+    """The exact rates of one round's requests, each an array in its rate
+    order, or the FasmonError it raises alone.
+
+    memo maps (link, type and value of the port count) to the rates
+    evaluated so far, each keyed by its bits (so -0.0 is not 0.0), and
+    their values. The requests on one mu share calls (_shared_calls); then
+    each takes its values from memo, and one with a value missing, because
+    its call raised, is evaluated alone (_request_alone). A mu with one
+    request goes to _request_alone at once."""
+    replies: list = [None] * len(jobs)
+    by_mu: dict[float, list] = {}
+    for j, job in enumerate(jobs):
+        try:
+            rates = check_nonneg_array("rate_r", job.rate_r).reshape(-1)
+        except FasmonError as exc:
+            replies[j] = exc
+            continue
+        key = (job.link, type(job.n_ports), job.n_ports)
+        by_mu.setdefault(job.link.mu, []).append(
+            (j, key, rates, rates.view(np.int64).tolist(), memo.setdefault(key, {})))
+    for requests in by_mu.values():
+        if len(requests) > 1:
+            _shared_calls(requests, memo)
+        for j, key, rates, bits, known in requests:
+            replies[j] = _request_alone(key, rates, bits, known)
+    return replies
+
+
+def _shared_calls(requests: list, memo: dict) -> None:
+    """Evaluate into memo the columns (link, port count, rate) of requests,
+    all on one mu, that it lacks, each once, in link_rates_true calls of at
+    most _CALL_COLUMNS columns; a call that raises a FasmonError adds
+    nothing."""
+    fresh: dict[tuple, dict[int, None]] = {}
+    for _, key, _, bits, known in requests:
+        fresh.setdefault(key, {}).update(dict.fromkeys(b for b in bits if b not in known))
+    keys = [key for key, new in fresh.items() if new]
+    sizes = [len(fresh[key]) for key in keys]
+    bits = np.fromiter((b for key in keys for b in fresh[key]), np.int64, sum(sizes))
+    owner = np.repeat(np.arange(len(keys)), sizes).tolist()
+    one_link = len({link for link, _, _ in keys}) == 1
+    one_count = len({key[1:] for key in keys}) == 1
+    for start in range(0, bits.size, _CALL_COLUMNS):
+        part, cols = bits[start:start + _CALL_COLUMNS], owner[start:start + _CALL_COLUMNS]
+        try:
+            values = link_rates_true(keys[0][0] if one_link else [keys[k][0] for k in cols],
+                                     part.view(np.float64),
+                                     keys[0][2] if one_count else [keys[k][2] for k in cols])
+        except FasmonError:
+            continue
+        for k, b, value in zip(cols, part.tolist(), values.tolist()):
+            memo[keys[k]][b] = value
+
+
+def _request_alone(key: tuple, rates: np.ndarray, bits: list, known: dict):
+    """The exact rates of one request as it gets them alone: from its memo
+    entry known, if that holds them all, or else from link_rates_true over
+    all its rates, _CALL_COLUMNS at a time, which it then adds to known;
+    or the FasmonError that raises."""
+    try:
+        return np.array([known[b] for b in bits], dtype=float)
+    except KeyError:
+        pass
+    link, _, n_ports = key
+    try:
+        values = np.concatenate(
+            [link_rates_true(link, rates[start:start + _CALL_COLUMNS], n_ports)
+             for start in range(0, rates.size, _CALL_COLUMNS)])
+    except FasmonError as exc:
+        return exc
+    known.update(zip(bits, values.tolist()))
+    return values
+
+
+def _alone(task):
+    """The result of a task (see exact_rates) run alone; raises its
+    FasmonError."""
+    result = exact_rates([task])[0]
+    if isinstance(result, FasmonError):
+        raise result
+    return result
 
 
 def evaluate_scheme(params: SystemParams, link: DerivedLink,
                     scheme: Scheme) -> SchemeResult:
-    """Run one monitoring scheme: its operating point (scheme_point) and the
-    exact rate there, evaluated by exact_rates as a run evaluates its rows'
-    rates; raises the FasmonError of either step."""
-    point, job = scheme_point(params, link, scheme)
-    rate = exact_rates([job])[0]
-    if isinstance(rate, FasmonError):
-        raise rate
-    return SchemeResult(**vars(point), rate_true=rate, n_ports=job.n_ports)
+    """Run one monitoring scheme alone: its steps (scheme_steps) under
+    exact_rates, as a run evaluates its rows; raises the FasmonError of
+    either the operating point or the exact rate."""
+    return _alone(scheme_steps(params, link, scheme))

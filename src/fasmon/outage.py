@@ -146,14 +146,32 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
 # Monitor-side outage
 # ---------------------------------------------------------------------------
 
-def _outage_true(link: DerivedLink, gammas: np.ndarray,
-                 n_ports) -> tuple[np.ndarray, np.ndarray]:
+def _link_columns(link, size: int) -> tuple[float, float | np.ndarray]:
+    """(mu, Gamma) of a block of size thresholds on link: one DerivedLink
+    for them all, or a sequence of one per threshold that share mu, whose
+    Gamma is then an array, one per threshold."""
+    if isinstance(link, DerivedLink):
+        return link.mu, link.gamma_cap
+    links = list(link) if isinstance(link, (list, tuple)) else []
+    if len(links) != size or not all(isinstance(one, DerivedLink) for one in links):
+        raise DomainError(f"link must be a DerivedLink or a list of {size}, one per rate")
+    mus = {one.mu for one in links}
+    if len(mus) > 1:
+        raise DomainError(f"the links of one block must share mu, got {sorted(mus)}")
+    return (mus.pop() if mus else 0.0), np.array([one.gamma_cap for one in links])
+
+
+def _outage_true(link, gammas: np.ndarray, n_ports) -> tuple[np.ndarray, np.ndarray]:
     """(P, S): monitor_outage_true and the success probability S at a block
     of SNR thresholds gamma_th, threshold j over n_ports[j] ports (one count
-    serves them all).
+    serves them all) on link, one DerivedLink or one per threshold on a
+    shared mu (_link_columns).
 
-    At N = 1 or mu = 0, S = -expm1(N log1p(-e^{-x})), x = gamma_th/Gamma,
-    keeps its relative precision however small it is. The thresholds that
+    The Marcum grid's nodes and the panels depend on mu alone, and Gamma
+    enters only through each threshold's own ratio x_j = gamma_j / Gamma_j,
+    so thresholds of links that share mu share one grid. At N = 1 or
+    mu = 0, S = -expm1(N log1p(-e^{-x})), x = gamma_th/Gamma, keeps its
+    relative precision however small it is. The thresholds that
     need the integral share one Marcum-Q grid per lattice group of panels,
     quadrature nodes against their sorted distinct second arguments b;
     1 - Q1 is raised to each distinct N on that N's columns, the same ** N
@@ -163,8 +181,8 @@ def _outage_true(link: DerivedLink, gammas: np.ndarray,
         ports = np.broadcast_to(np.asarray(n_ports, dtype=object), gammas.shape)
     except ValueError:
         raise DomainError(f"n_ports does not broadcast to {gammas.size} thresholds") from None
-    mu = link.mu
-    ratio = gammas / link.gamma_cap
+    mu, gamma_cap = _link_columns(link, gammas.size)
+    ratio = gammas / gamma_cap
     out = np.empty(gammas.shape)
     success = np.empty(gammas.shape)
     # (N, columns) of the thresholds that need the integral; a set, not
@@ -261,10 +279,13 @@ def rate_true(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
     return float(link_rates_true(link, [rp.rate_r], params.n_ports)[0])
 
 
-def link_rates_true(link: DerivedLink, rates: np.ndarray, n_ports) -> np.ndarray:
+def link_rates_true(link, rates: np.ndarray, n_ports) -> np.ndarray:
     """R S, S the exact success probability of _outage_true, at a block of
-    rates on one link, rate j over n_ports[j] ports (one count serves them
-    all); the thresholds are RatePoint's 2^R - 1, bit for bit."""
+    rates, rate j over n_ports[j] ports (one count serves them all) on link,
+    one DerivedLink for every rate or a list of one per rate that share mu
+    (DomainError otherwise); the thresholds are RatePoint's 2^R - 1, bit for
+    bit. Each rate's value depends only on its own link, rate and port
+    count, never on the others in the block."""
     rates = check_nonneg_array("rate_r", rates)
     gammas = np.array([math.expm1(r * _LN2) for r in rates.tolist()])
     return rates * _outage_true(link, gammas, n_ports)[1]

@@ -259,6 +259,7 @@ def _marcum_q1_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     first = np.maximum(np.count_nonzero(gap <= -_MARCUM_EXIT_GAP, axis=0),
                        np.count_nonzero(lam_zero))
     stop = a.size - np.count_nonzero(gap >= _MARCUM_EXIT_GAP, axis=0)
+    del gap
     live = (y > 0.0) & (first < stop)
     if not np.any(live):
         return out
@@ -285,13 +286,16 @@ def _marcum_q1_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             # regularized upper gamma Q(k+1, y) = P[Poisson(y) <= k], summed
             # from the start of each column's own Poisson(y) window, for as
             # many columns at a time as fit the work cap (the leading zeros
-            # before a column's window add nothing, so no value moves)
+            # before a column's window add nothing, so no value moves); no
+            # more than two such matrices are alive at once
             s0 = min(k0, int(y_lo[cols].min()))
             ks = np.arange(s0, k1 + 1)[:, None]
             step = max(1, _WORK_CAP // ks.size)
             for part in np.split(cols, np.arange(step, cols.size, step)):
-                terms = np.where(ks >= y_lo[part][None, :], _poisson_pmf(ks, y[None, part]), 0.0)
-                gammas = np.minimum(np.cumsum(terms, axis=0)[k0 - s0:], 1.0)
+                gammas = np.cumsum(np.where(ks >= y_lo[part][None, :],
+                                            _poisson_pmf(ks, y[None, part]), 0.0),
+                                   axis=0)[k0 - s0:]
+                np.minimum(gammas, 1.0, out=gammas)
                 out[r0:r_end, part] = np.clip(_column_products(weights, gammas), 0.0, 1.0)
             r0 = r_end
     return out
@@ -453,8 +457,8 @@ def _group_panels(f, group: int, h: float, first: np.ndarray,
     """Kronrod estimates and |Kronrod - Gauss| differences, shape (panels,
     columns), on the panels of one lattice group of width h, zero on the
     panels outside a column's range [first, end). Each estimate adds its
-    nodes one at a time (cumsum), so a column's value does not depend on how
-    many columns come with it."""
+    weighted nodes one at a time, in node order, so a column's value does not
+    depend on how many columns come with it."""
     panels = group * _GROUP_PANELS + np.arange(_GROUP_PANELS)
     u = ((panels[:, None] + 0.5) * h + (0.5 * h) * _GK_NODES[None, :]).ravel()
     values = np.asarray(f(u * u), dtype=float).reshape(u.size, -1)
@@ -463,8 +467,14 @@ def _group_panels(f, group: int, h: float, first: np.ndarray,
                           f"for {first.size} integrals")
     values = (values * (h * u * np.exp(-u * u))[:, None]).reshape(
         _GROUP_PANELS, _GK_NODES.size, -1)
-    kronrod = np.cumsum(values * _KRONROD_WEIGHTS[:, None], axis=1)[:, -1]
-    gauss = np.cumsum(values[:, 1::2] * _GAUSS_WEIGHTS[:, None], axis=1)[:, -1]
+    # the additions of a cumsum along the nodes, in its order, without
+    # keeping every node's product at once
+    kronrod = values[:, 0] * _KRONROD_WEIGHTS[0]
+    for k in range(1, _GK_NODES.size):
+        kronrod = kronrod + values[:, k] * _KRONROD_WEIGHTS[k]
+    gauss = values[:, 1] * _GAUSS_WEIGHTS[0]
+    for k in range(1, _GAUSS_WEIGHTS.size):
+        gauss = gauss + values[:, 2 * k + 1] * _GAUSS_WEIGHTS[k]
     inside = (first <= panels[:, None]) & (panels[:, None] < end)
     return (np.where(inside, kronrod, 0.0),
             np.where(inside, np.abs(kronrod - gauss), 0.0))

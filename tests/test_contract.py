@@ -75,6 +75,10 @@ _TABLE = [
     ("link_rates_true.rates",
      lambda v: link_rates_true(_LINK, [1.0, v], 8), _ELEMENT + _NON_REAL),
     ("link_rates_true.rates_array", lambda v: link_rates_true(_LINK, v, 8), _NON_REAL_ARRAYS),
+    # one link per rate must share mu and match the rates in number
+    ("link_rates_true.link", lambda v: link_rates_true(v, [1.0, 1.0], 8),
+     [[_LINK, DerivedLink(0.5, _LINK.gamma_cap)], [_LINK], [_LINK, "link"],
+      (_LINK, _LINK, _LINK)] + _NON_REAL),
     ("objective_terms.n_ports", lambda v: objective_terms(_LINK, v, 1.0), _PORT_COUNT + [1]),
     ("objective_terms.x", lambda v: objective_terms(_LINK, 8, np.array([1.0, v])),
      _ELEMENT + ["8"]),

@@ -15,10 +15,10 @@ import fasmon.experiments
 import fasmon.mcsim
 import fasmon.optimize
 import fasmon.outage
-from fasmon import (ComputationError, RatePoint, Scheme, derive_link,
-                    estimate_monitoring_rate, expected_row_count,
-                    rate_bounds, rate_for_pm, rate_true, resolve_config,
-                    run_experiment, row_seed)
+from fasmon import (ComputationError, DerivedLink, RatePoint, Scheme,
+                    derive_link, estimate_monitoring_rate, evaluate_scheme,
+                    expected_row_count, rate_bounds, rate_for_pm, rate_true,
+                    resolve_config, run_experiment, row_seed, solve_true_grid)
 from fasmon.config import parse_overrides
 
 
@@ -249,42 +249,129 @@ class TestMonteCarloWiring:
         assert after_run.split()[2] == after_import.split()[2]
 
 
+    def test_exact_sweep_does_not_import_numpy_ma(self):
+        # the benchmark's sweep-exact config in a fresh process: np.unique,
+        # np.setdiff1d and np.isin import numpy.ma on first use, which costs
+        # more than the rest of such a run
+        src = os.path.dirname(os.path.dirname(fasmon.experiments.__file__))
+        code = ("import sys\n"
+                "import fasmon\n"
+                "spec = fasmon.resolve_config({'experiment': 'fig2',\n"
+                "                              'sweep_values': '-18, -10'})\n"
+                "assert len(fasmon.run_experiment(spec)) == 12\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False"]
+
+
 class TestExactRateBlocks:
-    # counts the exact outage's quadratures apart from those of TrueGrid's
-    # own scans: one block per distinct link, so one for a fig1 or fig3 run
-    # (every point shares the link) and one per point for fig2
-    @pytest.mark.parametrize("pairs, blocks", [
-        (("experiment=fig1",), 1),
-        (("experiment=fig3", "aperture_w=0.1",
-          "schemes=ProposedBisect,ProposedClosedForm,ConstantJamming,Passive,"
-          "ConventionalSingle"), 1),
-        (("experiment=fig2",), 11),
+    # a run evaluates its exact rates in rounds, one link_rates_true call per
+    # round for the links that share mu (every run here has one mu): fig1,
+    # and fig3 without TrueGrid, need one round; a fig2 run takes as many as
+    # its longest TrueGrid point makes calls alone, its plain rates riding in
+    # the first, and the rows' exact rates at r* come from the run's memo of
+    # the scans, in a round with no call
+    @pytest.mark.parametrize("pairs", [
+        ("experiment=fig1",),
+        ("experiment=fig3", "aperture_w=0.1",
+         "schemes=ProposedBisect,ProposedClosedForm,ConstantJamming,Passive,"
+         "ConventionalSingle"),
+        ("experiment=fig2",),
     ], ids=["fig1", "fig3-w0.1", "fig2"])
-    def test_one_quadrature_per_link(self, monkeypatch, pairs, blocks):
-        calls, in_grid = [], []
-        real_integrate = fasmon.outage.integrate_expweighted
-        real_grid, single_port = fasmon.optimize._SCHEMES[Scheme.TRUE_GRID]
+    def test_one_quadrature_per_link(self, monkeypatch, pairs):
+        real_rates = fasmon.optimize.link_rates_true
 
-        def counted(*args):
-            calls.append(bool(in_grid))
-            return real_integrate(*args)
+        def counted(calls):
+            def rates(link, rate_block, n_ports):
+                calls.append(len(rate_block))
+                return real_rates(link, rate_block, n_ports)
+            return rates
 
-        def grid_point(*args):
-            # TrueGrid's scans call the same link_rates_true as the run's
-            # blocks, so they are told apart by running inside its solver
-            in_grid.append(True)
-            try:
-                return real_grid(*args)
-            finally:
-                in_grid.pop()
-
-        monkeypatch.setattr(fasmon.outage, "integrate_expweighted", counted)
-        monkeypatch.setitem(fasmon.optimize._SCHEMES, Scheme.TRUE_GRID,
-                            (grid_point, single_port))
         spec = _spec(*pairs)
+        rounds = 1
+        if Scheme.TRUE_GRID in spec.schemes:
+            for x_value in spec.sweep_values:
+                alone = []
+                monkeypatch.setattr(fasmon.optimize, "link_rates_true", counted(alone))
+                params = _point_params(spec, x_value)
+                solve_true_grid(params, derive_link(params))
+                rounds = max(rounds, len(alone))
+        calls = []
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", counted(calls))
         assert len(run_experiment(spec)) == expected_row_count(spec)
-        assert calls.count(False) == blocks
-        assert (calls.count(True) > 0) == (Scheme.TRUE_GRID in spec.schemes)
+        assert len(calls) == rounds
+        assert (rounds > 1) == (Scheme.TRUE_GRID in spec.schemes)
+
+    @pytest.mark.parametrize("pairs", [("experiment=fig2",),
+                                       ("experiment=fig3", "aperture_w=0.1")],
+                             ids=["fig2", "fig3-w0.1"])
+    def test_lockstep_rows_equal_solo_rows(self, pairs):
+        # every row of a run, TrueGrid's in lockstep, is bit for bit the
+        # scheme run alone: solve_true_grid plus rate_true at r* for
+        # TrueGrid, evaluate_scheme for the others
+        spec = _spec(*pairs, "schemes=" + ",".join(s.value for s in Scheme))
+        rows = run_experiment(spec)
+        assert len(rows) == expected_row_count(spec)
+        for row in rows:
+            params = _point_params(spec, row.x_value)
+            link = derive_link(params)
+            if row.scheme == "TrueGrid":
+                r_star = solve_true_grid(params, link).r_star
+                rate = rate_true(params, link, RatePoint(r_star))
+            else:
+                res = evaluate_scheme(params, link, Scheme(row.scheme))
+                r_star, rate = res.r_star, res.rate_true
+            assert (row.r_star_bits.hex(), row.rate_analytic.hex()) == \
+                (r_star.hex(), rate.hex()), (row.x_value, row.scheme)
+
+    def test_failed_scan_drops_only_its_true_grid_row(self, monkeypatch, capsys):
+        # one point's columns around its coarse grid rate 63 raise: its
+        # TrueGrid row drops with the error its solver raises alone (the
+        # coarse request fails, then the first 17-rate block), every other
+        # row keeps its bits, and an operating-point failure at a later
+        # point, met earlier, is still reported after it
+        spec = _spec("experiment=fig2", "schemes=" + ",".join(s.value for s in Scheme))
+        reference = run_experiment(spec)
+        failing = _point_params(spec, -10.0)
+        failing_link = derive_link(failing)
+        grid = np.linspace(*rate_bounds(failing), 4096)
+        lo, hi = grid[62], grid[64]
+        assert not any(lo < r.r_star_bits < hi for r in reference if r.x_value == -10.0)
+        real_rates = fasmon.optimize.link_rates_true
+
+        def failing_rates(link, rates, n_ports):
+            links = [link] * len(rates) if isinstance(link, DerivedLink) else link
+            bad = sum(one == failing_link and lo < r < hi
+                      for one, r in zip(links, np.asarray(rates).tolist()))
+            if bad:
+                raise ComputationError(f"synthetic failure at {bad} of {len(rates)} rates")
+            return real_rates(link, rates, n_ports)
+
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", failing_rates)
+        with pytest.raises(ComputationError) as alone:
+            solve_true_grid(failing, failing_link)
+        assert str(alone.value) == "synthetic failure at 1 of 17 rates"
+        last = _point_params(spec, spec.sweep_values[-1])
+        real_bisect, single_port = fasmon.optimize._SCHEMES[Scheme.PROPOSED_BISECT]
+
+        def bisect(params, link):
+            if params == last:
+                raise ComputationError("synthetic operating-point failure")
+            return real_bisect(params, link)
+
+        monkeypatch.setitem(fasmon.optimize._SCHEMES, Scheme.PROPOSED_BISECT,
+                            (bisect, single_port))
+        rows = run_experiment(spec)
+        dropped = {(-10.0, "TrueGrid"), (spec.sweep_values[-1], "ProposedBisect")}
+        kept = [r for r in reference if (r.x_value, r.scheme) not in dropped]
+        assert [repr(r) for r in rows] == [repr(r) for r in kept]
+        assert capsys.readouterr().err.splitlines() == [
+            f"fasmon: ratio_db=-10 TrueGrid: ComputationError: {alone.value}",
+            f"fasmon: ratio_db={spec.sweep_values[-1]:g} ProposedBisect: "
+            "ComputationError: synthetic operating-point failure"]
 
     def test_single_antenna_rows_are_one_port_exact_rates(self):
         # ConventionalSingle's rows share their link's block with the N-port
@@ -335,8 +422,8 @@ class TestPartialFailure:
 
     def test_failed_rate_drops_only_its_row(self, monkeypatch, capsys):
         # the exact rates are evaluated after every operating point, in one
-        # block per link; a block that raises is evaluated again one rate at
-        # a time, so only the failing rate's row drops, and the failures are
+        # call per mu; a call that raises is evaluated again one rate at a
+        # time, so only the failing rate's row drops, and the failures are
         # reported in row order, not in the order they were met
         spec = _spec("experiment=custom", "sweep_variable=ratio_db",
                      "sweep_values=-12,-8",
@@ -354,8 +441,12 @@ class TestPartialFailure:
         real_kernel = fasmon.outage._outage_true
 
         def kernel(link, gammas, n_ports):
+            # both points share mu, so their rates share a block, one link
+            # per threshold
+            links = [link] * gammas.size if isinstance(link, DerivedLink) else link
             ports = np.broadcast_to(n_ports, gammas.shape)
-            if link == failing_link and np.any((gammas == failing_gamma) & (ports > 1)):
+            if any(one == failing_link and gamma == failing_gamma and n > 1
+                   for one, gamma, n in zip(links, gammas, ports)):
                 raise ComputationError("synthetic rate failure")
             return real_kernel(link, gammas, n_ports)
 

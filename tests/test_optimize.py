@@ -22,12 +22,12 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import fasmon
-from fasmon import (DerivedLink, DomainError, FasmonError, RatePoint, Scheme,
-                    SystemParams, db_to_linear, derive_link, evaluate_scheme,
-                    objective_terms, pm_for_rate, rate_bound, rate_bounds,
-                    rate_true, solve_bound_bisect, solve_closed_form,
-                    solve_true_grid)
-from fasmon.optimize import (_COARSE_BLOCK, _COARSE_STEP, _GRID_BLOCK,
+from fasmon import (ComputationError, DerivedLink, DomainError, FasmonError,
+                    RatePoint, Scheme, SystemParams, db_to_linear, derive_link,
+                    evaluate_scheme, objective_terms, pm_for_rate, rate_bound,
+                    rate_bounds, rate_true, solve_bound_bisect,
+                    solve_closed_form, solve_true_grid)
+from fasmon.optimize import (_COARSE_BLOCK, _COARSE_STEP, _FINE_STEP,
                              _PRUNE_MARGIN, _REFINE_POINTS, _SCHEMES,
                              _argmax_upward, _refine_grid_max)
 from fasmon.outage import link_rates_true
@@ -267,12 +267,12 @@ class TestTrueGrid:
         assert value == link_rates_true(ref_link, np.array([res.r_star]), ref_params.n_ports)[0]
 
     def test_refinement_scans(self, ref_params, ref_link, monkeypatch):
-        # the coarse blocks: every _COARSE_STEP-th grid rate and the last,
-        # left to right, _COARSE_BLOCK at a time (the coarse pass runs to the
-        # band top here); then blocks of _GRID_BLOCK other grid rates, each
-        # in grid order; then two link_rates_true calls of 32 rates each, strictly
-        # inside the previous argmax's bracket and on no rate the grid
-        # evaluated or pruned
+        # one request of every _COARSE_STEP-th grid rate and the last (the
+        # coarse pass does not raise here); then two fine levels, every
+        # _FINE_STEP-th grid rate and then the rest, each in grid order, no
+        # rate evaluated twice; then two link_rates_true calls of 32 rates
+        # each, strictly inside the previous argmax's bracket and on no rate
+        # the grid evaluated or pruned; the exact rate at r* is the scan's
         calls = []
 
         def recording_rates(link, rates, n_ports):
@@ -286,17 +286,18 @@ class TestTrueGrid:
         grid = np.linspace(*rate_bounds(params), 4096)
         coarse = grid[np.append(np.arange(0, grid.size - 1, _COARSE_STEP),
                                 grid.size - 1)]
-        n_coarse = -(-coarse.size // _COARSE_BLOCK)
-        coarse_blocks, fine_blocks = blocks[:n_coarse], blocks[n_coarse:]
-        np.testing.assert_array_equal(np.concatenate(coarse_blocks), coarse)
-        assert [block.size for block in coarse_blocks[:-1]] == \
-            [_COARSE_BLOCK] * (n_coarse - 1)
-        assert [block.size for block in fine_blocks] == \
-            [_GRID_BLOCK] * len(fine_blocks)
-        assert all(np.all(np.diff(block) > 0) for block in fine_blocks)
-        assert np.intersect1d(np.concatenate(fine_blocks), coarse).size == 0
+        assert len(blocks) == 3
+        np.testing.assert_array_equal(blocks[0], coarse)
+        levels = [np.searchsorted(grid, block) for block in blocks[1:]]
+        for block, level in zip(blocks[1:], levels):
+            np.testing.assert_array_equal(grid[level], block)
+            assert np.all(np.diff(level) > 0)
+        assert np.all(levels[0] % _FINE_STEP == 0)
+        assert np.any(levels[1] % _FINE_STEP != 0)
+        evaluated = np.concatenate(blocks)
+        assert np.unique(evaluated).size == evaluated.size
         assert [scan.size for scan in scans] == [_REFINE_POINTS] * 2
-        assert res.iterations == sum(block.size for block in blocks) + 64
+        assert res.iterations == evaluated.size + 64
 
         values = np.full(grid.size, -math.inf)
         for block in blocks:
@@ -312,6 +313,31 @@ class TestTrueGrid:
                                      [scores[idx + 1]]))
         assert res.r_star == rates[_argmax_upward(scores)]
         assert np.intersect1d(scans[0], scans[1]).size == 0
+
+    def test_coarse_blocks_stop_short_of_a_raising_tail(self, ref_params, monkeypatch):
+        # at -20 dB the rate collapses toward the band top; once the one
+        # coarse request raises there, the coarse rates are taken again in
+        # blocks of _COARSE_BLOCK, which stop after three, short of the
+        # raising tail, and the point is the exhaustive scan's
+        params = _ratio_params(ref_params, -20.0)
+        link = derive_link(params)
+        grid = np.linspace(*rate_bounds(params), 4096)
+        exhaustive = _refine_grid_max(params, link, grid,
+                                      link_rates_true(link, grid, params.n_ports), grid.size)
+        tail = grid[60 * _COARSE_STEP]
+        calls = []
+
+        def raising_rates(link, rates, n_ports):
+            calls.append(len(rates))
+            if np.max(rates) >= tail:
+                raise ComputationError("synthetic far-tail failure")
+            return link_rates_true(link, rates, n_ports)
+
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", raising_rates)
+        res = solve_true_grid(params, link)
+        assert calls[:4] == [66] + [_COARSE_BLOCK] * 3
+        assert (res.r_star, res.pm_star, res.clamped) == \
+            (exhaustive.r_star, exhaustive.pm_star, exhaustive.clamped)
 
     @pytest.mark.parametrize("changes", [{"ratio_db": -20.0}, {"n_ports": 2},
                                          {"n_ports": 3}, {"n_ports": 4}],

@@ -361,6 +361,16 @@ class TestMonitorOutage:
         assert rates[0] == rate_true(ref_params, ref_link, RatePoint(1.0))
         assert isinstance(rates[1], DomainError)
 
+    def test_memo_keeps_equal_looking_jobs_apart(self, ref_link):
+        # exact_rates evaluates each (link, port count, rate) once per run;
+        # True == 1 and -0.0 == 0.0, but a bool port count is still refused
+        # and R = -0.0 still gives -0.0, as each does alone
+        rates = exact_rates([RateJob(ref_link, 1.0, 1), RateJob(ref_link, 1.0, True),
+                             RateJob(ref_link, 0.0, 8), RateJob(ref_link, -0.0, 8)])
+        assert rates[0] == link_rates_true(ref_link, [1.0], 1)[0]
+        assert isinstance(rates[1], DomainError)
+        assert [r.hex() for r in rates[2:]] == ["0x0.0p+0", "-0x0.0p+0"]
+
     def test_sharp_transition_matches_the_oracle(self):
         # mu near 1 with many ports: a = 6.6 sqrt(t), so the integrand
         # steps within about 1/6.6 in u = sqrt(t)
@@ -476,6 +486,16 @@ class TestRateWrappers:
         assert np.array_equal(link_rates_true(ref_link, rates, ref_params.n_ports), rates)
         expected = [RatePoint(float(r)).gamma_th for r in rates]
         assert seen[0].tolist() == expected
+
+    def test_links_that_share_mu_share_a_block(self, ref_link):
+        # one link per rate: each value is its own link's, bit for bit
+        other = dataclasses.replace(ref_link, gamma_cap=3.0 * ref_link.gamma_cap)
+        links = [ref_link, other, other, ref_link, other]
+        rates = [1.0, 1.0, 1.5, 2.0, 0.5]
+        ports = [8, 8, 2, 1, 16]
+        block = link_rates_true(links, rates, ports)
+        for link, r, n, value in zip(links, rates, ports, block):
+            assert value.hex() == link_rates_true(link, [r], n)[0].hex()
 
     @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
     def test_block_rejects_bad_rates(self, ref_params, ref_link, bad):
