@@ -17,8 +17,8 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.integrate import quad
 
 from fasmon import (AccuracyError, ComputationError, DomainError, bessel_j,
-                    hyp1f2_half, integrate_expweighted, lambert_w0, marcum_q1,
-                    specfun)
+                    correlation_mu, hyp1f2_half, integrate_expweighted,
+                    lambert_w0, marcum_q1, specfun)
 
 # (order, z, Jn(z)) multiprecision references
 J_REFS = (
@@ -230,7 +230,7 @@ class TestMarcumQ1:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20
-        kept = [weights.nbytes for weights, _ in specfun._WEIGHT_CACHE.values()]
+        kept = [weights.nbytes for weights in specfun._WEIGHT_CACHE.values()]
         assert sum(kept) == specfun._weight_cache_bytes <= specfun._WEIGHT_CACHE_BYTES
         ref = scipy.stats.ncx2.sf(b[None, :] ** 2, 2, a[:, None] ** 2)
         assert np.max(np.abs(grid - ref)) <= 1e-10
@@ -241,45 +241,90 @@ class TestMarcumQ1:
         a = np.linspace(0.0, 60.0, 121)
         b = np.linspace(0.5, 50.0, 9)
         cold = marcum_q1(a[:, None], b[None, :])
-        assert specfun._WEIGHT_CACHE
-        for weights, _ in specfun._WEIGHT_CACHE.values():
+        chunks = set(specfun._WEIGHT_CACHE)
+        assert chunks
+        for weights in specfun._WEIGHT_CACHE.values():
             assert not weights.flags.writeable
         assert np.array_equal(marcum_q1(a[:, None], b[None, :]), cold)
+        assert set(specfun._WEIGHT_CACHE) == chunks
+        # the chunks follow from a alone: one column asks for some of the
+        # grid's chunks, built anew, and keeps its value with or without them
         empty_weight_cache()
         for j in (0, 4, 8):
             single = marcum_q1(a, b[j])
             assert np.array_equal(single, cold[:, j])
             assert np.array_equal(marcum_q1(a, b[j]), single)
+        assert set(specfun._WEIGHT_CACHE) <= chunks
 
     def test_weight_cache_keeps_recent_blocks_within_budget(self, empty_weight_cache,
                                                             monkeypatch):
-        # one row at a = 29, 30 or 31 against b = 30 has a block of 2864,
-        # 2968 or 3056 bytes: a budget of 6100 bytes keeps the last two
-        def kept():  # the a of each kept row, least recently used first
-            return [math.sqrt(2.0 * np.frombuffer(key[0])[0]) for key in specfun._WEIGHT_CACHE]
+        # rows at a = 19 and 29 (or 20 and 30, or 21 and 31) are one chunk of
+        # 8624 (8976, 9328) bytes; against b = 12 and 36 each row is one
+        # column's window, so two runs view the chunk and it is kept once. A
+        # budget of 18400 bytes keeps the last two chunks.
+        def kept():  # the a values of each kept chunk, least recently used first
+            return [tuple(np.sqrt(2.0 * np.frombuffer(key[0]))) for key in specfun._WEIGHT_CACHE]
 
-        monkeypatch.setattr(specfun, "_WEIGHT_CACHE_BYTES", 6100)
-        rows = (29.0, 30.0, 31.0)
-        values = [marcum_q1(a, 30.0) for a in rows]
-        assert kept() == [30.0, 31.0]
-        assert specfun._weight_cache_bytes == 2968 + 3056
-        marcum_q1(30.0, 30.0)  # a hit makes 30 the most recent
-        assert kept() == [31.0, 30.0]
-        # a block past the budget is computed but not kept
-        monkeypatch.setattr(specfun, "_WEIGHT_CACHE_BYTES", 2000)
+        monkeypatch.setattr(specfun, "_WEIGHT_CACHE_BYTES", 18400)
+        chunks = ((19.0, 29.0), (20.0, 30.0), (21.0, 31.0))
+        b = np.array([12.0, 36.0])
+        values = [marcum_q1(np.array(rows)[:, None], b[None, :]) for rows in chunks]
+        assert kept() == [(20.0, 30.0), (21.0, 31.0)]
+        assert specfun._weight_cache_bytes == 8976 + 9328
+        marcum_q1(np.array(chunks[1])[:, None], b[None, :])  # a hit makes it the most recent
+        assert kept() == [(21.0, 31.0), (20.0, 30.0)]
+        # a chunk past the budget is computed but not kept
+        monkeypatch.setattr(specfun, "_WEIGHT_CACHE_BYTES", 8000)
         empty_weight_cache()
-        assert [marcum_q1(a, 30.0) for a in rows] == values
+        for rows, value in zip(chunks, values):
+            assert np.array_equal(marcum_q1(np.array(rows)[:, None], b[None, :]), value)
         assert not specfun._WEIGHT_CACHE and specfun._weight_cache_bytes == 0
 
     def test_mass_check_runs_on_every_hit(self, empty_weight_cache, monkeypatch):
+        # two columns with different windows view the one chunk of 41 rows
         a = np.linspace(20.0, 40.0, 41)
+        b = np.array([25.0, 35.0])
         monkeypatch.setattr(specfun, "_MASS_TOL", -1.0)  # no mass passes
         for _ in range(2):
             with pytest.raises(ComputationError, match="captured Poisson mass"):
-                marcum_q1(a, 30.0)
+                marcum_q1(a[:, None], b[None, :])
             assert len(specfun._WEIGHT_CACHE) == 1
         monkeypatch.setattr(specfun, "_MASS_TOL", 1e-14)
-        assert np.array_equal(marcum_q1(a, 30.0), marcum_q1(a[::-1], 30.0)[::-1])
+        grid = marcum_q1(a[:, None], b[None, :])
+        assert np.array_equal(grid, marcum_q1(a[::-1, None], b[None, :])[::-1])
+
+    def test_each_chunk_is_built_once_per_call(self, empty_weight_cache, monkeypatch):
+        # one lattice group of 120 quadrature nodes at W = 0.1 against three
+        # spread b values: each column has its own active rows, and all three
+        # view the same chunks, which a second call finds in the cache
+        mu = correlation_mu(0.1)
+        a_scale = math.sqrt(2.0 * mu * mu / (1.0 - mu * mu))
+        u = (np.arange(8, 16)[:, None] + 0.5 + 0.5 * specfun._GK_NODES[None, :]).ravel() / a_scale
+        a = a_scale * u
+        b = np.array([4.9, 12.0, 19.9])
+        active = np.abs(a[:, None] - b[None, :]) < specfun._MARCUM_EXIT_GAP
+        assert len({tuple(np.flatnonzero(column)) for column in active.T}) == 3
+        lam = 0.5 * a * a
+        built = []
+        pmf = specfun._poisson_pmf
+
+        def counted(k, rate):
+            if np.isin(rate, lam).all():  # a weight build, not a gamma column
+                built.append(np.ravel(rate).copy())
+            return pmf(k, rate)
+
+        monkeypatch.setattr(specfun, "_poisson_pmf", counted)
+        grid = marcum_q1(a[:, None], b[None, :])
+        # disjoint chunks, each built once, covering every active row
+        rows = np.concatenate(built)
+        assert np.unique(rows).size == rows.size
+        assert len(built) == len(specfun._WEIGHT_CACHE)
+        assert set(lam[active.any(axis=1)]) <= set(rows)
+        built.clear()
+        assert np.array_equal(marcum_q1(a[:, None], b[None, :]), grid)
+        assert not built
+        ref = scipy.stats.ncx2.sf(b[None, :] ** 2, 2, a[:, None] ** 2)
+        assert np.max(np.abs(grid - ref)) <= 1e-10
 
     def test_sorted_grids_skip_the_gather_with_equal_values(self):
         rng = np.random.default_rng(17)
