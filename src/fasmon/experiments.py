@@ -14,12 +14,12 @@ at the row's operating point, so simulation never inherits the analytic
 shortcut it is meant to check. Row seeds are spawned from (seed, experiment
 id, sweep index, scheme index), making every row reproducible in isolation.
 A run evaluates in batches what each row would get alone. It first builds
-every point's work: a curve point's exact-rate job, or each scheme's steps
-(:func:`fasmon.optimize.scheme_steps`). It hands all of them to
+every point's steps: a curve point's one exact-rate request, or each
+scheme's (:func:`fasmon.optimize.scheme_steps`). It hands all of them to
 :func:`fasmon.optimize.exact_rates`, the one rate scheduler, which advances
-every scheme's steps, TrueGrid's searches included, in lockstep rounds and
-evaluates each round's exact rates on links that share mu together. Then it
-hands all rows' Monte Carlo jobs to
+them, TrueGrid's searches included, in lockstep rounds and evaluates each
+round's exact rates on links that share mu together. Then it hands all
+rows' Monte Carlo jobs to
 :func:`fasmon.mcsim.estimate_monitoring_rates` in one batch, whose blocks run
 concurrently. Each Monte Carlo block returns an integer hit count and has no
 failure of its own, so Monte Carlo cannot drop a row: a row is dropped, and
@@ -68,13 +68,13 @@ class ResultRow:
 
 class _Entry(NamedTuple):
     """The rows of a run that share one exact rate: a scheme's row, or a
-    curve point's three (scheme None). task is what exact_rates evaluates
-    for them, or the FasmonError met before it; rows turns the task's result
-    into the rows, in row order, each with its Monte Carlo job or None."""
+    curve point's three (scheme None). task is their steps for exact_rates,
+    or the FasmonError met before them; rows turns the task's result into
+    the rows, in row order, each with its Monte Carlo job or None."""
 
     x_value: float
     scheme: str | None
-    task: RateJob | Generator | FasmonError
+    task: Generator | FasmonError
     rows: Callable | None
 
 
@@ -110,6 +110,9 @@ def _curve_entries(spec: ExperimentSpec, params: SystemParams, link: DerivedLink
     others = (rate_bound(params, link, rp), rate_approx(params, link, rp))
     mc = _mc_job(spec, params, link, rp, params.n_ports, sweep_idx, 0)
 
+    def exact_rate():
+        return float((yield RateJob(link, rp.rate_r, params.n_ports))[0])
+
     def rows(rate: float):
         return [(ResultRow(experiment=spec.experiment, scheme=tag,
                            x_name=spec.sweep_variable, x_value=x_value,
@@ -118,7 +121,7 @@ def _curve_entries(spec: ExperimentSpec, params: SystemParams, link: DerivedLink
                            rate_mc_mean=None, rate_mc_ci95=None, clamped=False),
                  mc if tag == "true" else None)
                 for tag, value in zip(_CURVE_TAGS, (rate, *others))]
-    return [_Entry(x_value, None, RateJob(link, rp.rate_r, params.n_ports), rows)]
+    return [_Entry(x_value, None, exact_rate(), rows)]
 
 
 def _scheme_rows(spec: ExperimentSpec, params: SystemParams, link: DerivedLink,
@@ -153,15 +156,15 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
     The caller can compare len(result) with expected_row_count(spec) to
     detect partial output. Each point builds its parameters and its link,
-    then its work: a curve point its rate and that rate's exact-rate job, a
-    scheme point one set of steps per scheme. The correlation factor is
-    memoized for this run alone, so it is computed once per distinct
+    then its steps: a curve point its rate and one request for its exact
+    rate, a scheme point one set of steps per scheme. The correlation factor
+    is memoized for this run alone, so it is computed once per distinct
     aperture, and a failure to compute it is not kept, so it is reported
     once for every point it fails. Once every point is built, all the work
     goes to :func:`fasmon.optimize.exact_rates`, which finds the operating
     points and evaluates the exact rates in rounds, each round's rates on
-    links that share mu in one link_rates_true call (at most
-    optimize._CALL_COLUMNS rates; one mu per default fig1, fig2 or fig3
+    links that share mu together, in link_rates_true calls of at most
+    optimize._CALL_COLUMNS rates (one mu per default fig1, fig2 or fig3
     run), each value the one its row gets alone. A row is dropped only when
     its analytic part, its exact rate included, raises a FasmonError, and
     the failures are reported in row order. Then the Monte Carlo jobs of all

@@ -26,14 +26,14 @@ whether a band endpoint was taken and the evaluations spent, never its own
 objective's value. A scheme is one row of a table (operating-point
 function, whether the monitor has a single port), and scheme_steps runs it
 as steps: its operating point, then a request for the exact rate there.
-TrueGrid's operating point is itself steps, which request their grid rates.
-exact_rates is the one rate scheduler: it advances a run's steps in
-lockstep rounds and sends each round's requests on links that share mu to
-link_rates_true together, each distinct (link, port count, rate) column
-once per run; evaluate_scheme and solve_true_grid run their steps under it
-alone. Every exact rate here, TrueGrid's scans and the single-antenna
-monitor's included, comes from one block evaluator, outage.link_rates_true,
-looked up in this module at call time.
+TrueGrid's operating point is itself steps, which request their grid rates
+and end with the exact rate at r*. exact_rates is the one rate scheduler:
+it advances a run's steps in lockstep rounds and evaluates each round's
+requests on links that share mu together, in link_rates_true calls of at
+most _CALL_COLUMNS rates; evaluate_scheme and solve_true_grid run their
+steps under it alone. Every exact rate here, TrueGrid's scans and the
+single-antenna monitor's included, comes from one block evaluator,
+outage.link_rates_true, looked up in this module at call time.
 
 The derivative split is NOT globally single-crossing: g decays to zero at
 large x while h keeps a positive floor for mu > 0, so h - g can go
@@ -67,7 +67,7 @@ _COARSE_BLOCK = 17  # coarse rates per block, left to right, once it raises
 _FINE_STEP = 8  # grid index step of the first level of the fine pass
 _REFINE_POINTS = 32  # exact rates per refinement scan of solve_true_grid
 _REFINE_LEVELS = 2  # refinement scans after solve_true_grid's grid scan
-# columns (link, port count, rate) per link_rates_true call of exact_rates
+# rates per link_rates_true call of exact_rates
 _CALL_COLUMNS = 1024
 # relative margin on R added to solve_true_grid's caps: the computed outage
 # is accurate to the panel quadrature's settle tolerance, at most 1e-9 for an
@@ -221,15 +221,8 @@ def _argmax_upward(values) -> int:
 
 def _true_grid_steps(params: SystemParams, link: DerivedLink):
     """solve_true_grid as steps for exact_rates, a run's TrueGrid point:
-    the grid scan's steps, then the refinement's; returns the OptResult."""
-    grid, values, evals = yield from _grid_scan_steps(params, link)
-    return (yield from _refine_steps(params, link, grid, values, evals))
-
-
-def _grid_scan_steps(params: SystemParams, link: DerivedLink):
-    """solve_true_grid's pruned grid scan as steps for exact_rates: yields
-    RateJobs of grid rates, receives their exact rates and returns the grid,
-    its values (-inf where not evaluated) and the count evaluated."""
+    the pruned grid scan's requests of grid rates, then the refinement's
+    (_refine_steps); returns the OptResult and the exact rate at r*."""
     r_min, r_max = rate_bounds(params)
     grid = np.linspace(r_min, r_max, _GRID_POINTS)
     values = np.full(_GRID_POINTS, -math.inf)
@@ -247,7 +240,8 @@ def _grid_scan_steps(params: SystemParams, link: DerivedLink):
         block = _within_cap(grid, values, step)
         if block.size:
             values[block] = yield RateJob(link, grid[block], params.n_ports)
-    return grid, values, int(np.count_nonzero(values > -math.inf))
+    evals = int(np.count_nonzero(values > -math.inf))
+    return (yield from _refine_steps(params, link, grid, values, evals))
 
 
 def _within_cap(grid: np.ndarray, values: np.ndarray, step: int) -> np.ndarray:
@@ -264,10 +258,9 @@ def _within_cap(grid: np.ndarray, values: np.ndarray, step: int) -> np.ndarray:
 def solve_true_grid(params: SystemParams, link: DerivedLink) -> OptResult:
     """Maximization of the exact rate on a uniform grid of _GRID_POINTS
     rates, refined by _REFINE_LEVELS scans of _REFINE_POINTS rates inside
-    the winning bracket (_refine_grid_max). Ties prefer the larger R. Its
-    two parts run as steps under exact_rates: here one after the other,
-    each alone; in a run as _true_grid_steps, in lockstep with every other
-    point's, with the same requests and values.
+    the winning bracket (_refine_steps). Ties prefer the larger R. Its steps
+    (_true_grid_steps) run here alone under exact_rates, and in a run in
+    lockstep with every other point's, with the same requests and values.
 
     The exact outage P never decreases as R grows, so a rate R_j at or above
     an evaluated R_i has exact rate at most R_j (1 - P(R_i)); plus
@@ -287,13 +280,25 @@ def solve_true_grid(params: SystemParams, link: DerivedLink) -> OptResult:
     exhaustive scan. A rate left out is never evaluated, so its
     FasmonError, had it one, cannot fail the solver. iterations counts the
     exact rates evaluated, grid and refinement together."""
-    return _refine_grid_max(params, link, *_alone(_grid_scan_steps(params, link)))
+    return _alone(_true_grid_steps(params, link))[0]
 
 
 def _refine_steps(params: SystemParams, link: DerivedLink, grid: np.ndarray,
                   values: np.ndarray, evals: int):
-    """_refine_grid_max as steps for exact_rates: yields its two scans and
-    returns the OptResult."""
+    """The operating point at the upward argmax of the exact rates on grid
+    (-inf where a rate was not evaluated), refined by _REFINE_LEVELS more
+    scans, as steps for exact_rates; evals is the count of grid rates
+    evaluated. Returns the OptResult and the exact rate at r*.
+
+    Each scan requests _REFINE_POINTS rates evenly spaced strictly between
+    the current argmax's two neighbours, keeps the neighbours' known values
+    and takes the upward argmax again, so no rate is evaluated twice and no
+    pruned one at all. The final spacing is the grid's times
+    (2/(_REFINE_POINTS + 1))^2: fine enough that r* lies within about half
+    of it of the exact rate's maximiser (1e-6 on the default sweeps),
+    coarse enough that the best and runner-up values differ far above the
+    exact rate's rounding, so no last bit of that rounding picks another
+    point. clamped is that of the grid argmax."""
     idx = _argmax_upward(values)
     clamped = idx in (0, grid.size - 1)
     rates, scores = grid, values
@@ -304,30 +309,9 @@ def _refine_steps(params: SystemParams, link: DerivedLink, grid: np.ndarray,
         scores = np.concatenate(([scores[lo]], scan, [scores[hi]]))
         idx = _argmax_upward(scores)
     r_star = float(rates[idx])
-    return OptResult(
-        r_star=r_star,
-        pm_star=pm_for_rate(params, RatePoint(r_star)),
-        clamped=clamped,
-        iterations=evals + _REFINE_LEVELS * _REFINE_POINTS,
-    )
-
-
-def _refine_grid_max(params: SystemParams, link: DerivedLink, grid: np.ndarray,
-                     values: np.ndarray, evals: int) -> OptResult:
-    """The operating point at the upward argmax of the exact rates on grid
-    (-inf where a rate was not evaluated), refined by _REFINE_LEVELS more
-    scans; evals is the count of grid rates evaluated.
-
-    Each scan evaluates _REFINE_POINTS rates evenly spaced strictly between
-    the current argmax's two neighbours, in one request, keeps the
-    neighbours' known values and takes the upward argmax again, so no rate
-    is evaluated twice and no pruned one at all. The final spacing is the
-    grid's times (2/(_REFINE_POINTS + 1))^2: fine enough that r* lies within
-    about half of it of the exact rate's maximiser (1e-6 on the default
-    sweeps), coarse enough that the best and runner-up values differ far
-    above the exact rate's rounding, so no last bit of that rounding picks
-    another point. clamped is that of the grid argmax."""
-    return _alone(_refine_steps(params, link, grid, values, evals))
+    point = OptResult(r_star=r_star, pm_star=pm_for_rate(params, RatePoint(r_star)),
+                      clamped=clamped, iterations=evals + _REFINE_LEVELS * _REFINE_POINTS)
+    return point, float(scores[idx])
 
 
 def _constant_jamming(params: SystemParams, link: DerivedLink) -> OptResult:
@@ -342,7 +326,8 @@ def _passive(params: SystemParams, link: DerivedLink) -> OptResult:
 
 
 # scheme -> (operating-point function, whether the monitor has a single
-# port); TrueGrid's function gives steps for exact_rates, not a point
+# port); TrueGrid's function gives steps for exact_rates, which return its
+# point and the exact rate there
 _SCHEMES = {
     Scheme.PROPOSED_BISECT: (solve_bound_bisect, False),
     Scheme.PROPOSED_CLOSED_FORM: (solve_closed_form, False),
@@ -356,7 +341,7 @@ _SCHEMES = {
 class RateJob(NamedTuple):
     """Exact average monitoring rates to evaluate: R on link for a monitor
     that selects among n_ports ports (1 for the single-antenna monitor);
-    rate_r is one rate or, in a request of a solver's steps, an array."""
+    rate_r is one rate or an array of them."""
 
     link: DerivedLink
     rate_r: float | np.ndarray
@@ -364,9 +349,10 @@ class RateJob(NamedTuple):
 
 
 def scheme_steps(params: SystemParams, link: DerivedLink, scheme: Scheme):
-    """A monitoring scheme as steps for exact_rates: the operating point
-    (TrueGrid's through its own requests), then a request for the exact rate
-    there; returns the SchemeResult.
+    """A monitoring scheme as steps for exact_rates: the operating point,
+    then a request for the exact rate there; returns the SchemeResult.
+    TrueGrid's operating point is steps of its own, whose last scan already
+    holds the exact rate at r*, so it requests no rate after them.
 
     ConstantJamming pins p_m = p_m_max (so R = r_min); Passive pins p_m = 0
     (so R = r_max); ConventionalSingle is the single-antenna monitor. Every
@@ -376,50 +362,39 @@ def scheme_steps(params: SystemParams, link: DerivedLink, scheme: Scheme):
         operating_point, single_antenna = _SCHEMES[scheme]
     except KeyError:
         raise DomainError(f"unknown scheme {scheme!r}") from None
+    n_ports = 1 if single_antenna else params.n_ports
     point = operating_point(params, link)
     if isinstance(point, Generator):
-        point = yield from point
-    n_ports = 1 if single_antenna else params.n_ports
-    rate = yield RateJob(link, point.r_star, n_ports)
-    return SchemeResult(**vars(point), rate_true=float(rate[0]), n_ports=n_ports)
+        point, rate = yield from point
+    else:
+        rate = (yield RateJob(link, point.r_star, n_ports))[0]
+    return SchemeResult(**vars(point), rate_true=float(rate), n_ports=n_ports)
 
 
-def exact_rates(tasks: Sequence[RateJob | Generator]) -> list:
+def exact_rates(tasks: Sequence[Generator]) -> list:
     """The run's one rate scheduler: the result of every task, or the
     FasmonError that the task raises alone.
 
-    A task is a RateJob, whose result is its exact rate, or a generator of
-    steps (scheme_steps, solve_true_grid's), which yields RateJobs, receives
-    each one's exact rates as an array, and whose result is its return value.
-    The tasks advance in rounds: the RateJobs and every generator's first
-    request make round one, and each round's replies bring the next
-    requests. Each round's requests on links that share mu go to
-    link_rates_true together (_round), and a per-run memo keyed by link,
-    port count and rate evaluates each of those columns once, so a
-    TrueGrid point's exact rate at r* is the value its scan computed. Every
-    value equals the one the task gets alone: a column's value depends only
-    on its own link, rate and port count. A request whose call raises is
+    A task is a generator of steps (scheme_steps, _true_grid_steps, a
+    curve point's one request), which yields RateJobs, receives each one's
+    exact rates as an array, and whose result is its return value. The
+    tasks advance in rounds: every task's first request makes round one,
+    and each round's replies bring the next requests. Each round's requests
+    on links that share mu are evaluated together (_round). Every value
+    equals the one the task gets alone: a column's value depends only on its
+    own link, rate and port count. A request whose group raises is
     evaluated again alone, and its own FasmonError is thrown into its
     generator, so a task fails exactly when it fails alone, with the same
     error.
     """
     out: list = [None] * len(tasks)
-    memo: dict[tuple, dict[int, float]] = {}
-    pending = []  # (task index, generator or None for a RateJob, request)
+    pending = []  # (task index, generator, its request)
     for i, task in enumerate(tasks):
-        if isinstance(task, RateJob):
-            pending.append((i, None, task))
-        else:
-            _advance(pending, out, i, task, None)
+        _advance(pending, out, i, task, None)
     while pending:
         current, pending = pending, []
-        for (i, task, _), reply in zip(current, _round([job for _, _, job in current], memo)):
-            if task is not None:
-                _advance(pending, out, i, task, reply)
-            elif isinstance(reply, FasmonError):
-                out[i] = reply
-            else:
-                out[i] = float(reply[0])
+        for (i, task, _), reply in zip(current, _round([job for _, _, job in current])):
+            _advance(pending, out, i, task, reply)
     return out
 
 
@@ -437,16 +412,14 @@ def _advance(pending: list, out: list, i: int, task: Generator, reply) -> None:
         pending.append((i, task, job))
 
 
-def _round(jobs: list[RateJob], memo: dict) -> list:
+def _round(jobs: list[RateJob]) -> list:
     """The exact rates of one round's requests, each an array in its rate
     order, or the FasmonError it raises alone.
 
-    memo maps (link, type and value of the port count) to the rates
-    evaluated so far, each keyed by its bits (so -0.0 is not 0.0), and
-    their values. The requests on one mu share calls (_shared_calls); then
-    each takes its values from memo, and one with a value missing, because
-    its call raised, is evaluated alone (_request_alone). A mu with one
-    request goes to _request_alone at once."""
+    The requests on one mu are evaluated together (_evaluate) and their
+    values split back. If that raises a FasmonError, each request is
+    evaluated again alone, as a round of its own, so each gets its own value
+    or error; a mu with one request takes the error at once."""
     replies: list = [None] * len(jobs)
     by_mu: dict[float, list] = {}
     for j, job in enumerate(jobs):
@@ -454,65 +427,48 @@ def _round(jobs: list[RateJob], memo: dict) -> list:
             rates = check_nonneg_array("rate_r", job.rate_r).reshape(-1)
         except FasmonError as exc:
             replies[j] = exc
-            continue
-        key = (job.link, type(job.n_ports), job.n_ports)
-        by_mu.setdefault(job.link.mu, []).append(
-            (j, key, rates, rates.view(np.int64).tolist(), memo.setdefault(key, {})))
-    for requests in by_mu.values():
-        if len(requests) > 1:
-            _shared_calls(requests, memo)
-        for j, key, rates, bits, known in requests:
-            replies[j] = _request_alone(key, rates, bits, known)
+        else:
+            by_mu.setdefault(job.link.mu, []).append((j, job, rates))
+    for group in by_mu.values():
+        try:
+            values = _evaluate(group)
+        except FasmonError as exc:
+            values = [exc] if len(group) == 1 else None
+        if values is None:  # out of the except clause, which held the failed call's frames
+            values = [_round([job])[0] for _, job, _ in group]
+        for (j, _, _), reply in zip(group, values):
+            replies[j] = reply
     return replies
 
 
-def _shared_calls(requests: list, memo: dict) -> None:
-    """Evaluate into memo the columns (link, port count, rate) of requests,
-    all on one mu, that it lacks, each once, in link_rates_true calls of at
-    most _CALL_COLUMNS columns; a call that raises a FasmonError adds
-    nothing."""
-    fresh: dict[tuple, dict[int, None]] = {}
-    for _, key, _, bits, known in requests:
-        fresh.setdefault(key, {}).update(dict.fromkeys(b for b in bits if b not in known))
-    keys = [key for key, new in fresh.items() if new]
-    sizes = [len(fresh[key]) for key in keys]
-    bits = np.fromiter((b for key in keys for b in fresh[key]), np.int64, sum(sizes))
-    owner = np.repeat(np.arange(len(keys)), sizes).tolist()
-    one_link = len({link for link, _, _ in keys}) == 1
-    one_count = len({key[1:] for key in keys}) == 1
-    for start in range(0, bits.size, _CALL_COLUMNS):
-        part, cols = bits[start:start + _CALL_COLUMNS], owner[start:start + _CALL_COLUMNS]
-        try:
-            values = link_rates_true(keys[0][0] if one_link else [keys[k][0] for k in cols],
-                                     part.view(np.float64),
-                                     keys[0][2] if one_count else [keys[k][2] for k in cols])
-        except FasmonError:
-            continue
-        for k, b, value in zip(cols, part.tolist(), values.tolist()):
-            memo[keys[k]][b] = value
+def _evaluate(group: list) -> list[np.ndarray]:
+    """The exact rates of group, requests (index, RateJob, its rates) on
+    one mu, one array each: link_rates_true over all their rates end to
+    end, _CALL_COLUMNS at a time, given one link or one port count where
+    every request shares it; raises the first FasmonError."""
+    sizes = [rates.size for _, _, rates in group]
+    rates = np.concatenate([rates for _, _, rates in group])
+    link = _per_column([job.link for _, job, _ in group], sizes)
+    n_ports = _per_column([job.n_ports for _, job, _ in group], sizes)
+    values = []
+    for start in range(0, rates.size, _CALL_COLUMNS):
+        cut = slice(start, start + _CALL_COLUMNS)
+        values.append(link_rates_true(link[cut] if isinstance(link, list) else link,
+                                      rates[cut],
+                                      n_ports[cut] if isinstance(n_ports, list) else n_ports))
+    return np.split(np.concatenate(values), np.cumsum(sizes)[:-1])
 
 
-def _request_alone(key: tuple, rates: np.ndarray, bits: list, known: dict):
-    """The exact rates of one request as it gets them alone: from its memo
-    entry known, if that holds them all, or else from link_rates_true over
-    all its rates, _CALL_COLUMNS at a time, which it then adds to known;
-    or the FasmonError that raises."""
-    try:
-        return np.array([known[b] for b in bits], dtype=float)
-    except KeyError:
-        pass
-    link, _, n_ports = key
-    try:
-        values = np.concatenate(
-            [link_rates_true(link, rates[start:start + _CALL_COLUMNS], n_ports)
-             for start in range(0, rates.size, _CALL_COLUMNS)])
-    except FasmonError as exc:
-        return exc
-    known.update(zip(bits, values.tolist()))
-    return values
+def _per_column(items: list, sizes: list[int]):
+    """items[0] when every item equals it in type and value (True == 1, but
+    a bool port count must still be refused), or else a list of each item
+    once per column, sizes[k] times for items[k]."""
+    if len({(type(item), item) for item in items}) == 1:
+        return items[0]
+    return [item for item, size in zip(items, sizes) for _ in range(size)]
 
 
-def _alone(task):
+def _alone(task: Generator):
     """The result of a task (see exact_rates) run alone; raises its
     FasmonError."""
     result = exact_rates([task])[0]

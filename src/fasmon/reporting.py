@@ -20,6 +20,7 @@ from .experiments import ResultRow
 
 CSV_HEADER = ("experiment,scheme,x_name,x_value,r_star_bits,pm_star_db,"
               "rate_analytic,rate_mc_mean,rate_mc_ci95,clamped")
+_COLUMNS = CSV_HEADER.split(",")
 
 
 def _fmt(value: float) -> str:
@@ -56,8 +57,15 @@ def emit_csv(rows, path: str) -> None:
         fh.write(text)
 
 
-def _parse_opt(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
+def _parse_number(where: str, name: str, cell: str) -> float | None:
+    """A numeric cell of column name; a Monte Carlo cell may be empty
+    (None). A ValueError names where (path:line) and the column."""
+    if cell == "" and name.startswith("rate_mc_"):
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"{where}: {name} is not a number: {cell!r}") from None
 
 
 def parse_csv(path: str) -> list[ResultRow]:
@@ -69,22 +77,15 @@ def parse_csv(path: str) -> list[ResultRow]:
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        where = f"{path}:{lineno}"
         if len(cells) != 10:
-            raise ValueError(f"{path}:{lineno}: expected 10 cells, got {len(cells)}")
+            raise ValueError(f"{where}: expected 10 cells, got {len(cells)}")
         if cells[9] not in ("true", "false"):
-            raise ValueError(f"{path}:{lineno}: bad clamped flag {cells[9]!r}")
-        rows.append(ResultRow(
-            experiment=cells[0],
-            scheme=cells[1],
-            x_name=cells[2],
-            x_value=float(cells[3]),
-            r_star_bits=float(cells[4]),
-            pm_star_db=float(cells[5]),
-            rate_analytic=float(cells[6]),
-            rate_mc_mean=_parse_opt(cells[7]),
-            rate_mc_ci95=_parse_opt(cells[8]),
-            clamped=cells[9] == "true",
-        ))
+            raise ValueError(f"{where}: bad clamped flag {cells[9]!r}")
+        # the columns are ResultRow's fields, in order
+        numbers = [_parse_number(where, name, cell)
+                   for name, cell in zip(_COLUMNS[3:9], cells[3:9])]
+        rows.append(ResultRow(*cells[:3], *numbers, clamped=cells[9] == "true"))
     return rows
 
 

@@ -269,11 +269,11 @@ class TestMonteCarloWiring:
 
 class TestExactRateBlocks:
     # a run evaluates its exact rates in rounds, one link_rates_true call per
-    # round for the links that share mu (every run here has one mu): fig1,
-    # and fig3 without TrueGrid, need one round; a fig2 run takes as many as
-    # its longest TrueGrid point makes calls alone, its plain rates riding in
-    # the first, and the rows' exact rates at r* come from the run's memo of
-    # the scans, in a round with no call
+    # round for the links that share mu (every run here has one mu and at
+    # most _CALL_COLUMNS rates a round): fig1, and fig3 without TrueGrid,
+    # need one round; a fig2 run takes as many as its longest TrueGrid point
+    # makes calls alone, its plain rates riding in the first, and a TrueGrid
+    # row's exact rate at r* is its last scan's value, with no request
     @pytest.mark.parametrize("pairs", [
         ("experiment=fig1",),
         ("experiment=fig3", "aperture_w=0.1",

@@ -29,7 +29,7 @@ from fasmon import (ComputationError, DerivedLink, DomainError, FasmonError,
                     solve_closed_form, solve_true_grid)
 from fasmon.optimize import (_COARSE_BLOCK, _COARSE_STEP, _FINE_STEP,
                              _PRUNE_MARGIN, _REFINE_POINTS, _SCHEMES,
-                             _argmax_upward, _refine_grid_max)
+                             _alone, _argmax_upward, _refine_steps)
 from fasmon.outage import link_rates_true
 from fasmon.validation import _laguerre_outage
 
@@ -215,8 +215,9 @@ class TestTrueGrid:
         params = _changed_params(ref_params, changes)
         link = derive_link(params)
         grid = np.linspace(*rate_bounds(params), 4096)
-        exhaustive = _refine_grid_max(params, link, grid,
-                                      link_rates_true(link, grid, params.n_ports), grid.size)
+        exhaustive = _alone(_refine_steps(params, link, grid,
+                                          link_rates_true(link, grid, params.n_ports),
+                                          grid.size))[0]
         res = solve_true_grid(params, link)
         assert (res.r_star, res.pm_star, res.clamped) == \
             (exhaustive.r_star, exhaustive.pm_star, exhaustive.clamped)
@@ -272,7 +273,7 @@ class TestTrueGrid:
         # _FINE_STEP-th grid rate and then the rest, each in grid order, no
         # rate evaluated twice; then two link_rates_true calls of 32 rates
         # each, strictly inside the previous argmax's bracket and on no rate
-        # the grid evaluated or pruned; the exact rate at r* is the scan's
+        # the grid evaluated or pruned
         calls = []
 
         def recording_rates(link, rates, n_ports):
@@ -314,6 +315,17 @@ class TestTrueGrid:
         assert res.r_star == rates[_argmax_upward(scores)]
         assert np.intersect1d(scans[0], scans[1]).size == 0
 
+        # the scheme makes the same calls and none after the second scan:
+        # its exact rate at r* is that scan's value
+        solo = list(calls)
+        calls.clear()
+        row = evaluate_scheme(params, link, Scheme.TRUE_GRID)
+        assert len(calls) == len(solo)
+        for call, solo_call in zip(calls, solo):
+            np.testing.assert_array_equal(call, solo_call)
+        assert row.r_star == res.r_star
+        assert row.rate_true.hex() == float(scores[_argmax_upward(scores)]).hex()
+
     def test_coarse_blocks_stop_short_of_a_raising_tail(self, ref_params, monkeypatch):
         # at -20 dB the rate collapses toward the band top; once the one
         # coarse request raises there, the coarse rates are taken again in
@@ -322,8 +334,9 @@ class TestTrueGrid:
         params = _ratio_params(ref_params, -20.0)
         link = derive_link(params)
         grid = np.linspace(*rate_bounds(params), 4096)
-        exhaustive = _refine_grid_max(params, link, grid,
-                                      link_rates_true(link, grid, params.n_ports), grid.size)
+        exhaustive = _alone(_refine_steps(params, link, grid,
+                                          link_rates_true(link, grid, params.n_ports),
+                                          grid.size))[0]
         tail = grid[60 * _COARSE_STEP]
         calls = []
 

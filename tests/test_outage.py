@@ -10,6 +10,7 @@ quadrature.
 
 import dataclasses
 import math
+import sys
 import time
 import tracemalloc
 import warnings
@@ -21,13 +22,15 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import chndtr
 
-from fasmon import (ConstraintInfeasibleError, DegenerateRateError,
-                    DerivedLink, DomainError, FasmonError, RatePoint,
+from fasmon import (ComputationError, ConstraintInfeasibleError,
+                    DegenerateRateError, DerivedLink, DomainError,
+                    FasmonError, RatePoint,
                     SystemParams, correlation_mu, derive_link, eta_factor,
                     monitor_outage_approx, monitor_outage_bound,
                     monitor_outage_true, pm_for_rate, rate_approx,
                     rate_bound, rate_bounds, rate_for_pm, rate_true,
                     sd_outage)
+import fasmon.optimize
 import fasmon.outage
 from fasmon.channel import _MAX_PORTS
 from fasmon.optimize import RateJob, exact_rates
@@ -49,6 +52,12 @@ MONITOR_REFS = (
 
 # mu near 1 with many ports (22 of them): a = 6.6 sqrt(t)
 _HIGH_LINK = DerivedLink(mu=0.9781149303682883, gamma_cap=16.342607691885046)
+
+
+def _one_rate(job):
+    """A task for exact_rates: one request, job, whose exact rate it
+    returns."""
+    return float((yield job)[0])
 
 
 def _oracle_outage(link, gamma_th, n_ports):
@@ -271,7 +280,7 @@ class TestRateBatchProperties:
         # several links, unsorted and repeated rates, port counts mixed in
         # one block, N = 1, mu = 0 and R = 0: every value is the one-point
         # rate_true's, bit for bit
-        batch = exact_rates([RateJob(_BATCH_LINKS[k], r, n) for k, r, n in jobs])
+        batch = exact_rates([_one_rate(RateJob(_BATCH_LINKS[k], r, n)) for k, r, n in jobs])
         for (k, r, n), value in zip(jobs, batch):
             params = dataclasses.replace(ref_params, n_ports=n)
             try:
@@ -357,19 +366,49 @@ class TestMonitorOutage:
     def test_port_count_past_int64_fails_only_its_job(self, ref_params, ref_link):
         # exact_rates, the path of evaluate_scheme and of a run, reports the
         # DomainError as that job's result
-        rates = exact_rates([RateJob(ref_link, 1.0, 8), RateJob(ref_link, 1.0, 2 ** 64)])
+        rates = exact_rates([_one_rate(RateJob(ref_link, 1.0, 8)),
+                             _one_rate(RateJob(ref_link, 1.0, 2 ** 64))])
         assert rates[0] == rate_true(ref_params, ref_link, RatePoint(1.0))
         assert isinstance(rates[1], DomainError)
 
-    def test_memo_keeps_equal_looking_jobs_apart(self, ref_link):
-        # exact_rates evaluates each (link, port count, rate) once per run;
-        # True == 1 and -0.0 == 0.0, but a bool port count is still refused
-        # and R = -0.0 still gives -0.0, as each does alone
-        rates = exact_rates([RateJob(ref_link, 1.0, 1), RateJob(ref_link, 1.0, True),
-                             RateJob(ref_link, 0.0, 8), RateJob(ref_link, -0.0, 8)])
+    def test_equal_looking_jobs_stay_apart(self, ref_link):
+        # exact_rates evaluates a round's requests on one mu in one call,
+        # with one port count when all share it; True == 1 and -0.0 == 0.0,
+        # but a bool port count is still refused and R = -0.0 still gives
+        # -0.0, as each does alone
+        rates = exact_rates([_one_rate(RateJob(ref_link, 1.0, 1)),
+                             _one_rate(RateJob(ref_link, 1.0, True))])
         assert rates[0] == link_rates_true(ref_link, [1.0], 1)[0]
         assert isinstance(rates[1], DomainError)
-        assert [r.hex() for r in rates[2:]] == ["0x0.0p+0", "-0x0.0p+0"]
+        rates = exact_rates([_one_rate(RateJob(ref_link, 0.0, 8)),
+                             _one_rate(RateJob(ref_link, -0.0, 8))])
+        assert [r.hex() for r in rates] == ["0x0.0p+0", "-0x0.0p+0"]
+
+    def test_failing_group_is_evaluated_again_one_request_at_a_time(
+            self, ref_link, monkeypatch):
+        # a two-request group with one failing column makes one shared call,
+        # then one call per request, and only the failing request fails; a
+        # lone failing request is evaluated once and takes its error at once.
+        # A retry runs outside the handler of the shared call's error, whose
+        # traceback would keep that call's frames and arrays alive
+        def failing_rates(link, rates, n_ports):
+            assert sys.exc_info()[1] is None
+            calls.append(len(rates))
+            if 2.0 in np.asarray(rates):
+                raise ComputationError("synthetic failure at R = 2")
+            return link_rates_true(link, rates, n_ports)
+
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", failing_rates)
+        calls = []
+        rates = exact_rates([_one_rate(RateJob(ref_link, 1.0, 8)),
+                             _one_rate(RateJob(ref_link, 2.0, 8))])
+        assert calls == [2, 1, 1]
+        assert rates[0] == link_rates_true(ref_link, [1.0], 8)[0]
+        assert isinstance(rates[1], ComputationError)
+        calls = []
+        rates = exact_rates([_one_rate(RateJob(ref_link, 2.0, 8))])
+        assert calls == [1]
+        assert isinstance(rates[0], ComputationError)
 
     def test_sharp_transition_matches_the_oracle(self):
         # mu near 1 with many ports: a = 6.6 sqrt(t), so the integrand

@@ -93,6 +93,17 @@ class TestRoundTrip:
             parse_csv(str(bad))
         assert ":2:" in str(err.value)
 
+    @pytest.mark.parametrize("column", ["rate_analytic", "rate_mc_mean"])
+    def test_parse_rejects_non_numeric_cell(self, tmp_path, column):
+        names = CSV_HEADER.split(",")
+        cells = format_rows([_row()]).splitlines()[1].split(",")
+        cells[names.index(column)] = "abc"
+        bad = tmp_path / "bad.csv"
+        bad.write_text(CSV_HEADER + "\n" + ",".join(cells) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            parse_csv(str(bad))
+        assert str(err.value) == f"{bad}:2: {column} is not a number: 'abc'"
+
     def test_parse_rejects_bad_flag(self, tmp_path):
         good = format_rows([_row()]).replace("false", "maybe")
         bad = tmp_path / "bad.csv"
