@@ -375,9 +375,12 @@ def exact_rates(tasks: Sequence[Generator]) -> list:
     """The run's one rate scheduler: the result of every task, or the
     FasmonError that the task raises alone.
 
-    A task is a generator of steps (scheme_steps, _true_grid_steps, a
-    curve point's one request), which yields RateJobs, receives each one's
-    exact rates as an array, and whose result is its return value. The
+    A task is a generator of steps (scheme_steps, _true_grid_steps, or a
+    run's row task, which requests a curve point's exact rate or runs a
+    scheme's steps and returns the finished rows), which yields RateJobs,
+    receives each one's exact rates as an array, and whose result is its
+    return value; a task that raises a FasmonError before its first request
+    (a row task whose point failed) gets that error as its result. The
     tasks advance in rounds: every task's first request makes round one,
     and each round's replies bring the next requests. Each round's requests
     on links that share mu are evaluated together (_round). Every value

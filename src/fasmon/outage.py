@@ -37,6 +37,16 @@ class RatePoint:
         object.__setattr__(self, "gamma_th", math.expm1(rate_r * _LN2))
 
 
+def _ps_h(params: SystemParams) -> float:
+    """p_s sigma_h2, the destination's signal scale; ComputationError where
+    it underflows to 0, which no destination formula can divide by."""
+    ps_h = params.p_s * params.sigma_h2
+    if ps_h == 0.0:
+        raise ComputationError(f"p_s * sigma_h2 = {params.p_s!r} * {params.sigma_h2!r} "
+                               "underflows to 0")
+    return ps_h
+
+
 def sd_outage(params: SystemParams, rp: RatePoint, p_m: float) -> float:
     """Destination outage probability under jamming power p_m.
 
@@ -44,7 +54,7 @@ def sd_outage(params: SystemParams, rp: RatePoint, p_m: float) -> float:
                     / (1 + gamma_th p_m sigma_f2 / (p_s sigma_h2))
     """
     p_m = check_real("p_m", p_m, "nonnegative", lambda v: v >= 0.0)
-    ps_h = params.p_s * params.sigma_h2
+    ps_h = _ps_h(params)
     gamma = rp.gamma_th
     x = gamma * params.sigma_d2 / ps_h
     y = gamma * p_m * params.sigma_f2 / ps_h
@@ -60,6 +70,8 @@ def _gamma_min_root(a_coef: float, b_coef: float, delta: float) -> float:
     to d, which may be far below 1 (tiny delta with large B/A); 100 steps
     that do not settle raise AccuracyError."""
     target = -math.log1p(-delta)
+    if a_coef == 0.0:  # A underflows: no noise term, 1/(1 + B g) = 1 - delta
+        return math.expm1(target) / b_coef if b_coef > 0.0 else math.inf
     ratio = b_coef / a_coef
     d = 0.0
     for _ in range(100):
@@ -75,7 +87,7 @@ def _gamma_min_root(a_coef: float, b_coef: float, delta: float) -> float:
 def _rate_without_jamming(params: SystemParams) -> float:
     """r_max: the rate at which the no-jamming outage equals delta."""
     # log1p, not log2(1 + x): x can be so small that 1 + x rounds to 1
-    return math.log1p(-params.p_s * params.sigma_h2 * math.log1p(-params.delta)
+    return math.log1p(-_ps_h(params) * math.log1p(-params.delta)
                       / params.sigma_d2) / _LN2
 
 
@@ -110,13 +122,21 @@ def pm_for_rate(params: SystemParams, rp: RatePoint) -> float:
         raise ConstraintInfeasibleError(
             f"rate {rp.rate_r!r} outside the feasible band [{r_min!r}, {r_max!r}]"
         )
-    ps_h = params.p_s * params.sigma_h2
+    ps_h = _ps_h(params)
     gamma = rp.gamma_th
     # exp(x) / (1 - delta) - 1 as one expm1, which does not cancel for
     # small delta
-    p_m = (ps_h / (gamma * params.sigma_f2)) * math.expm1(
-        -gamma * params.sigma_d2 / ps_h - math.log1p(-params.delta))
-    return min(max(p_m, 0.0), params.p_m_max)
+    excess = math.expm1(-gamma * params.sigma_d2 / ps_h - math.log1p(-params.delta))
+    if excess <= 0.0:  # R meets delta unjammed: it is r_max to rounding
+        return 0.0
+    scale = gamma * params.sigma_f2
+    # scale may underflow to 0 where ps_h / scale is still a number
+    base = ps_h / scale if scale > 0.0 else ps_h / gamma / params.sigma_f2
+    p_m = base * excess
+    if math.isnan(p_m):  # inf / inf
+        raise ComputationError(f"jamming power at rate {rp.rate_r!r} is NaN: "
+                               f"p_s sigma_h2 / (gamma_th sigma_f2) = {base!r}")
+    return min(p_m, params.p_m_max)
 
 
 def rate_for_pm(params: SystemParams, p_m: float) -> float:
@@ -136,8 +156,9 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
                      lambda v: 0.0 <= v <= params.p_m_max * (1.0 + 1e-12))
     if p_m == 0.0:
         return _rate_without_jamming(params)
-    a_coef = params.sigma_d2 / (params.p_s * params.sigma_h2)
-    b_coef = p_m * params.sigma_f2 / (params.p_s * params.sigma_h2)
+    ps_h = _ps_h(params)
+    a_coef = params.sigma_d2 / ps_h
+    b_coef = p_m * params.sigma_f2 / ps_h
     gamma = _gamma_min_root(a_coef, b_coef, params.delta)
     return math.log1p(gamma) / _LN2
 

@@ -395,6 +395,15 @@ class TestExtremeInputs:
         assert len(run_experiment(spec)) == expected_row_count(spec)
 
 
+    def test_underflowing_jamming_scale_gives_every_row(self):
+        # at -18 dB with sigma_h2 = 1e-200, gamma_th sigma_f2 underflows to 0
+        # at every rate of the band, and p_m* must still be a number
+        spec = _spec("experiment=fig2", "sweep_values=-18", "sigma_h2=1e-200")
+        rows = run_experiment(spec)
+        assert len(rows) == expected_row_count(spec) == 6
+        assert all(r.pm_star_db <= 30.0 and r.rate_analytic > 0.0 for r in rows)
+
+
 class TestSeeding:
     def test_row_seeds_distinct(self):
         seeds = {row_seed(12345, exp, i, j)
@@ -497,6 +506,71 @@ class TestPartialFailure:
                                            if r.x_value != 10.0]
         assert capsys.readouterr().err.splitlines() == [
             "fasmon: p_m_db=10: ComputationError: synthetic rate failure"]
+
+    def test_failed_curve_rate_for_pm_drops_its_point(self, monkeypatch, capsys):
+        # a curve point's rate is found inside its row task; its failure
+        # drops the point's three rows, reported once without a scheme
+        spec = _spec("experiment=custom", "sweep_variable=p_m_db",
+                     "sweep_values=0,10,20")
+        reference = run_experiment(spec)
+        real = fasmon.experiments.rate_for_pm
+
+        def rate_for_pm(params, p_m):
+            if p_m == 10.0:
+                raise ComputationError("synthetic rate failure")
+            return real(params, p_m)
+
+        monkeypatch.setattr(fasmon.experiments, "rate_for_pm", rate_for_pm)
+        rows = run_experiment(spec)
+        assert [repr(r) for r in rows] == [repr(r) for r in reference
+                                           if r.x_value != 10.0]
+        assert capsys.readouterr().err.splitlines() == [
+            "fasmon: p_m_db=10: ComputationError: synthetic rate failure"]
+
+    def test_failed_link_reported_between_failed_tasks(self, monkeypatch, capsys):
+        # the middle point fails while its link is built, before any task
+        # runs; the points around it fail inside their tasks, one in its
+        # operating point and one in its exact rate, and the lines still
+        # come in row order
+        spec = _tiny_fig2("sweep_values=-12,-10,-8")
+        reference = run_experiment(spec)
+        params = {x: _point_params(spec, x) for x in spec.sweep_values}
+        real_link = fasmon.experiments.link_for_mu
+
+        def link_for_mu(point_params, mu):
+            if point_params == params[-10.0]:
+                raise ComputationError("synthetic link failure")
+            return real_link(point_params, mu)
+
+        real_bisect, single_port = fasmon.optimize._SCHEMES[Scheme.PROPOSED_BISECT]
+
+        def bisect(point_params, link):
+            if point_params == params[-12.0]:
+                raise ComputationError("synthetic operating-point failure")
+            return real_bisect(point_params, link)
+
+        failing_link = derive_link(params[-8.0])
+        real_rates = fasmon.optimize.link_rates_true
+
+        def rates(link, rate_r, n_ports):
+            # the points share mu, so a call may hold both points' links
+            if failing_link in (link if isinstance(link, list) else [link]):
+                raise ComputationError("synthetic rate failure")
+            return real_rates(link, rate_r, n_ports)
+
+        monkeypatch.setattr(fasmon.experiments, "link_for_mu", link_for_mu)
+        monkeypatch.setitem(fasmon.optimize._SCHEMES, Scheme.PROPOSED_BISECT,
+                            (bisect, single_port))
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", rates)
+        rows = run_experiment(spec)
+        assert [repr(r) for r in rows] == [
+            repr(r) for r in reference if (r.x_value, r.scheme) == (-12.0, "Passive")]
+        assert capsys.readouterr().err.splitlines() == [
+            "fasmon: ratio_db=-12 ProposedBisect: ComputationError: "
+            "synthetic operating-point failure",
+            "fasmon: ratio_db=-10: ComputationError: synthetic link failure",
+            "fasmon: ratio_db=-8 ProposedBisect: ComputationError: synthetic rate failure",
+            "fasmon: ratio_db=-8 Passive: ComputationError: synthetic rate failure"]
 
     @pytest.mark.parametrize("pairs", _SWEEPS, ids=_SWEEP_IDS)
     def test_scheme_sweep_mu_failure_reports_every_point(self, monkeypatch,

@@ -8,6 +8,7 @@ correlation, against scipy's noncentral chi-square CDF under adaptive
 quadrature.
 """
 
+import contextlib
 import dataclasses
 import math
 import sys
@@ -230,6 +231,35 @@ class TestDestinationProperties:
             assert abs(residual) <= tol * delta, (r, power)
         assert rate_for_pm(params, p_m) == pytest.approx(rate, rel=1e-13, abs=0.0)
         assert r_min == rate_for_pm(params, p_m_max)
+
+    # every power and variance in 10^[-300, 300], where p_s sigma_h2,
+    # gamma_th sigma_f2 and A = sigma_d2 / (p_s sigma_h2) may underflow to 0
+    # or overflow; the example is default fig2 at -18 dB with sigma_h2 =
+    # 1e-200, whose gamma_th sigma_f2 underflows at every rate of the band
+    @settings(max_examples=200, deadline=None, database=None)
+    @example(p_s=100.0, p_m_max=1000.0, sigma_h2=1e-200, sigma_f2=1.5848931924611134e-202,
+             sigma_d2=1.0, delta=0.05, frac=0.5)
+    @given(p_s=_log_uniform(1e-300, 1e300), p_m_max=_log_uniform(1e-300, 1e300),
+           sigma_h2=_log_uniform(1e-300, 1e300), sigma_f2=_log_uniform(1e-300, 1e300),
+           sigma_d2=_log_uniform(1e-300, 1e300), delta=_log_uniform(1e-6, 0.8),
+           frac=st.floats(0.0, 1.0))
+    def test_in_range_or_fasmon_error_at_any_scale(self, p_s, p_m_max, sigma_h2,
+                                                   sigma_f2, sigma_d2, delta, frac):
+        params = SystemParams(p_s=p_s, p_m_max=p_m_max, sigma_h2=sigma_h2,
+                              sigma_g2=1.0, sigma_f2=sigma_f2, sigma_d2=sigma_d2,
+                              sigma_m2=1.0, delta=delta, n_ports=8, aperture_w=5.0)
+        with contextlib.suppress(FasmonError):
+            assert rate_for_pm(params, frac * p_m_max) >= 0.0
+        try:
+            r_min, r_max = rate_bounds(params)
+        except FasmonError:
+            return
+        # r_max may overflow to inf
+        assert 0.0 < r_min <= r_max
+        if math.isfinite(r_max):
+            rate = min(r_min + frac * (r_max - r_min), r_max)
+            with contextlib.suppress(FasmonError):
+                assert 0.0 <= pm_for_rate(params, RatePoint(rate)) <= p_m_max
 
 
 class TestMonitorOutageProperties:
