@@ -11,8 +11,9 @@ sigma_g2 and the pairwise correlation is controlled by mu alone. The
 sqrt(1 - mu^2) weight is what makes the magnitude of g_k, conditioned on g0,
 exactly Rician; the Monte Carlo module and the outage integrals both rely on
 it. The Monte Carlo sampler draws the port powers |g_k|^2 directly, in real
-arithmetic on the real and imaginary parts, and hands them out in row blocks
-small enough to reduce while they are in cache.
+arithmetic on the real and imaginary parts, one row block at a time: each
+block draws its own parts and is handed out while it is in cache, so a call
+holds one block's draws whatever its number of rows.
 """
 
 from __future__ import annotations
@@ -129,9 +130,10 @@ def _mix_weight(mu: float) -> float:
     return math.sqrt(1.0 - mu * mu)
 
 
-# Rows of port powers mixed, squared and handed out at a time: a block of
-# 2048 rows and 16 ports is 256 KiB, small enough to stay in cache while the
-# caller reduces it.
+# Rows of port powers drawn, mixed, squared and handed out at a time: a
+# block of 2048 rows and 16 ports is 256 KiB of powers, small enough to stay
+# in cache while the caller reduces it, and its draws, 2048 (2 n_ports + 2)
+# doubles, are all the sampler holds.
 _POWER_BLOCK_ROWS = 2048
 
 
@@ -140,48 +142,47 @@ def _port_power_blocks(mu: float, sigma_g2: float, n_ports: int, n_draws: int,
     """Yield the (n_draws, n_ports) port powers |g_k|^2 of the correlated
     port model as consecutive row blocks of at most _POWER_BLOCK_ROWS rows.
 
-    rng is consumed as Re g0 (n_draws, 1), Im g0 (n_draws, 1),
-    then Re e (n_draws, n_ports), Im e (n_draws, n_ports), each a block of
-    standard normals in row-major order; n_ports = 1 draws g0 alone, whose
-    power is plain exponential. That order is part of the Monte Carlo
-    reproducibility contract. Re e is drawn in one call, because Im e
-    follows all of it in the stream; Im e is drawn a row block at a time
-    into one reused buffer, which continues the same stream, so the blocks
-    concatenate to exactly the powers of the full-matrix draw. The parts are
-    mixed and squared in place in the drawn real buffers, with no complex
-    temporaries, so each block is a view of the Re e buffer (of Re g0 for
-    one port) and the blocks do not overlap.
+    Each block of b rows draws its own parts from rng in one call: Re g0
+    (b, 1), Im g0 (b, 1), then Re e (b, n_ports), Im e (b, n_ports), each a
+    block of standard normals in row-major order; n_ports = 1 draws g0
+    alone, whose power is plain exponential. The blocks draw in turn, so a
+    call of at most _POWER_BLOCK_ROWS draws takes Re g0, Im g0, Re e, Im e
+    over all its rows. That order is part of the Monte Carlo
+    reproducibility contract. Every block draws into one flat buffer of
+    min(n_draws, _POWER_BLOCK_ROWS) (2 n_ports + 2) doubles (2 per row for
+    one port), and its parts are mixed and squared in place there, with no
+    complex temporaries, so each yielded block is a view of that buffer: it
+    is valid only until the next block is drawn.
     """
     scale = math.sqrt(sigma_g2 / 2.0)
-    re = rng.standard_normal((n_draws, 1))
-    im = rng.standard_normal((n_draws, 1))
-    re *= scale
-    im *= scale
-    if n_ports > 1:
-        # scale first, then weight, as in mu * g0 + w * e on complex
-        # CN(0, sigma_g2) draws: every real and imaginary part then matches
-        # that formula bit for bit, even where the two terms cancel
-        re *= mu
-        im *= mu
-        weight = _mix_weight(mu)
-        e_re = rng.standard_normal((n_draws, n_ports))
-        e_im = np.empty((min(n_draws, _POWER_BLOCK_ROWS), n_ports))
+    weight = _mix_weight(mu)
+    parts = 2 if n_ports == 1 else 2 * n_ports + 2
+    buffer = np.empty(min(n_draws, _POWER_BLOCK_ROWS) * parts)
     for start in range(0, n_draws, _POWER_BLOCK_ROWS):
-        stop = min(start + _POWER_BLOCK_ROWS, n_draws)
-        block_re = re[start:stop]
-        block_im = im[start:stop]
+        rows = min(_POWER_BLOCK_ROWS, n_draws - start)
+        draws = buffer[:rows * parts]
+        rng.standard_normal(out=draws)
+        re = draws[:rows].reshape(rows, 1)
+        im = draws[rows:2 * rows].reshape(rows, 1)
+        re *= scale
+        im *= scale
         if n_ports > 1:
-            mixed_re = e_re[start:stop]
-            mixed_im = e_im[:stop - start]
-            rng.standard_normal(out=mixed_im)
+            # scale first, then weight, as in mu * g0 + w * e on complex
+            # CN(0, sigma_g2) draws: every real and imaginary part then
+            # matches that formula bit for bit, even where the two terms
+            # cancel
+            re *= mu
+            im *= mu
+            mixed_re = draws[2 * rows:(n_ports + 2) * rows].reshape(rows, n_ports)
+            mixed_im = draws[(n_ports + 2) * rows:].reshape(rows, n_ports)
             mixed_re *= scale
             mixed_im *= scale
             mixed_re *= weight
             mixed_im *= weight
-            mixed_re += block_re
-            mixed_im += block_im
-            block_re, block_im = mixed_re, mixed_im
-        block_re *= block_re
-        block_im *= block_im
-        block_re += block_im
-        yield block_re
+            mixed_re += re
+            mixed_im += im
+            re, im = mixed_re, mixed_im
+        re *= re
+        im *= im
+        re += im
+        yield re

@@ -13,9 +13,11 @@ BLAS. The blocks of a call, and of every job of
 pool of min(CPUs available to the process, 4) threads; each block returns
 an integer hit count, and the counts add exactly, so no value depends on the
 thread count or on the order the blocks finish in. Within a block the draw
-order is fixed too: the best-port estimator takes Re g0, Im g0, Re e, Im e,
-each row-major, with Im e drawn a row block at a time, which continues the
-same stream (see :func:`fasmon.channel._port_power_blocks`).
+order is fixed too: the best-port estimator draws 2048 rows at a time, and
+each such row block takes its Re g0, Im g0, Re e, Im e, each row-major,
+before the next block draws (see :func:`fasmon.channel._port_power_blocks`).
+A block of 2^17 draws therefore holds one row block's draws, 32 (n_ports
++ 1) KiB, while it runs, not the whole block's.
 
 Every argument is checked before any block runs, and a block only draws and
 counts, so a simulation has no failure of its own to report: an exception
@@ -39,8 +41,9 @@ from .outage import RatePoint
 # per-block generator keying is independent of execution order.
 _CHUNK = 1 << 17
 
-# Blocks in flight at once, at most; a best-port block holds about
-# 8 * _CHUNK * n_ports bytes of draws while it runs.
+# Blocks in flight at once, at most; a best-port block holds one row block
+# of draws while it runs, 8 * 2048 * (2 n_ports + 2) bytes (295 KB at 8
+# ports, 2.1 MB at 64), whatever the block's size.
 _MAX_WORKERS = 4
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile

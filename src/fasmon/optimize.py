@@ -30,8 +30,8 @@ TrueGrid's operating point is itself steps, which request their grid rates
 and end with the exact rate at r*. exact_rates is the one rate scheduler:
 it advances a run's steps in lockstep rounds and evaluates each round's
 requests on links that share mu together, in link_rates_true calls of at
-most _CALL_COLUMNS rates; evaluate_scheme and solve_true_grid run their
-steps under it alone. Every exact rate here, TrueGrid's scans and the
+most _CALL_COLUMNS distinct rates; evaluate_scheme and solve_true_grid run
+their steps under it alone. Every exact rate here, TrueGrid's scans and the
 single-antenna monitor's included, comes from one block evaluator,
 outage.link_rates_true, looked up in this module at call time.
 
@@ -446,29 +446,43 @@ def _round(jobs: list[RateJob]) -> list:
 
 def _evaluate(group: list) -> list[np.ndarray]:
     """The exact rates of group, requests (index, RateJob, its rates) on
-    one mu, one array each: link_rates_true over all their rates end to
-    end, _CALL_COLUMNS at a time, given one link or one port count where
-    every request shares it; raises the first FasmonError."""
+    one mu, one array each: link_rates_true over their distinct columns
+    (gamma_cap, port count, rate bits) end to end, in the order they are
+    first asked for, _CALL_COLUMNS at a time, given one link or one port
+    count where every request shares it, and each value scattered back to
+    every column that asked for it; raises the first FasmonError."""
     sizes = [rates.size for _, _, rates in group]
     rates = np.concatenate([rates for _, _, rates in group])
-    link = _per_column([job.link for _, job, _ in group], sizes)
-    n_ports = _per_column([job.n_ports for _, job, _ in group], sizes)
+    seen: dict = {}  # (gamma_cap, port count and its type) -> {rate bits: slot}
+    first, request = [], []  # each slot's first column and its request
+    slots = []  # each column's slot
+    for k, (_, job, job_rates) in enumerate(group):
+        slot_of = seen.setdefault((job.link.gamma_cap, type(job.n_ports), job.n_ports), {})
+        for bits in job_rates.view(np.uint64).tolist():
+            slot = slot_of.setdefault(bits, len(first))
+            if slot == len(first):
+                first.append(len(slots))
+                request.append(k)
+            slots.append(slot)
+    link = _per_column([job.link for _, job, _ in group], request)
+    n_ports = _per_column([job.n_ports for _, job, _ in group], request)
+    rates = rates[first]
     values = []
     for start in range(0, rates.size, _CALL_COLUMNS):
         cut = slice(start, start + _CALL_COLUMNS)
         values.append(link_rates_true(link[cut] if isinstance(link, list) else link,
                                       rates[cut],
                                       n_ports[cut] if isinstance(n_ports, list) else n_ports))
-    return np.split(np.concatenate(values), np.cumsum(sizes)[:-1])
+    return np.split(np.concatenate(values)[slots], np.cumsum(sizes)[:-1])
 
 
-def _per_column(items: list, sizes: list[int]):
+def _per_column(items: list, request: list[int]):
     """items[0] when every item equals it in type and value (True == 1, but
-    a bool port count must still be refused), or else a list of each item
-    once per column, sizes[k] times for items[k]."""
+    a bool port count must still be refused), or else each column's item,
+    items[k] for a column of request k."""
     if len({(type(item), item) for item in items}) == 1:
         return items[0]
-    return [item for item, size in zip(items, sizes) for _ in range(size)]
+    return [items[k] for k in request]
 
 
 def _alone(task: Generator):

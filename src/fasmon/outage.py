@@ -68,11 +68,15 @@ def _gamma_min_root(a_coef: float, b_coef: float, delta: float) -> float:
     and concave, so Newton from d = 0, where the residual is negative,
     climbs to the root without overshooting it. The stop test is relative
     to d, which may be far below 1 (tiny delta with large B/A); 100 steps
-    that do not settle raise AccuracyError."""
+    that do not settle raise AccuracyError. A B/A that overflows to inf
+    raises ComputationError first: Newton's d * B/A would be NaN at d = 0."""
     target = -math.log1p(-delta)
     if a_coef == 0.0:  # A underflows: no noise term, 1/(1 + B g) = 1 - delta
         return math.expm1(target) / b_coef if b_coef > 0.0 else math.inf
     ratio = b_coef / a_coef
+    if not math.isfinite(ratio):
+        raise ComputationError(f"destination root: B/A = {b_coef!r} / {a_coef!r} "
+                               "overflows to inf")
     d = 0.0
     for _ in range(100):
         f = d + math.log1p(d * ratio) - target
@@ -85,10 +89,15 @@ def _gamma_min_root(a_coef: float, b_coef: float, delta: float) -> float:
 
 
 def _rate_without_jamming(params: SystemParams) -> float:
-    """r_max: the rate at which the no-jamming outage equals delta."""
+    """r_max: the rate at which the no-jamming outage equals delta;
+    ComputationError where its threshold -p_s sigma_h2 ln(1 - delta) /
+    sigma_d2 overflows to inf."""
+    gamma = -_ps_h(params) * math.log1p(-params.delta) / params.sigma_d2
+    if gamma == math.inf:
+        raise ComputationError("r_max overflows: -p_s sigma_h2 ln(1 - delta) / sigma_d2 "
+                               f"with sigma_d2 = {params.sigma_d2!r} overflows to inf")
     # log1p, not log2(1 + x): x can be so small that 1 + x rounds to 1
-    return math.log1p(-_ps_h(params) * math.log1p(-params.delta)
-                      / params.sigma_d2) / _LN2
+    return math.log1p(gamma) / _LN2
 
 
 def rate_bounds(params: SystemParams) -> tuple[float, float]:

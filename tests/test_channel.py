@@ -129,8 +129,10 @@ def _complex_reference_powers(mu, var, n_ports, n_draws, rng):
 
 
 def _sample_port_powers(mu, var, n_ports, n_draws, rng):
-    # the whole (n_draws, n_ports) matrix: the row blocks concatenated
-    return np.concatenate(list(_port_power_blocks(mu, var, n_ports, n_draws, rng)))
+    # the whole (n_draws, n_ports) matrix: the row blocks concatenated, each
+    # copied, since a block is valid only until the next one is drawn
+    return np.concatenate([block.copy() for block in
+                           _port_power_blocks(mu, var, n_ports, n_draws, rng)])
 
 
 class TestSampling:
@@ -203,8 +205,15 @@ class TestSampling:
 
 
 def _full_matrix_powers(mu, var, n_ports, n_draws, rng):
-    # the sampler as one (n_draws, n_ports) matrix: the same draws and the
-    # same operations, in the same order, with no row blocks
+    # each row block of the sampler as one full matrix, drawn and computed
+    # in turn: the same draws and the same operations, in the same order
+    return np.concatenate([
+        _one_matrix_powers(mu, var, n_ports, min(_POWER_BLOCK_ROWS, n_draws - start), rng)
+        for start in range(0, n_draws, _POWER_BLOCK_ROWS)])
+
+
+def _one_matrix_powers(mu, var, n_ports, n_draws, rng):
+    # n_draws rows as one (n_draws, n_ports) matrix, parts drawn whole
     scale = math.sqrt(var / 2.0)
     re = rng.standard_normal((n_draws, 1))
     im = rng.standard_normal((n_draws, 1))
@@ -232,7 +241,8 @@ def _full_matrix_powers(mu, var, n_ports, n_draws, rng):
 def _assert_blocks_match_full_matrix(mu, n_ports, n_draws, seed):
     rng_blocks = np.random.default_rng(seed)
     rng_full = np.random.default_rng(seed)
-    blocks = list(_port_power_blocks(mu, 0.7, n_ports, n_draws, rng_blocks))
+    blocks = [block.copy() for block in _port_power_blocks(mu, 0.7, n_ports, n_draws,
+                                                           rng_blocks)]
     full = _full_matrix_powers(mu, 0.7, n_ports, n_draws, rng_full)
     assert [b.shape[0] for b in blocks[:-1]] == [_POWER_BLOCK_ROWS] * (len(blocks) - 1)
     assert 1 <= blocks[-1].shape[0] <= _POWER_BLOCK_ROWS

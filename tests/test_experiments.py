@@ -267,6 +267,23 @@ class TestMonteCarloWiring:
         assert out.stdout.split() == ["False"]
 
 
+def _counted_rates(calls):
+    # link_rates_true, with each call's rate count appended to calls; a
+    # call must take each (link, port count, rate) once
+    real_rates = fasmon.optimize.link_rates_true
+
+    def rates(link, rate_block, n_ports):
+        size = len(rate_block)
+        links = [link] * size if isinstance(link, DerivedLink) else link
+        ports = n_ports if isinstance(n_ports, list) else [n_ports] * size
+        columns = {(one.gamma_cap, n, r)
+                   for one, n, r in zip(links, ports, np.asarray(rate_block).tolist())}
+        assert len(columns) == size
+        calls.append(size)
+        return real_rates(link, rate_block, n_ports)
+    return rates
+
+
 class TestExactRateBlocks:
     # a run evaluates its exact rates in rounds, one link_rates_true call per
     # round for the links that share mu (every run here has one mu and at
@@ -282,28 +299,32 @@ class TestExactRateBlocks:
         ("experiment=fig2",),
     ], ids=["fig1", "fig3-w0.1", "fig2"])
     def test_one_quadrature_per_link(self, monkeypatch, pairs):
-        real_rates = fasmon.optimize.link_rates_true
-
-        def counted(calls):
-            def rates(link, rate_block, n_ports):
-                calls.append(len(rate_block))
-                return real_rates(link, rate_block, n_ports)
-            return rates
-
         spec = _spec(*pairs)
         rounds = 1
         if Scheme.TRUE_GRID in spec.schemes:
             for x_value in spec.sweep_values:
                 alone = []
-                monkeypatch.setattr(fasmon.optimize, "link_rates_true", counted(alone))
+                monkeypatch.setattr(fasmon.optimize, "link_rates_true", _counted_rates(alone))
                 params = _point_params(spec, x_value)
                 solve_true_grid(params, derive_link(params))
                 rounds = max(rounds, len(alone))
         calls = []
-        monkeypatch.setattr(fasmon.optimize, "link_rates_true", counted(calls))
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", _counted_rates(calls))
         assert len(run_experiment(spec)) == expected_row_count(spec)
         assert len(calls) == rounds
         assert (rounds > 1) == (Scheme.TRUE_GRID in spec.schemes)
+
+    def test_repeated_rates_evaluated_once(self, monkeypatch):
+        # default fig3's first round asks 1065 rates, 44 of them twice
+        # (ConventionalSingle's rows at one rate on one link, ConstantJamming
+        # and Passive at TrueGrid's grid ends): each goes to link_rates_true
+        # once, so that round fits one call; the third round holds 2007
+        # distinct rates and takes two
+        calls = []
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", _counted_rates(calls))
+        spec = _spec("experiment=fig3")
+        assert len(run_experiment(spec)) == expected_row_count(spec)
+        assert calls == [1021, 675, 1024, 983, 480, 480]
 
     @pytest.mark.parametrize("pairs", [("experiment=fig2",),
                                        ("experiment=fig3", "aperture_w=0.1")],
@@ -402,6 +423,17 @@ class TestExtremeInputs:
         rows = run_experiment(spec)
         assert len(rows) == expected_row_count(spec) == 6
         assert all(r.pm_star_db <= 30.0 and r.rate_analytic > 0.0 for r in rows)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_r_max_drops_every_row_by_name(self, capsys):
+        # at p_s = 100 dB with sigma_d2 = 1e-300 the band top overflows: each
+        # row drops with that cause, with no NaN grid and no numpy warning
+        spec = _spec("experiment=fig2", "sweep_values=-18", "sigma_d2=1e-300",
+                     "p_s_db=100")
+        assert run_experiment(spec) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 6
+        assert all(": ComputationError: r_max overflows: " in line for line in err)
 
 
 class TestSeeding:

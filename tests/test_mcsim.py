@@ -10,6 +10,7 @@ tolerances are multiples of the binomial standard error, not the reported
 import dataclasses
 import math
 import threading
+import tracemalloc
 
 import pytest
 
@@ -46,11 +47,13 @@ class TestReproducibility:
         assert a.mean != b.mean
 
     # best-port hit counts at RatePoint(1.5) over three chunks (two full,
-    # one partial), recorded with the complex-arithmetic sampler; a change
-    # to the draw order, the chunk size or the (seed, chunk) keying moves them
+    # one partial), recorded with the complex-arithmetic sampler of
+    # tests/test_channel.py applied to each 2048-row block in turn; a change
+    # to the draw order, the row block or chunk size or the (seed, chunk)
+    # keying moves them
     @pytest.mark.parametrize("seed, n_ports, hits", [
-        (7, 1, 180186), (7, 8, 12920), (7, 16, 691),
-        (2029, 1, 180054), (2029, 8, 12914), (2029, 16, 667),
+        (7, 1, 180537), (7, 8, 12943), (7, 16, 641),
+        (2029, 1, 180145), (2029, 8, 13003), (2029, 16, 648),
     ])
     def test_monitor_outage_stream_pinned(self, ref_params, ref_link, seed,
                                           n_ports, hits):
@@ -103,6 +106,19 @@ class TestWorkerCount:
             assert len(threads) == 8
             assert all(on_main) if cap == 1 else not any(on_main)
         assert estimates[1] == estimates[3]
+
+
+class TestMemory:
+    def test_best_port_block_holds_one_row_block(self):
+        # a 2^17-draw block at 64 ports draws 2048 rows at a time: one row
+        # block's draws, 2.1 MB, not the 69 MB of the whole block's
+        tracemalloc.start()
+        try:
+            fasmon.mcsim._monitor_block_hits(0.6, 1.0, 64, 0.5, 7, 0, 1 << 17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestConfidenceInterval:

@@ -183,6 +183,26 @@ class TestRateBand:
         assert lo == pytest.approx(params.delta, rel=1e-12, abs=0.0)
         assert r_min < r_max
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_r_max_is_named(self, ref_params):
+        # fig2 at -18 dB with p_s = 100 dB and sigma_d2 = 1e-300: the no-jamming
+        # threshold -p_s sigma_h2 ln(1 - delta) / sigma_d2 overflows, and r_max
+        # with it; named before any band or grid is built on it
+        params = dataclasses.replace(ref_params, p_s=1e10, sigma_d2=1e-300)
+        for call in (rate_bounds, lambda p: rate_for_pm(p, 0.0),
+                     lambda p: pm_for_rate(p, RatePoint(1.0))):
+            with pytest.raises(ComputationError, match="r_max overflows"):
+                call(params)
+
+    def test_overflowing_jamming_ratio_is_named(self, ref_params):
+        # B/A = p_m sigma_f2 / sigma_d2 = 1e3 * 1e10 / 1e-300 overflows while
+        # A = 1e-302 does not underflow: named before Newton takes NaN steps
+        params = dataclasses.replace(ref_params, sigma_f2=1e10, sigma_d2=1e-300)
+        with pytest.raises(ComputationError, match="B/A = .* overflows to inf"):
+            rate_for_pm(params, params.p_m_max)
+        with pytest.raises(ComputationError, match="B/A"):
+            rate_bounds(params)
+
     def test_band_bottom_is_the_full_power_rate(self, ref_params):
         # one root for both, so bit for bit
         assert rate_bounds(ref_params)[0] == rate_for_pm(ref_params,
@@ -254,12 +274,11 @@ class TestDestinationProperties:
             r_min, r_max = rate_bounds(params)
         except FasmonError:
             return
-        # r_max may overflow to inf
-        assert 0.0 < r_min <= r_max
-        if math.isfinite(r_max):
-            rate = min(r_min + frac * (r_max - r_min), r_max)
-            with contextlib.suppress(FasmonError):
-                assert 0.0 <= pm_for_rate(params, RatePoint(rate)) <= p_m_max
+        # an r_max that would overflow to inf raises ComputationError
+        assert 0.0 < r_min <= r_max < math.inf
+        rate = min(r_min + frac * (r_max - r_min), r_max)
+        with contextlib.suppress(FasmonError):
+            assert 0.0 <= pm_for_rate(params, RatePoint(rate)) <= p_m_max
 
 
 class TestMonitorOutageProperties:
@@ -413,6 +432,33 @@ class TestMonitorOutage:
         rates = exact_rates([_one_rate(RateJob(ref_link, 0.0, 8)),
                              _one_rate(RateJob(ref_link, -0.0, 8))])
         assert [r.hex() for r in rates] == ["0x0.0p+0", "-0x0.0p+0"]
+
+    def test_repeated_columns_are_evaluated_once(self, ref_link, monkeypatch):
+        # a round's equal columns (gamma_cap, port count and rate bits) go to
+        # link_rates_true once, in the order first asked for, and every
+        # request gets each of its values back
+        def recording(link, rates, n_ports):
+            links = [link] * len(rates) if isinstance(link, DerivedLink) else link
+            ports = n_ports if isinstance(n_ports, list) else [n_ports] * len(rates)
+            calls.append([(one.gamma_cap, n, r)
+                          for one, n, r in zip(links, ports, np.asarray(rates).tolist())])
+            return link_rates_true(link, rates, n_ports)
+
+        def all_rates(job):
+            return (yield job)
+
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", recording)
+        calls = []
+        other = DerivedLink(mu=ref_link.mu, gamma_cap=2.0 * ref_link.gamma_cap)
+        jobs = [RateJob(ref_link, [2.0, 1.0, 2.0], 8), RateJob(ref_link, [1.0, 3.0], 8),
+                RateJob(other, [1.0], 8), RateJob(ref_link, [3.0, 1.0], 4)]
+        rates = exact_rates([all_rates(job) for job in jobs])
+        cap, cap2 = ref_link.gamma_cap, other.gamma_cap
+        assert calls == [[(cap, 8, 2.0), (cap, 8, 1.0), (cap, 8, 3.0), (cap2, 8, 1.0),
+                          (cap, 4, 3.0), (cap, 4, 1.0)]]
+        for job, values in zip(jobs, rates):
+            assert values.tolist() == link_rates_true(job.link, job.rate_r,
+                                                      job.n_ports).tolist()
 
     def test_failing_group_is_evaluated_again_one_request_at_a_time(
             self, ref_link, monkeypatch):
