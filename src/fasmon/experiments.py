@@ -150,12 +150,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     failure to compute it is not kept, so it is reported once for every
     point it fails. All the tasks go to :func:`fasmon.optimize.exact_rates`,
     which advances them in rounds and evaluates each round's exact rates on
-    links that share mu together, in link_rates_true calls of at most
-    optimize._CALL_COLUMNS rates (one mu per default fig1, fig2 or fig3
-    run), each value the one its row gets alone. Each task's result is its
-    rows or the FasmonError that drops them, reported in row order. Then the
-    Monte Carlo jobs of all rows run as one batch, which cannot drop a row,
-    and fill in the rows' Monte Carlo cells.
+    links that share mu together, in one link_rates_true call per round and
+    mu (one mu per default fig1, fig2 or fig3 run), each value the one its
+    row gets alone. Each task's result is its rows or the FasmonError that
+    drops them, reported in row order. Then the Monte Carlo jobs of all rows
+    run as one batch, which cannot drop a row, and fill in the rows' Monte
+    Carlo cells.
     """
     mu_of = functools.cache(correlation_mu)
     _, point_params = _SWEEPS[spec.sweep_variable]

@@ -29,11 +29,11 @@ as steps: its operating point, then a request for the exact rate there.
 TrueGrid's operating point is itself steps, which request their grid rates
 and end with the exact rate at r*. exact_rates is the one rate scheduler:
 it advances a run's steps in lockstep rounds and evaluates each round's
-requests on links that share mu together, in link_rates_true calls of at
-most _CALL_COLUMNS distinct rates; evaluate_scheme and solve_true_grid run
-their steps under it alone. Every exact rate here, TrueGrid's scans and the
-single-antenna monitor's included, comes from one block evaluator,
-outage.link_rates_true, looked up in this module at call time.
+requests on links that share mu in one link_rates_true call per round and
+mu; evaluate_scheme and solve_true_grid run their steps under it alone.
+Every exact rate here, TrueGrid's scans and the single-antenna monitor's
+included, comes from one block evaluator, outage.link_rates_true, looked
+up in this module at call time.
 
 The derivative split is NOT globally single-crossing: g decays to zero at
 large x while h keeps a positive floor for mu > 0, so h - g can go
@@ -67,8 +67,6 @@ _COARSE_BLOCK = 17  # coarse rates per block, left to right, once it raises
 _FINE_STEP = 8  # grid index step of the first level of the fine pass
 _REFINE_POINTS = 32  # exact rates per refinement scan of solve_true_grid
 _REFINE_LEVELS = 2  # refinement scans after solve_true_grid's grid scan
-# rates per link_rates_true call of exact_rates
-_CALL_COLUMNS = 1024
 # relative margin on R added to solve_true_grid's caps: the computed outage
 # is accurate to the panel quadrature's settle tolerance, at most 1e-9 for an
 # outage in [0, 1], so R (1 - outage) at two rates may each be off by 1e-9 R;
@@ -383,7 +381,7 @@ def exact_rates(tasks: Sequence[Generator]) -> list:
     (a row task whose point failed) gets that error as its result. The
     tasks advance in rounds: every task's first request makes round one,
     and each round's replies bring the next requests. Each round's requests
-    on links that share mu are evaluated together (_round). Every value
+    on links that share mu are evaluated in one call (_round). Every value
     equals the one the task gets alone: a column's value depends only on its
     own link, rate and port count. A request whose group raises is
     evaluated again alone, and its own FasmonError is thrown into its
@@ -419,7 +417,7 @@ def _round(jobs: list[RateJob]) -> list:
     """The exact rates of one round's requests, each an array in its rate
     order, or the FasmonError it raises alone.
 
-    The requests on one mu are evaluated together (_evaluate) and their
+    The requests on one mu are evaluated in one call (_evaluate) and their
     values split back. If that raises a FasmonError, each request is
     evaluated again alone, as a round of its own, so each gets its own value
     or error; a mu with one request takes the error at once."""
@@ -446,43 +444,23 @@ def _round(jobs: list[RateJob]) -> list:
 
 def _evaluate(group: list) -> list[np.ndarray]:
     """The exact rates of group, requests (index, RateJob, its rates) on
-    one mu, one array each: link_rates_true over their distinct columns
-    (gamma_cap, port count, rate bits) end to end, in the order they are
-    first asked for, _CALL_COLUMNS at a time, given one link or one port
-    count where every request shares it, and each value scattered back to
-    every column that asked for it; raises the first FasmonError."""
+    one mu, one array each: one link_rates_true call over their rates end to
+    end, given one link or one port count where every request shares it,
+    split back per request; raises its FasmonError."""
     sizes = [rates.size for _, _, rates in group]
-    rates = np.concatenate([rates for _, _, rates in group])
-    seen: dict = {}  # (gamma_cap, port count and its type) -> {rate bits: slot}
-    first, request = [], []  # each slot's first column and its request
-    slots = []  # each column's slot
-    for k, (_, job, job_rates) in enumerate(group):
-        slot_of = seen.setdefault((job.link.gamma_cap, type(job.n_ports), job.n_ports), {})
-        for bits in job_rates.view(np.uint64).tolist():
-            slot = slot_of.setdefault(bits, len(first))
-            if slot == len(first):
-                first.append(len(slots))
-                request.append(k)
-            slots.append(slot)
-    link = _per_column([job.link for _, job, _ in group], request)
-    n_ports = _per_column([job.n_ports for _, job, _ in group], request)
-    rates = rates[first]
-    values = []
-    for start in range(0, rates.size, _CALL_COLUMNS):
-        cut = slice(start, start + _CALL_COLUMNS)
-        values.append(link_rates_true(link[cut] if isinstance(link, list) else link,
-                                      rates[cut],
-                                      n_ports[cut] if isinstance(n_ports, list) else n_ports))
-    return np.split(np.concatenate(values)[slots], np.cumsum(sizes)[:-1])
+    values = link_rates_true(_per_column([job.link for _, job, _ in group], sizes),
+                             np.concatenate([rates for _, _, rates in group]),
+                             _per_column([job.n_ports for _, job, _ in group], sizes))
+    return np.split(values, np.cumsum(sizes)[:-1])
 
 
-def _per_column(items: list, request: list[int]):
+def _per_column(items: list, sizes: list[int]):
     """items[0] when every item equals it in type and value (True == 1, but
     a bool port count must still be refused), or else each column's item,
-    items[k] for a column of request k."""
+    items[k] repeated sizes[k] times."""
     if len({(type(item), item) for item in items}) == 1:
         return items[0]
-    return [items[k] for k in request]
+    return np.repeat(np.array(items, dtype=object), sizes).tolist()
 
 
 def _alone(task: Generator):

@@ -22,6 +22,7 @@ from .errors import (AccuracyError, ComputationError, ConstraintInfeasibleError,
 from .specfun import _MARCUM_EXIT_GAP, integrate_expweighted, marcum_q1
 
 _LN2 = math.log(2.0)
+_CALL_COLUMNS = 1024  # distinct (N, b) columns per quadrature block of _outage_true
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,15 @@ class RatePoint:
 
     def __post_init__(self):
         rate_r = check_real("rate_r", self.rate_r, "nonnegative", lambda v: v >= 0.0)
-        object.__setattr__(self, "gamma_th", math.expm1(rate_r * _LN2))
+        object.__setattr__(self, "gamma_th", _threshold(rate_r))
+
+
+def _threshold(rate_r: float) -> float:
+    """2^R - 1; DomainError where it overflows (R past about 1024)."""
+    try:
+        return math.expm1(rate_r * _LN2)
+    except OverflowError:
+        raise DomainError(f"rate_r must have a finite 2^R - 1, got {rate_r!r}") from None
 
 
 def _ps_h(params: SystemParams) -> float:
@@ -68,15 +77,13 @@ def _gamma_min_root(a_coef: float, b_coef: float, delta: float) -> float:
     and concave, so Newton from d = 0, where the residual is negative,
     climbs to the root without overshooting it. The stop test is relative
     to d, which may be far below 1 (tiny delta with large B/A); 100 steps
-    that do not settle raise AccuracyError. A B/A that overflows to inf
-    raises ComputationError first: Newton's d * B/A would be NaN at d = 0."""
+    that do not settle raise AccuracyError. Where A underflows or B/A
+    overflows, d is lost to rounding beside log1p(d B/A), and the root is
+    1/(1 + B g) = 1 - delta's, g = expm1(-ln(1 - delta))/B (inf at B = 0)."""
     target = -math.log1p(-delta)
-    if a_coef == 0.0:  # A underflows: no noise term, 1/(1 + B g) = 1 - delta
-        return math.expm1(target) / b_coef if b_coef > 0.0 else math.inf
-    ratio = b_coef / a_coef
+    ratio = b_coef / a_coef if a_coef > 0.0 else math.inf
     if not math.isfinite(ratio):
-        raise ComputationError(f"destination root: B/A = {b_coef!r} / {a_coef!r} "
-                               "overflows to inf")
+        return math.expm1(target) / b_coef if b_coef > 0.0 else math.inf
     d = 0.0
     for _ in range(100):
         f = d + math.log1p(d * ratio) - target
@@ -191,22 +198,29 @@ def _link_columns(link, size: int) -> tuple[float, float | np.ndarray]:
     return (mus.pop() if mus else 0.0), np.array([one.gamma_cap for one in links])
 
 
+def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, index): where each distinct tuple of keys first comes in
+    np.lexsort's order (the last key sorts first), and each element's index
+    among those tuples; np.unique would import numpy.ma."""
+    order = np.lexsort(keys)
+    new = np.append(True, np.any([k[order][1:] != k[order][:-1] for k in keys], axis=0))
+    index = np.empty_like(order)
+    index[order] = np.cumsum(new) - 1
+    return order[new], index
+
+
 def _outage_true(link, gammas: np.ndarray, n_ports) -> tuple[np.ndarray, np.ndarray]:
     """(P, S): monitor_outage_true and the success probability S at a block
     of SNR thresholds gamma_th, threshold j over n_ports[j] ports (one count
     serves them all) on link, one DerivedLink or one per threshold on a
     shared mu (_link_columns).
 
-    The Marcum grid's nodes and the panels depend on mu alone, and Gamma
-    enters only through each threshold's own ratio x_j = gamma_j / Gamma_j,
-    so thresholds of links that share mu share one grid. At N = 1 or
-    mu = 0, S = -expm1(N log1p(-e^{-x})), x = gamma_th/Gamma, keeps its
-    relative precision however small it is. The thresholds that
-    need the integral share one Marcum-Q grid per lattice group of panels,
-    quadrature nodes against their sorted distinct second arguments b;
-    1 - Q1 is raised to each distinct N on that N's columns, the same ** N
-    that a threshold gets alone, and S = 1 - P. Each threshold's values are
-    therefore the same alone as in any block, whatever comes with it."""
+    At N = 1 or mu = 0, S = -expm1(N log1p(-e^{-x})), x = gamma_th/Gamma,
+    keeps its relative precision however small it is. Otherwise the outage
+    depends only on N and the Marcum argument b = sqrt(2 x / (1 - mu^2)):
+    each distinct (N, b) is integrated once, in blocks of at most
+    _CALL_COLUMNS pairs sorted by (N, b) (_integrate_pairs), and S = 1 - P.
+    Each threshold's values are the same alone as in any block."""
     try:
         ports = np.broadcast_to(np.asarray(n_ports, dtype=object), gammas.shape)
     except ValueError:
@@ -215,9 +229,7 @@ def _outage_true(link, gammas: np.ndarray, n_ports) -> tuple[np.ndarray, np.ndar
     ratio = gammas / gamma_cap
     out = np.empty(gammas.shape)
     success = np.empty(gammas.shape)
-    # (N, columns) of the thresholds that need the integral; a set, not
-    # np.unique, which imports numpy.ma for an integer array
-    groups = []
+    counts = np.zeros(gammas.shape, dtype=np.int64)  # N where the integral is needed
     # each distinct (type, value) pair is checked: True == 1 would hide a bool
     distinct = {(type(n), n) for n in ports.tolist()}
     for n in sorted({check_count("n_ports", n, 1, _MAX_PORTS) for _, n in distinct}):
@@ -227,35 +239,42 @@ def _outage_true(link, gammas: np.ndarray, n_ports) -> tuple[np.ndarray, np.ndar
             with np.errstate(divide="ignore"):  # log1p(-1) = -inf at gamma_th = 0
                 success[cols] = -np.expm1(n * np.log1p(-np.exp(-ratio[cols])))
         else:
-            groups.append((n, cols))
-    if not groups:
+            counts[cols] = n
+    quad = np.flatnonzero(counts)
+    if not quad.size:
         return out, success
-    quad = np.concatenate([cols for _, cols in groups])
     one_minus_mu2 = 1.0 - mu * mu
     a_scale = math.sqrt(2.0 * mu * mu / one_minus_mu2)
     b_vals = np.sqrt(2.0 * ratio[quad] / one_minus_mu2)
-    # the grid's columns are the sorted distinct b values; b_col maps each
-    # integral to its column
-    order = np.argsort(b_vals, kind="stable")
-    b_sorted = b_vals[order]
-    distinct = np.concatenate(([True], b_sorted[1:] != b_sorted[:-1]))
-    b_grid = b_sorted[distinct]
-    b_col = np.empty(quad.size, dtype=np.int64)
-    b_col[order] = np.cumsum(distinct) - 1
-    spans = np.split(b_col, np.cumsum([cols.size for _, cols in groups])[:-1])
+    n_vals = counts[quad]
+    first, pair = _distinct(b_vals, n_vals)
+    ns, bs = n_vals[first], b_vals[first]
+    out[quad] = np.concatenate([_integrate_pairs(a_scale, ns[k:k + _CALL_COLUMNS],
+                                                 bs[k:k + _CALL_COLUMNS])
+                                for k in range(0, bs.size, _CALL_COLUMNS)])[pair]
+    success[quad] = 1.0 - out[quad]
+    return out, success
+
+
+def _integrate_pairs(a_scale: float, ns: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """The outage integral at distinct (N, b) pairs sorted by (N, b), first
+    Marcum argument a_scale sqrt(t): one Marcum-Q grid per lattice group of
+    panels, nodes against the sorted distinct b values, each 1 - Q1 column
+    raised to the N of each of its pairs, the same ** N as alone."""
+    b_first, b_col = _distinct(bs)
+    b_grid = bs[b_first]
+    edges = np.flatnonzero(np.diff(ns)) + 1  # the runs of one N
+    runs = [(int(n[0]), cols) for n, cols in zip(np.split(ns, edges), np.split(b_col, edges))]
 
     def integrand(ts):
         cdf = 1.0 - marcum_q1(a_scale * np.sqrt(ts)[:, None], b_grid[None, :])
-        return np.concatenate([cdf[:, span] ** n for (n, _), span in zip(groups, spans)],
-                              axis=1)
+        return np.concatenate([cdf[:, cols] ** n for n, cols in runs], axis=1)
 
     # Q1 is exactly 0 (integrand 1) where a_scale u <= b - 11 and exactly 1
     # (integrand 0) where a_scale u >= b + 11
-    out[quad] = np.clip(integrate_expweighted(
-        integrand, (b_vals - _MARCUM_EXIT_GAP) / a_scale,
-        (b_vals + _MARCUM_EXIT_GAP) / a_scale, min(1.0, 1.0 / a_scale)), 0.0, 1.0)
-    success[quad] = 1.0 - out[quad]
-    return out, success
+    return np.clip(integrate_expweighted(
+        integrand, (bs - _MARCUM_EXIT_GAP) / a_scale,
+        (bs + _MARCUM_EXIT_GAP) / a_scale, min(1.0, 1.0 / a_scale)), 0.0, 1.0)
 
 
 def monitor_outage_true(link: DerivedLink, rp: RatePoint, n_ports: int) -> float:
@@ -311,13 +330,14 @@ def rate_true(params: SystemParams, link: DerivedLink, rp: RatePoint) -> float:
 
 def link_rates_true(link, rates: np.ndarray, n_ports) -> np.ndarray:
     """R S, S the exact success probability of _outage_true, at a block of
-    rates, rate j over n_ports[j] ports (one count serves them all) on link,
-    one DerivedLink for every rate or a list of one per rate that share mu
-    (DomainError otherwise); the thresholds are RatePoint's 2^R - 1, bit for
-    bit. Each rate's value depends only on its own link, rate and port
-    count, never on the others in the block."""
+    rates of any size, rate j over n_ports[j] ports (one count serves them
+    all) on link, one DerivedLink for every rate or a list of one per rate
+    that share mu (DomainError otherwise); the thresholds are RatePoint's
+    2^R - 1, bit for bit, with its DomainError where that overflows. Each
+    rate's value depends only on its own link, rate and port count, never on
+    the others in the block."""
     rates = check_nonneg_array("rate_r", rates)
-    gammas = np.array([math.expm1(r * _LN2) for r in rates.tolist()])
+    gammas = np.array([_threshold(r) for r in rates.tolist()])
     return rates * _outage_true(link, gammas, n_ports)[1]
 
 

@@ -363,8 +363,10 @@ def marcum_q1(a, b):
         return float(out) if out.ndim == 0 else out
     a_flat = np.broadcast_to(a_arr, shape).ravel()
     b_flat = np.broadcast_to(b_arr, shape).ravel()
-    order = np.argsort(b_flat, kind="stable")
     out = np.empty(b_flat.size)
+    if not out.size:
+        return out.reshape(shape)
+    order = np.argsort(b_flat, kind="stable")
     for cell in np.split(order, np.flatnonzero(np.diff(b_flat[order])) + 1):
         a_vals, a_idx = np.unique(a_flat[cell], return_inverse=True)
         out[cell] = _marcum_q1_grid(a_vals, b_flat[cell[:1]])[a_idx.ravel(), 0]

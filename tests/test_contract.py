@@ -6,7 +6,8 @@ One table row per entry point and argument. A real argument is fed NaN,
 +-inf, a bool, a string and None, and -1 or 2**64 where they lie outside
 its domain; a count (port counts, sample counts, seeds, the Bessel order)
 is also fed 8.5; an array argument gets NaN, +-inf and -1 as one of its
-elements. A row fails if any of its values is not refused with
+elements. A rate is also fed 2000 and 2**64, whose threshold 2^R - 1
+overflows. A row fails if any of its values is not refused with
 DomainError. Warnings are errors here, so a check that lets a value reach
 the arithmetic fails too. SystemParams' port count, and solve_bound_bisect's
 single port, are checked where those are tested.
@@ -39,6 +40,7 @@ _NONNEG_REAL = _REAL + [-1]
 _COUNT = _NONNEG_REAL + [8.5]
 _PORT_COUNT = _COUNT + [0, 2 ** 64]
 _ELEMENT = _NON_FINITE + [-1.0]
+_OVERFLOWING_RATES = [2000.0, 2 ** 64]  # 2^R - 1 overflows; 2^1024 - 1 does not
 # numpy turns a string or bool among numbers into a float; a whole array of
 # them keeps a dtype that is not a real number's
 _NON_REAL_ARRAYS = [np.array(["1.0"]), np.array([True]), np.array([1j])]
@@ -61,7 +63,7 @@ _TABLE = [
     ("bessel_j.order", lambda v: bessel_j(v, 2.0), _COUNT + [2, 2 ** 64]),
     ("bessel_j.z", lambda v: bessel_j(1, v), _NONNEG_REAL + [2 ** 64]),
     ("lambert_w0.x", lambert_w0, _NONNEG_REAL),
-    ("RatePoint.rate_r", RatePoint, _NONNEG_REAL),
+    ("RatePoint.rate_r", RatePoint, _NONNEG_REAL + _OVERFLOWING_RATES),
     ("sd_outage.p_m", lambda v: sd_outage(_PARAMS, _RP, v), _NONNEG_REAL),
     ("rate_for_pm.p_m", lambda v: rate_for_pm(_PARAMS, v), _NONNEG_REAL + [2 ** 64]),
     ("monitor_outage_true.n_ports",
@@ -73,7 +75,8 @@ _TABLE = [
     ("link_rates_true.n_ports",
      lambda v: link_rates_true(_LINK, [1.0, 1.0], [8, v]), _PORT_COUNT),
     ("link_rates_true.rates",
-     lambda v: link_rates_true(_LINK, [1.0, v], 8), _ELEMENT + _NON_REAL),
+     lambda v: link_rates_true(_LINK, [1.0, v], 8),
+     _ELEMENT + _NON_REAL + _OVERFLOWING_RATES),
     ("link_rates_true.rates_array", lambda v: link_rates_true(_LINK, v, 8), _NON_REAL_ARRAYS),
     # one link per rate must share mu and match the rates in number
     ("link_rates_true.link", lambda v: link_rates_true(v, [1.0, 1.0], 8),

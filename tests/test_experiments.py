@@ -268,29 +268,33 @@ class TestMonteCarloWiring:
 
 
 def _counted_rates(calls):
-    # link_rates_true, with each call's rate count appended to calls; a
-    # call must take each (link, port count, rate) once
+    # link_rates_true, with each call's rate count appended to calls
     real_rates = fasmon.optimize.link_rates_true
 
     def rates(link, rate_block, n_ports):
-        size = len(rate_block)
-        links = [link] * size if isinstance(link, DerivedLink) else link
-        ports = n_ports if isinstance(n_ports, list) else [n_ports] * size
-        columns = {(one.gamma_cap, n, r)
-                   for one, n, r in zip(links, ports, np.asarray(rate_block).tolist())}
-        assert len(columns) == size
-        calls.append(size)
+        calls.append(len(rate_block))
         return real_rates(link, rate_block, n_ports)
     return rates
 
 
+def _counted_quadrature(columns):
+    # integrate_expweighted as outage calls it, with each call's column
+    # count appended to columns
+    real_integrate = fasmon.outage.integrate_expweighted
+
+    def integrate(f, u_lo, u_hi, width):
+        columns.append(np.size(u_lo))
+        return real_integrate(f, u_lo, u_hi, width)
+    return integrate
+
+
 class TestExactRateBlocks:
     # a run evaluates its exact rates in rounds, one link_rates_true call per
-    # round for the links that share mu (every run here has one mu and at
-    # most _CALL_COLUMNS rates a round): fig1, and fig3 without TrueGrid,
-    # need one round; a fig2 run takes as many as its longest TrueGrid point
-    # makes calls alone, its plain rates riding in the first, and a TrueGrid
-    # row's exact rate at r* is its last scan's value, with no request
+    # round for the links that share mu (every run here has one mu): fig1,
+    # and fig3 without TrueGrid, need one round; a fig2 run takes as many as
+    # its longest TrueGrid point makes calls alone, its plain rates riding in
+    # the first, and a TrueGrid row's exact rate at r* is its last scan's
+    # value, with no request
     @pytest.mark.parametrize("pairs", [
         ("experiment=fig1",),
         ("experiment=fig3", "aperture_w=0.1",
@@ -315,16 +319,20 @@ class TestExactRateBlocks:
         assert (rounds > 1) == (Scheme.TRUE_GRID in spec.schemes)
 
     def test_repeated_rates_evaluated_once(self, monkeypatch):
-        # default fig3's first round asks 1065 rates, 44 of them twice
-        # (ConventionalSingle's rows at one rate on one link, ConstantJamming
-        # and Passive at TrueGrid's grid ends): each goes to link_rates_true
-        # once, so that round fits one call; the third round holds 2007
-        # distinct rates and takes two
-        calls = []
+        # default fig3 makes one link_rates_true call per round. Its first
+        # round asks 1065 rates, 44 of them twice (ConventionalSingle's rows
+        # at one rate on one link, ConstantJamming and Passive at TrueGrid's
+        # grid ends), and the single-port ones need no integral: the
+        # quadrature sees 1020 distinct (N, b) columns. The third round's
+        # 2007 columns take two quadrature blocks of at most 1024
+        calls, columns = [], []
         monkeypatch.setattr(fasmon.optimize, "link_rates_true", _counted_rates(calls))
+        monkeypatch.setattr(fasmon.outage, "integrate_expweighted",
+                            _counted_quadrature(columns))
         spec = _spec("experiment=fig3")
         assert len(run_experiment(spec)) == expected_row_count(spec)
-        assert calls == [1021, 675, 1024, 983, 480, 480]
+        assert calls == [1065, 675, 2007, 480, 480]
+        assert columns == [1020, 675, 1024, 983, 480, 480]
 
     @pytest.mark.parametrize("pairs", [("experiment=fig2",),
                                        ("experiment=fig3", "aperture_w=0.1")],

@@ -194,14 +194,17 @@ class TestRateBand:
             with pytest.raises(ComputationError, match="r_max overflows"):
                 call(params)
 
-    def test_overflowing_jamming_ratio_is_named(self, ref_params):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_jamming_ratio_takes_the_closed_form_root(self, ref_params):
         # B/A = p_m sigma_f2 / sigma_d2 = 1e3 * 1e10 / 1e-300 overflows while
-        # A = 1e-302 does not underflow: named before Newton takes NaN steps
+        # A = 1e-302 does not underflow: the noise term is lost to rounding,
+        # and the root is 1/(1 + B g) = 1 - delta's, which meets the target
         params = dataclasses.replace(ref_params, sigma_f2=1e10, sigma_d2=1e-300)
-        with pytest.raises(ComputationError, match="B/A = .* overflows to inf"):
-            rate_for_pm(params, params.p_m_max)
-        with pytest.raises(ComputationError, match="B/A"):
-            rate_bounds(params)
+        r_min = rate_for_pm(params, params.p_m_max)
+        out = sd_outage(params, RatePoint(r_min), params.p_m_max)
+        assert out == pytest.approx(params.delta, rel=1e-15, abs=0.0)
+        assert rate_bounds(params)[0] == r_min
+        assert 0.0 < r_min < rate_bounds(params)[1]
 
     def test_band_bottom_is_the_full_power_rate(self, ref_params):
         # one root for both, so bit for bit
@@ -319,7 +322,28 @@ _BATCH_JOB = st.tuples(st.integers(0, len(_BATCH_LINKS) - 1),
                        st.sampled_from([1, 2, 8, 22]))
 
 
+# one mu at two gains, the second twice the first: R = 2 on the first and
+# R = log2 7 on the second have equal gamma_th/Gamma (3/Gamma)
+_BLOCK_LINKS = (_BATCH_LINKS[0], DerivedLink(mu=_BATCH_LINKS[0].mu,
+                                             gamma_cap=2.0 * _BATCH_LINKS[0].gamma_cap))
+_BLOCK_COLUMN = st.tuples(st.integers(0, 1),
+                          st.sampled_from([0.0, 1.0, 2.0, math.log2(7.0)]) | st.floats(0.0, 4.0),
+                          st.sampled_from([1, 2, 8]))
+
+
 class TestRateBatchProperties:
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(columns=st.lists(_BLOCK_COLUMN, min_size=1, max_size=8),
+           repeats=st.lists(st.integers(0, 7), min_size=1, max_size=8))
+    def test_block_with_repeats_equals_each_column_alone(self, columns, repeats):
+        # one link_rates_true block on one mu, each repeat a copy of one of
+        # its columns: every value is the column's alone, bit for bit
+        block = columns + [columns[k % len(columns)] for k in repeats]
+        values = link_rates_true([_BLOCK_LINKS[k] for k, _, _ in block],
+                                 [r for _, r, _ in block], [n for _, _, n in block])
+        for (k, r, n), value in zip(block, values):
+            assert value.hex() == link_rates_true(_BLOCK_LINKS[k], [r], n)[0].hex(), (k, r, n)
+
     @settings(max_examples=10, deadline=None, database=None)
     @example(jobs=[(3, 2.6, 22), (0, 2.4, 8), (2, 0.5, 8), (3, 0.0, 22),
                    (0, 0.5, 1), (1, 2.4, 8), (0, 2.4, 8), (3, 2.4, 2),
@@ -420,6 +444,18 @@ class TestMonitorOutage:
         assert rates[0] == rate_true(ref_params, ref_link, RatePoint(1.0))
         assert isinstance(rates[1], DomainError)
 
+    def test_overflowing_threshold_fails_only_its_job(self, ref_params, ref_link):
+        # R = 2000 has no finite 2^R - 1: that request gets the DomainError
+        # RatePoint raises, and the request evaluated with it keeps its value
+        rates = exact_rates([_one_rate(RateJob(ref_link, 1.0, 8)),
+                             _one_rate(RateJob(ref_link, 2000.0, 8))])
+        assert rates[0] == rate_true(ref_params, ref_link, RatePoint(1.0))
+        assert isinstance(rates[1], DomainError)
+        with pytest.raises(DomainError) as alone:
+            RatePoint(2000.0)
+        assert str(rates[1]) == str(alone.value)
+        assert RatePoint(1024.0).gamma_th < math.inf
+
     def test_equal_looking_jobs_stay_apart(self, ref_link):
         # exact_rates evaluates a round's requests on one mu in one call,
         # with one port count when all share it; True == 1 and -0.0 == 0.0,
@@ -434,31 +470,29 @@ class TestMonitorOutage:
         assert [r.hex() for r in rates] == ["0x0.0p+0", "-0x0.0p+0"]
 
     def test_repeated_columns_are_evaluated_once(self, ref_link, monkeypatch):
-        # a round's equal columns (gamma_cap, port count and rate bits) go to
-        # link_rates_true once, in the order first asked for, and every
-        # request gets each of its values back
-        def recording(link, rates, n_ports):
-            links = [link] * len(rates) if isinstance(link, DerivedLink) else link
-            ports = n_ports if isinstance(n_ports, list) else [n_ports] * len(rates)
-            calls.append([(one.gamma_cap, n, r)
-                          for one, n, r in zip(links, ports, np.asarray(rates).tolist())])
-            return link_rates_true(link, rates, n_ports)
+        # a block's columns with equal (N, b) are integrated once: repeated
+        # rates, and two links whose gamma_th/Gamma is equal (3/Gamma at
+        # R = 2 and 6/(2 Gamma) at R = log2 7); every value is its column's
+        # alone, bit for bit
+        def recording(f, u_lo, u_hi, width):
+            columns.append(np.size(u_lo))
+            return real_integrate(f, u_lo, u_hi, width)
 
-        def all_rates(job):
-            return (yield job)
-
-        monkeypatch.setattr(fasmon.optimize, "link_rates_true", recording)
-        calls = []
+        real_integrate = fasmon.outage.integrate_expweighted
         other = DerivedLink(mu=ref_link.mu, gamma_cap=2.0 * ref_link.gamma_cap)
-        jobs = [RateJob(ref_link, [2.0, 1.0, 2.0], 8), RateJob(ref_link, [1.0, 3.0], 8),
-                RateJob(other, [1.0], 8), RateJob(ref_link, [3.0, 1.0], 4)]
-        rates = exact_rates([all_rates(job) for job in jobs])
-        cap, cap2 = ref_link.gamma_cap, other.gamma_cap
-        assert calls == [[(cap, 8, 2.0), (cap, 8, 1.0), (cap, 8, 3.0), (cap2, 8, 1.0),
-                          (cap, 4, 3.0), (cap, 4, 1.0)]]
-        for job, values in zip(jobs, rates):
-            assert values.tolist() == link_rates_true(job.link, job.rate_r,
-                                                      job.n_ports).tolist()
+        links = [ref_link, ref_link, other, ref_link, ref_link, ref_link, other]
+        rates = [2.0, 1.0, math.log2(7.0), 2.0, 1.0, 3.0, math.log2(7.0)]
+        ports = [8, 8, 8, 8, 4, 8, 8]
+        assert RatePoint(2.0).gamma_th / ref_link.gamma_cap == \
+            RatePoint(math.log2(7.0)).gamma_th / other.gamma_cap
+        alone = [link_rates_true(link, [r], n)[0].hex()
+                 for link, r, n in zip(links, rates, ports)]
+        columns = []
+        monkeypatch.setattr(fasmon.outage, "integrate_expweighted", recording)
+        block = link_rates_true(links, rates, ports)
+        # (8, b(2)), (8, b(1)), (4, b(1)) and (8, b(3))
+        assert columns == [4]
+        assert [value.hex() for value in block] == alone
 
     def test_failing_group_is_evaluated_again_one_request_at_a_time(
             self, ref_link, monkeypatch):

@@ -365,6 +365,11 @@ class TestMarcumQ1:
         q = marcum_q1(np.array([1.0, 2.0]), 2.0)
         assert isinstance(q, np.ndarray) and q.shape == (2,)
         assert marcum_q1(np.ones((3, 1)), np.ones(4)).shape == (3, 4)
+        # empty arrays, paired or as an outer grid, give an empty array
+        for a, b in ((np.array([]), np.array([])), (np.empty((2, 0)), np.empty((2, 0))),
+                     (np.empty((0, 3)), np.ones(3)), (np.empty((0, 1)), np.ones(2))):
+            q = marcum_q1(a, b)
+            assert isinstance(q, np.ndarray) and q.shape == np.broadcast_shapes(a.shape, b.shape)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
     def test_rejects_bad_elements(self, bad):
