@@ -2,7 +2,7 @@
 
 These are the simulation-side counterparts of the closed forms and quadratures
 in :mod:`fasmon.outage`. They share no code with that module beyond the channel
-sampler, so agreement between the two routes is meaningful evidence.
+model, so agreement between the two routes is meaningful evidence.
 
 Reproducibility contract: every estimator splits its draws into blocks of
 2^17 and keys each block's generator as ``(seed, block_index)`` through
@@ -13,11 +13,13 @@ BLAS. The blocks of a call, and of every job of
 pool of min(CPUs available to the process, 4) threads; each block returns
 an integer hit count, and the counts add exactly, so no value depends on the
 thread count or on the order the blocks finish in. Within a block the draw
-order is fixed too: the best-port estimator draws 2048 rows at a time, and
-each such row block takes its Re g0, Im g0, Re e, Im e, each row-major,
-before the next block draws (see :func:`fasmon.channel._port_power_blocks`).
-A block of 2^17 draws therefore holds one row block's draws, 32 (n_ports
-+ 1) KiB, while it runs, not the whole block's.
+order is fixed too: the best-port estimator screens 12288 rows at a time,
+and each such row block takes its Re g0 then Im g0, then for each port in
+turn Re e_k then Im e_k of the rows whose earlier ports are all below the
+threshold, before the next row block draws (see
+:func:`fasmon.channel._outage_hits`). A block of 2^17 draws therefore holds
+two arrays of 2 * 12288 doubles, 384 KiB, while it runs, whatever the port
+count.
 
 Every argument is checked before any block runs, and a block only draws and
 counts, so a simulation has no failure of its own to report: an exception
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _MAX_PORTS, SystemParams, DerivedLink, _port_power_blocks
+from .channel import _MAX_PORTS, SystemParams, DerivedLink, _outage_hits
 from .errors import check_count, check_real
 from .outage import RatePoint
 
@@ -41,9 +43,9 @@ from .outage import RatePoint
 # per-block generator keying is independent of execution order.
 _CHUNK = 1 << 17
 
-# Blocks in flight at once, at most; a best-port block holds one row block
-# of draws while it runs, 8 * 2048 * (2 n_ports + 2) bytes (295 KB at 8
-# ports, 2.1 MB at 64), whatever the block's size.
+# Blocks in flight at once, at most; a best-port block holds two arrays of
+# 2 * 12288 doubles while it runs, 384 KiB at any port count, whatever the
+# block's size.
 _MAX_WORKERS = 4
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -51,7 +53,13 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A Monte Carlo mean with its 95% confidence half width."""
+    """A Monte Carlo mean with its 95% confidence half width.
+
+    The half width is Wald's, z sqrt(mean (1 - mean) / n), where some but
+    not all of the n draws hit. Where none or all do, Wald's is 0, as if the
+    mean were exact; it is then the distance from the mean to the exact
+    (Clopper-Pearson) 95% bound, 1 - 0.025^(1/n), about 3.7 / n.
+    """
 
     mean: float
     half_width_95: float
@@ -106,7 +114,10 @@ def _estimates(jobs: list) -> list[McEstimate]:
     estimates = []
     for hits, (_, n_samples, seed) in zip(totals, jobs):
         mean = hits / n_samples
-        half = _Z95 * math.sqrt(mean * (1.0 - mean) / n_samples)
+        if 0 < hits < n_samples:
+            half = _Z95 * math.sqrt(mean * (1.0 - mean) / n_samples)
+        else:
+            half = -math.expm1(math.log(0.025) / n_samples)
         estimates.append(McEstimate(mean=mean, half_width_95=half,
                                     n_samples=n_samples, seed=seed))
     return estimates
@@ -123,15 +134,8 @@ def _sd_block_hits(params: SystemParams, p_m: float, gamma_th: float,
 
 def _monitor_block_hits(mu: float, sigma_g2: float, n_ports: int,
                         g2_th: float, seed: int, idx: int, size: int) -> int:
-    rng = np.random.default_rng([seed, idx])
-    hits = 0
-    for powers in _port_power_blocks(mu, sigma_g2, n_ports, size, rng):
-        # one np.maximum per column: max(axis=1) over short rows is far slower
-        best = powers[:, 0].copy()
-        for k in range(1, n_ports):
-            np.maximum(best, powers[:, k], out=best)
-        hits += int(np.count_nonzero(best < g2_th))
-    return hits
+    return _outage_hits(mu, sigma_g2, n_ports, g2_th, size,
+                        np.random.default_rng([seed, idx]))
 
 
 def _monitor_job(params: SystemParams, link: DerivedLink,
@@ -176,10 +180,10 @@ def estimate_monitor_outage(params: SystemParams, link: DerivedLink,
                             n_samples: int, seed: int) -> McEstimate:
     """Empirical P(log2(1 + SNR_m) < R) for the best-port monitor.
 
-    Port powers |g_k|^2 come from the correlated sampler in
-    :mod:`fasmon.channel`, so any change to the mixing model propagates here
-    but not to the quadrature route; the best port is their maximum over the
-    n_ports columns. n_ports = 1 degrades to the single-antenna monitor.
+    The hits come from the screened counter in :mod:`fasmon.channel`, so
+    any change to the mixing model propagates here but not to the
+    quadrature route; a draw is in outage when all n_ports port powers lie
+    below the threshold. n_ports = 1 degrades to the single-antenna monitor.
     """
     return _estimates([_monitor_job(params, link, rate_point, n_ports, n_samples, seed)])[0]
 

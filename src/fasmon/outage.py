@@ -66,7 +66,9 @@ def sd_outage(params: SystemParams, rp: RatePoint, p_m: float) -> float:
     ps_h = _ps_h(params)
     gamma = rp.gamma_th
     x = gamma * params.sigma_d2 / ps_h
-    y = gamma * p_m * params.sigma_f2 / ps_h
+    # gamma_th times B, not left to right: gamma_th p_m sigma_f2 can fall
+    # into subnormals where gamma_th B is a normal number
+    y = gamma * (p_m * params.sigma_f2 / ps_h)
     # 1 - e^{-x}/(1 + y) without the cancellation of 1 - e^{-x} at tiny x
     return (y - math.expm1(-x)) / (1.0 + y)
 
@@ -166,7 +168,8 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
 
     by _gamma_min_root, which keeps the constraint to rounding where the
     closed form (1/A) W((A/B) e^{A/B}/(1-delta)) - 1/B would overflow (large
-    A/B) or cancel (small delta).
+    A/B) or cancel (small delta). ComputationError where B itself overflows
+    to inf, which leaves no threshold above 0.
     """
     p_m = check_real("p_m", p_m, "in [0, p_m_max]",
                      lambda v: 0.0 <= v <= params.p_m_max * (1.0 + 1e-12))
@@ -175,6 +178,10 @@ def rate_for_pm(params: SystemParams, p_m: float) -> float:
     ps_h = _ps_h(params)
     a_coef = params.sigma_d2 / ps_h
     b_coef = p_m * params.sigma_f2 / ps_h
+    if b_coef == math.inf:
+        raise ComputationError(f"rate at p_m = {p_m!r} overflows: B = p_m sigma_f2 / "
+                               f"(p_s sigma_h2) with sigma_f2 = {params.sigma_f2!r} "
+                               f"and p_s sigma_h2 = {ps_h!r} overflows to inf")
     gamma = _gamma_min_root(a_coef, b_coef, params.delta)
     return math.log1p(gamma) / _LN2
 

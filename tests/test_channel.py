@@ -16,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from fasmon import (ComputationError, DomainError, correlation_mu,
                     eta_factor)
-from fasmon.channel import (_MAX_PORTS, _POWER_BLOCK_ROWS, _mix_weight,
-                            _port_power_blocks)
+import fasmon.channel
+from fasmon.channel import (_MAX_PORTS, _SCREEN_ROWS, _mix_weight, _outage_hits,
+                            _port_powers, _powers)
 
 # (W, mu(W)) multiprecision references
 MU_REFS = (
@@ -117,22 +118,30 @@ class TestSystemParams:
 
 def _complex_reference_powers(mu, var, n_ports, n_draws, rng):
     # the complex-arithmetic form of the port model, drawing in the order
-    # the sampler promises: Re g0, Im g0, Re e, Im e
+    # the counter draws a row block whose rows all stay live: Re g0, Im g0,
+    # then Re e_k, Im e_k for each port k in turn
     s = math.sqrt(var / 2.0)
     g0 = s * (rng.standard_normal((n_draws, 1))
               + 1j * rng.standard_normal((n_draws, 1)))
     if n_ports == 1:
         return np.abs(g0) ** 2
-    e = s * (rng.standard_normal((n_draws, n_ports))
-             + 1j * rng.standard_normal((n_draws, n_ports)))
+    e = s * np.column_stack([rng.standard_normal(n_draws) + 1j * rng.standard_normal(n_draws)
+                             for _ in range(n_ports)])
     return np.abs(mu * g0 + _mix_weight(mu) * e) ** 2
 
 
 def _sample_port_powers(mu, var, n_ports, n_draws, rng):
-    # the whole (n_draws, n_ports) matrix: the row blocks concatenated, each
-    # copied, since a block is valid only until the next one is drawn
-    return np.concatenate([block.copy() for block in
-                           _port_power_blocks(mu, var, n_ports, n_draws, rng)])
+    # every port of every row, the (n_draws, n_ports) matrix, each column
+    # from the counter's one-port helpers, in the same draw order
+    scale = math.sqrt(var / 2.0)
+    g0 = rng.standard_normal(2 * n_draws)
+    g0 *= scale
+    if n_ports == 1:
+        return _powers(g0).reshape(n_draws, 1)
+    g0 *= mu
+    return np.column_stack([
+        _port_powers(rng.standard_normal(2 * n_draws), g0, scale, _mix_weight(mu))
+        for _ in range(n_ports)])
 
 
 class TestSampling:
@@ -204,69 +213,86 @@ class TestSampling:
         assert spread < 1e-3
 
 
-def _full_matrix_powers(mu, var, n_ports, n_draws, rng):
-    # each row block of the sampler as one full matrix, drawn and computed
-    # in turn: the same draws and the same operations, in the same order
-    return np.concatenate([
-        _one_matrix_powers(mu, var, n_ports, min(_POWER_BLOCK_ROWS, n_draws - start), rng)
-        for start in range(0, n_draws, _POWER_BLOCK_ROWS)])
-
-
-def _one_matrix_powers(mu, var, n_ports, n_draws, rng):
-    # n_draws rows as one (n_draws, n_ports) matrix, parts drawn whole
+def _full_matrix_hits(mu, var, n_ports, g2_th, n_draws, rng, fill):
+    # the counter's reference: each row block as a full (rows, n_ports)
+    # matrix of port powers, drawn in the counter's order with a boolean
+    # mask over all rows in place of its compaction, with the same real
+    # operations; the ports the screen never draws are filled from fill,
+    # and the best port is the row maximum. Drawn or filled, a row's count
+    # is the same, because an undrawn port follows one at or above g2_th.
+    block_rows = fasmon.channel._SCREEN_ROWS
     scale = math.sqrt(var / 2.0)
-    re = rng.standard_normal((n_draws, 1))
-    im = rng.standard_normal((n_draws, 1))
-    re *= scale
-    im *= scale
-    if n_ports > 1:
+    weight = _mix_weight(mu)
+    hits = 0
+    for start in range(0, n_draws, block_rows):
+        rows = min(block_rows, n_draws - start)
+        re = rng.standard_normal(rows) * scale
+        im = rng.standard_normal(rows) * scale
+        if n_ports == 1:
+            hits += int(np.count_nonzero(re * re + im * im < g2_th))
+            continue
         re *= mu
         im *= mu
-        weight = _mix_weight(mu)
-        e_re = rng.standard_normal((n_draws, n_ports))
-        e_im = rng.standard_normal((n_draws, n_ports))
-        e_re *= scale
-        e_im *= scale
-        e_re *= weight
-        e_im *= weight
-        e_re += re
-        e_im += im
-        re, im = e_re, e_im
-    re *= re
-    im *= im
-    re += im
-    return re
+        powers = fill.exponential(var, (rows, n_ports))
+        live = np.ones(rows, dtype=bool)
+        for k in range(n_ports):
+            m = int(np.count_nonzero(live))
+            if m == 0:
+                break
+            x = rng.standard_normal(m) * scale * weight + re[live]
+            y = rng.standard_normal(m) * scale * weight + im[live]
+            powers[live, k] = x * x + y * y
+            live &= powers[:, k] < g2_th
+        hits += int(np.count_nonzero(powers.max(axis=1) < g2_th))
+    return hits
 
 
 def _assert_blocks_match_full_matrix(mu, n_ports, n_draws, seed):
-    rng_blocks = np.random.default_rng(seed)
-    rng_full = np.random.default_rng(seed)
-    blocks = [block.copy() for block in _port_power_blocks(mu, 0.7, n_ports, n_draws,
-                                                           rng_blocks)]
-    full = _full_matrix_powers(mu, 0.7, n_ports, n_draws, rng_full)
-    assert [b.shape[0] for b in blocks[:-1]] == [_POWER_BLOCK_ROWS] * (len(blocks) - 1)
-    assert 1 <= blocks[-1].shape[0] <= _POWER_BLOCK_ROWS
-    powers = np.concatenate(blocks)
-    assert powers.shape == full.shape == (n_draws, n_ports)
-    assert np.array_equal(powers.view(np.uint64), full.view(np.uint64))
-    assert rng_blocks.bit_generator.state == rng_full.bit_generator.state
+    # at g2_th = 0 each row stops at its first port, at the median of
+    # |g_k|^2 about half the rows go on at every port, and at inf all do
+    var = 0.7
+    for g2_th in (0.0, var * math.log(2.0), math.inf):
+        rng_counter = np.random.default_rng(seed)
+        rng_full = np.random.default_rng(seed)
+        hits = _outage_hits(mu, var, n_ports, g2_th, n_draws, rng_counter)
+        assert hits == _full_matrix_hits(mu, var, n_ports, g2_th, n_draws, rng_full,
+                                         np.random.default_rng(seed + 1))
+        assert rng_counter.bit_generator.state == rng_full.bit_generator.state
+        if g2_th == 0.0 or g2_th == math.inf:
+            # g0 and then one port per row, or every port of every row
+            ports = 0 if n_ports == 1 else (1 if g2_th == 0.0 else n_ports)
+            rng_plain = np.random.default_rng(seed)
+            rng_plain.standard_normal(2 * n_draws * (1 + ports))
+            assert rng_counter.bit_generator.state == rng_plain.bit_generator.state
+            assert hits == (n_draws if g2_th == math.inf else 0)
 
 
 class TestRowBlocks:
+    # blocks of 2048 rows here, so that sizes across one or many block
+    # boundaries stay cheap; test_module_block_size runs the real size
+    @pytest.fixture(autouse=True)
+    def _blocks_of_2048(self, monkeypatch):
+        monkeypatch.setattr(fasmon.channel, "_SCREEN_ROWS", 2048)
+
     @pytest.mark.parametrize("mu", [0.0, 0.4, 0.97])
-    @pytest.mark.parametrize("n_ports", [1, 2, 8, 16])
-    @pytest.mark.parametrize("n_draws", [1, _POWER_BLOCK_ROWS - 1, _POWER_BLOCK_ROWS,
-                                         _POWER_BLOCK_ROWS + 1, 1 << 17])
+    @pytest.mark.parametrize("n_ports", [1, 2, 8, 16, 64])
+    @pytest.mark.parametrize("n_draws", [1, 2047, 2048, 2049, 1 << 17])
     def test_blocks_equal_the_full_matrix(self, mu, n_ports, n_draws):
         _assert_blocks_match_full_matrix(mu, n_ports, n_draws, seed=1234)
 
     @settings(max_examples=12, deadline=None, database=None)
-    @given(mu=st.floats(0.0, 0.9999), n_ports=st.integers(1, 16),
-           n_draws=st.integers(1, 3 * _POWER_BLOCK_ROWS + 7),
+    @given(mu=st.floats(0.0, 0.9999), n_ports=st.integers(1, 64),
+           n_draws=st.integers(1, 3 * 2048 + 7),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_blocks_equal_the_full_matrix_anywhere(self, mu, n_ports, n_draws,
                                                    seed):
         _assert_blocks_match_full_matrix(mu, n_ports, n_draws, seed)
+
+
+@pytest.mark.parametrize("n_ports", [1, 8, 64])
+@pytest.mark.parametrize("n_draws", [_SCREEN_ROWS - 1, _SCREEN_ROWS, _SCREEN_ROWS + 1])
+def test_module_block_size(n_ports, n_draws):
+    _assert_blocks_match_full_matrix(0.4, n_ports, n_draws, seed=99)
 
 
 class TestCorrelationGuards:

@@ -47,13 +47,13 @@ class TestReproducibility:
         assert a.mean != b.mean
 
     # best-port hit counts at RatePoint(1.5) over three chunks (two full,
-    # one partial), recorded with the complex-arithmetic sampler of
-    # tests/test_channel.py applied to each 2048-row block in turn; a change
-    # to the draw order, the row block or chunk size or the (seed, chunk)
-    # keying moves them
+    # one partial), recorded with the full-matrix reference of
+    # tests/test_channel.py (_full_matrix_hits) run on each chunk's
+    # generator; a change to the draw order, the row block or chunk size or
+    # the (seed, chunk) keying moves them
     @pytest.mark.parametrize("seed, n_ports, hits", [
-        (7, 1, 180537), (7, 8, 12943), (7, 16, 641),
-        (2029, 1, 180145), (2029, 8, 13003), (2029, 16, 648),
+        (7, 1, 180315), (7, 8, 13042), (7, 16, 701),
+        (2029, 1, 180062), (2029, 8, 13118), (2029, 16, 780),
     ])
     def test_monitor_outage_stream_pinned(self, ref_params, ref_link, seed,
                                           n_ports, hits):
@@ -110,8 +110,9 @@ class TestWorkerCount:
 
 class TestMemory:
     def test_best_port_block_holds_one_row_block(self):
-        # a 2^17-draw block at 64 ports draws 2048 rows at a time: one row
-        # block's draws, 2.1 MB, not the 69 MB of the whole block's
+        # a 2^17-draw block at 64 ports screens 12288 rows at a time: two
+        # arrays of one row block's parts, 384 KiB, not the 130 MiB that
+        # every port of the whole block would take
         tracemalloc.start()
         try:
             fasmon.mcsim._monitor_block_hits(0.6, 1.0, 64, 0.5, 7, 0, 1 << 17)
@@ -127,6 +128,17 @@ class TestConfidenceInterval:
                                  50_000, seed=11)
         expected = _Z95 * math.sqrt(est.mean * (1.0 - est.mean) / est.n_samples)
         assert est.half_width_95 == expected
+
+    def test_no_hits_or_all_hits_keep_a_width(self, ref_params, ref_link):
+        # Wald's width is 0 at a mean of 0 or 1; the exact 95% bound is not
+        n = 1000
+        half = -math.expm1(math.log(0.025) / n)
+        none = estimate_sd_outage(ref_params, RatePoint(1e-9), 0.0, n, seed=1)
+        every = estimate_monitor_outage(ref_params, ref_link, RatePoint(40.0),
+                                        8, n, seed=1)
+        assert (none.mean, every.mean) == (0.0, 1.0)
+        assert none.half_width_95 == every.half_width_95 == half
+        assert half == pytest.approx(3.69 / n, rel=0.01)
 
     def test_width_scales_as_root_n(self, ref_params):
         rp = RatePoint(1.5)

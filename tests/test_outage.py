@@ -206,6 +206,28 @@ class TestRateBand:
         assert rate_bounds(params)[0] == r_min
         assert 0.0 < r_min < rate_bounds(params)[1]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_jamming_coefficient_is_named(self, ref_params):
+        # B = p_m sigma_f2 / (p_s sigma_h2) = 1e300 * 1e100 / 100 overflows:
+        # no threshold is left above 0, and the error names B, not the
+        # band it leaves empty
+        params = dataclasses.replace(ref_params, p_m_max=1e300, sigma_f2=1e100)
+        for call in (rate_bounds, lambda p: rate_for_pm(p, p.p_m_max)):
+            with pytest.raises(ComputationError, match=r"B = p_m sigma_f2 / \(p_s sigma_h2\)"):
+                call(params)
+        assert rate_for_pm(params, 1e200) > 0.0
+
+    def test_subnormal_jamming_product_keeps_the_constraint(self):
+        # at r_min, gamma_th = 1.05e-300 and gamma_th p_m = 1.05e-320 is
+        # subnormal, while gamma_th B = 0.0526 is not: formed left to right,
+        # the outage missed delta by 2.0e-4 relative
+        params = SystemParams(p_s=1e-19, p_m_max=1e-20, sigma_h2=2.0,
+                              sigma_g2=1.0, sigma_f2=1e300, sigma_d2=1e-30,
+                              sigma_m2=1.0, delta=0.05, n_ports=8, aperture_w=5.0)
+        r_min = rate_bounds(params)[0]
+        out = sd_outage(params, RatePoint(r_min), params.p_m_max)
+        assert out == pytest.approx(params.delta, rel=1e-14, abs=0.0)
+
     def test_band_bottom_is_the_full_power_rate(self, ref_params):
         # one root for both, so bit for bit
         assert rate_bounds(ref_params)[0] == rate_for_pm(ref_params,
