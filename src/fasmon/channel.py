@@ -10,11 +10,13 @@ all circularly-symmetric complex Gaussian, so each g_k keeps variance
 sigma_g2 and the pairwise correlation is controlled by mu alone. The
 sqrt(1 - mu^2) weight is what makes the magnitude of g_k, conditioned on g0,
 exactly Rician; the Monte Carlo module and the outage integrals both rely on
-it. The Monte Carlo counter computes the port powers |g_k|^2 in real
-arithmetic on the real and imaginary parts, one row block and one port at a
-time, and draws port k only for the rows whose ports so far are all below
-the outage threshold: no other row can be in outage. A call holds a few
-arrays of one row block's length, whatever the number of rows and ports.
+it. The Monte Carlo counter draws the model in polar form, in the frame
+where mu g0 is real: one exponential for |g0|^2 per row and one for |e_k|^2
+per port, and an angle, from a pair of normals, only where the two
+magnitudes leave a port's outage open. It draws port k only for the rows
+whose ports so far are all below the outage threshold, since no other row
+can be in outage, one row block at a time, and holds four arrays of one row
+block's length, whatever the number of rows and ports.
 """
 
 from __future__ import annotations
@@ -131,37 +133,13 @@ def _mix_weight(mu: float) -> float:
     return math.sqrt(1.0 - mu * mu)
 
 
-# Rows per block of the screened best-port counter. Timed on 2^17-draw
-# blocks at 8 ports (one thread, median of 7), blocks of 4096 rows took 18%
-# longer than 12288 and 8192 7% longer, paying numpy's per-call cost on the
-# few rows still live at the last ports, while 16384 and 32768 were no
-# faster; each 4096 rows add 128 KiB to the counter's two arrays of
-# 2 _SCREEN_ROWS doubles, 384 KiB here, whatever the port count.
+# Rows per block of the screened best-port counter, which holds four
+# arrays of _SCREEN_ROWS doubles, 384 KiB here, whatever the port count.
+# Timed on fig1's Monte Carlo jobs (8 ports, one thread, best of 11),
+# blocks of 4096 rows took 32% longer than 12288 and 8192 5% longer, paying
+# numpy's per-call cost on the few rows still live at the last ports, while
+# 16384 was no faster; 24576 was 7% faster at twice the memory.
 _SCREEN_ROWS = 12288
-
-
-def _powers(parts: np.ndarray) -> np.ndarray:
-    """|z|^2 of the m complex numbers whose real parts are parts[:m] and
-    imaginary parts parts[m:], computed in place: a view of parts[:m]."""
-    m = parts.size // 2
-    parts *= parts
-    return np.add(parts[:m], parts[m:], out=parts[:m])
-
-
-def _port_powers(parts: np.ndarray, base: np.ndarray, scale: float,
-                 weight: float) -> np.ndarray:
-    """The powers |g_k|^2 of one port over m rows, computed in place.
-
-    parts holds 2m standard normals, Re e_k of the rows then Im e_k; base
-    holds the rows' mu g0, scaled, in the same layout. Scaling first, then
-    weighting, as in mu * g0 + w * e on complex CN(0, sigma_g2) draws, gives
-    every real and imaginary part of that formula bit for bit, even where
-    the two terms cancel.
-    """
-    parts *= scale
-    parts *= weight
-    parts += base
-    return _powers(parts)
 
 
 def _outage_hits(mu: float, sigma_g2: float, n_ports: int, g2_th: float,
@@ -169,44 +147,89 @@ def _outage_hits(mu: float, sigma_g2: float, n_ports: int, g2_th: float,
     """The number of n_draws rows of the correlated port model in best-port
     outage: every port power |g_k|^2, k = 1..n_ports, below g2_th.
 
+    The model is rotation-invariant, so each row is drawn in the frame where
+    mu g0 is real, in polar form: a = mu sqrt(sigma_g2 E0) and, at port k,
+    g_k = a + r e^{i phi} with r = w sqrt(sigma_g2 E_k), w = _mix_weight(mu)
+    (read at call time), the E standard exponentials and phi uniform and
+    independent of E_k. Then |g_k|^2 = (a - r)^2 + 4 a r cos^2(phi / 2),
+    which is below g2_th whatever phi is where a + r < sqrt(g2_th), and at
+    or above it where |a - r| >= sqrt(g2_th); only the rows in between need
+    an angle. Its cos^2(phi / 2) is x^2 / (x^2 + y^2) for a standard normal
+    pair (x, y), whose angle phi / 2 is uniform, so phi is too.
+
     The rows go in consecutive blocks of at most _SCREEN_ROWS. A block of b
-    rows draws Re g0 then Im g0, b each, in one call; with n_ports = 1 its
-    hits are the rows whose |g0|^2, plain exponential, is below g2_th.
+    rows draws E0 for its rows in one call; with n_ports = 1 its hits are
+    the rows whose sigma_g2 E0, plain exponential |g0|^2, is below g2_th.
     Otherwise it screens: the live rows are those whose ports so far are
-    all below g2_th, and for each port k in turn it draws Re e_k then Im e_k
-    for its m live rows in one call of 2m normals and keeps the rows whose
-    |g_k|^2 is below g2_th, stopping once no row is live. Its hits are the
-    rows live after the last port. Each row's hit is the one a draw of every
-    port would give, since a port at or above g2_th ends the row's outage
-    whatever the later ports are; those are simply not drawn. This draw
-    order is part of the Monte Carlo reproducibility contract. The mixing
-    weight is _mix_weight(mu), read at call time.
+    all below g2_th, and for each port k in turn it draws E_k for its m live
+    rows in one call, then, for the u of them that the magnitudes leave
+    undecided, the x then the y of their normal pairs in one call of 2u
+    normals, and keeps the rows whose port is below g2_th, stopping once no
+    row is live. Its hits are the rows live after the last port. A port at
+    or above g2_th ends its row's outage whatever the later ports are, so
+    those are simply not drawn, nor is an angle that cannot change a row's
+    count. This draw order is part of the Monte Carlo reproducibility
+    contract. The draws take only the generator and the correctly rounded
+    sqrt, abs, multiply, add, divide and compare.
     """
-    scale = math.sqrt(sigma_g2 / 2.0)
-    weight = _mix_weight(mu)
-    size = 2 * min(n_draws, _SCREEN_ROWS)
-    # the live rows' mu g0 parts and one port's draws; the kept rows are
-    # gathered into the draws' buffer, and the two then trade places
-    live, parts = np.empty(size), np.empty(size)
+    s = math.sqrt(g2_th)
+    a_scale = mu * math.sqrt(sigma_g2)
+    r_scale = _mix_weight(mu) * math.sqrt(sigma_g2)
+    size = min(n_draws, _SCREEN_ROWS)
+    # the live rows' a, and a second array that is a port's scratch until it
+    # takes the kept rows' a, the two trading places at every port; one
+    # port's r, whose buffer then takes the normal pairs; and the live rows'
+    # masks: may stay live, and needs an angle
+    live, spare, pairs = np.empty(size), np.empty(size), np.empty(2 * size)
+    keep_buf, open_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     hits = 0
     for start in range(0, n_draws, _SCREEN_ROWS):
         m = min(_SCREEN_ROWS, n_draws - start)
-        g0 = live[:2 * m]
-        rng.standard_normal(out=g0)
-        g0 *= scale
+        a = live[:m]
+        rng.standard_exponential(out=a)
         if n_ports == 1:
-            hits += int(np.count_nonzero(_powers(g0) < g2_th))
+            a *= sigma_g2
+            hits += int(np.count_nonzero(a < g2_th))
             continue
-        g0 *= mu
+        np.sqrt(a, out=a)
+        a *= a_scale
         for _ in range(n_ports):
-            draws = parts[:2 * m]
-            rng.standard_normal(out=draws)
-            kept = np.flatnonzero(_port_powers(draws, live[:2 * m], scale, weight) < g2_th)
-            # mode="clip" spares the copy of out that mode="raise" makes;
-            # flatnonzero's indices are all in range
-            np.take(live[:2 * m].reshape(2, m), kept, axis=1, mode="clip",
-                    out=parts[:2 * kept.size].reshape(2, kept.size))
-            live, parts = parts, live
+            a, r, work = live[:m], pairs[:m], spare[:m]
+            keep, needs_angle = keep_buf[:m], open_buf[:m]
+            rng.standard_exponential(out=r)
+            np.sqrt(r, out=r)
+            r *= r_scale
+            np.subtract(a, r, out=work)
+            np.abs(work, out=work)
+            np.less(work, s, out=keep)
+            np.add(a, r, out=work)
+            np.greater_equal(work, s, out=needs_angle)
+            needs_angle &= keep
+            open_rows = np.flatnonzero(needs_angle)
+            u = open_rows.size
+            if u:
+                # mode="clip" spares the copy of out that mode="raise"
+                # makes; flatnonzero's indices are all in range
+                r_open = np.take(r, open_rows, mode="clip", out=spare[:u])
+                xy = pairs[:2 * u]
+                rng.standard_normal(out=xy)
+                x, y = xy[:u], xy[u:]
+                x *= x
+                y *= y
+                y += x
+                x /= y  # cos^2(phi / 2)
+                x *= r_open
+                a_open = np.take(a, open_rows, mode="clip", out=y)
+                x *= a_open
+                x *= 4.0
+                a_open -= r_open
+                a_open *= a_open
+                a_open += x  # |g_k|^2
+                np.less(a_open, g2_th, out=needs_angle[:u])
+                keep[open_rows] = needs_angle[:u]
+            kept = np.flatnonzero(keep)
+            np.take(a, kept, mode="clip", out=spare[:kept.size])
+            live, spare = spare, live
             m = kept.size
             if m == 0:
                 break

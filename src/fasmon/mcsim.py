@@ -14,11 +14,13 @@ pool of min(CPUs available to the process, 4) threads; each block returns
 an integer hit count, and the counts add exactly, so no value depends on the
 thread count or on the order the blocks finish in. Within a block the draw
 order is fixed too: the best-port estimator screens 12288 rows at a time,
-and each such row block takes its Re g0 then Im g0, then for each port in
-turn Re e_k then Im e_k of the rows whose earlier ports are all below the
-threshold, before the next row block draws (see
+in polar form, and each such row block takes one exponential per row for
+|g0|^2, then for each port in turn one exponential for |e_k|^2 of each row
+whose earlier ports are all below the threshold, followed by the x then the
+y of a normal pair for each of those rows whose port the two magnitudes
+leave undecided, before the next row block draws (see
 :func:`fasmon.channel._outage_hits`). A block of 2^17 draws therefore holds
-two arrays of 2 * 12288 doubles, 384 KiB, while it runs, whatever the port
+four arrays of 12288 doubles, 384 KiB, while it runs, whatever the port
 count.
 
 Every argument is checked before any block runs, and a block only draws and
@@ -43,8 +45,8 @@ from .outage import RatePoint
 # per-block generator keying is independent of execution order.
 _CHUNK = 1 << 17
 
-# Blocks in flight at once, at most; a best-port block holds two arrays of
-# 2 * 12288 doubles while it runs, 384 KiB at any port count, whatever the
+# Blocks in flight at once, at most; a best-port block holds four arrays of
+# 12288 doubles while it runs, 384 KiB at any port count, whatever the
 # block's size.
 _MAX_WORKERS = 4
 

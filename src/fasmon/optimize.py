@@ -420,21 +420,23 @@ def _round(jobs: list[RateJob]) -> list:
     The requests on one mu are evaluated in one call (_evaluate) and their
     values split back. If that raises a FasmonError, each request is
     evaluated again alone, as a round of its own, so each gets its own value
-    or error; a mu with one request takes the error at once."""
+    or error; a mu with one request takes the error at once. An error is
+    stored without its traceback, whose frames would keep the failed call's
+    arrays alive for as long as the reply is."""
     replies: list = [None] * len(jobs)
     by_mu: dict[float, list] = {}
     for j, job in enumerate(jobs):
         try:
             rates = check_nonneg_array("rate_r", job.rate_r).reshape(-1)
         except FasmonError as exc:
-            replies[j] = exc
+            replies[j] = exc.with_traceback(None)
         else:
             by_mu.setdefault(job.link.mu, []).append((j, job, rates))
     for group in by_mu.values():
         try:
             values = _evaluate(group)
         except FasmonError as exc:
-            values = [exc] if len(group) == 1 else None
+            values = [exc.with_traceback(None)] if len(group) == 1 else None
         if values is None:  # out of the except clause, which held the failed call's frames
             values = [_round([job])[0] for _, job, _ in group]
         for (j, _, _), reply in zip(group, values):

@@ -17,8 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from fasmon import (ComputationError, DomainError, correlation_mu,
                     eta_factor)
 import fasmon.channel
-from fasmon.channel import (_MAX_PORTS, _SCREEN_ROWS, _mix_weight, _outage_hits,
-                            _port_powers, _powers)
+from fasmon.channel import _MAX_PORTS, _SCREEN_ROWS, _mix_weight, _outage_hits
 
 # (W, mu(W)) multiprecision references
 MU_REFS = (
@@ -116,32 +115,31 @@ class TestSystemParams:
         assert dataclasses.replace(ref_params, n_ports=_MAX_PORTS).n_ports == _MAX_PORTS
 
 
-def _complex_reference_powers(mu, var, n_ports, n_draws, rng):
-    # the complex-arithmetic form of the port model, drawing in the order
-    # the counter draws a row block whose rows all stay live: Re g0, Im g0,
-    # then Re e_k, Im e_k for each port k in turn
-    s = math.sqrt(var / 2.0)
-    g0 = s * (rng.standard_normal((n_draws, 1))
-              + 1j * rng.standard_normal((n_draws, 1)))
-    if n_ports == 1:
-        return np.abs(g0) ** 2
-    e = s * np.column_stack([rng.standard_normal(n_draws) + 1j * rng.standard_normal(n_draws)
-                             for _ in range(n_ports)])
-    return np.abs(mu * g0 + _mix_weight(mu) * e) ** 2
+def _polar_draws(mu, var, n_ports, n_draws, rng):
+    # every port of every row in the counter's polar form, in the frame
+    # where mu g0 is real: a = mu sqrt(var E0) per row and, per port,
+    # r = w sqrt(var E_k) with the normal pair (x, y) of its angle, drawn as
+    # E0, then for each port in turn E_k, all the x and all the y
+    a = mu * math.sqrt(var) * np.sqrt(rng.standard_exponential((n_draws, 1)))
+    r, x, y = np.empty((3, n_draws, n_ports))
+    for k in range(n_ports):
+        r[:, k] = _mix_weight(mu) * math.sqrt(var) * np.sqrt(rng.standard_exponential(n_draws))
+        x[:, k], y[:, k] = rng.standard_normal((2, n_draws))
+    return a, r, x, y
+
+
+def _polar_powers(a, r, x, y):
+    # the counter's form of |g_k|^2 = a^2 + r^2 + 2 a r cos(phi), where phi is
+    # twice the angle of the pair (x, y): (a - r)^2 + 4 a r cos^2(phi / 2)
+    return (a - r) ** 2 + 4.0 * a * r * (x * x / (x * x + y * y))
 
 
 def _sample_port_powers(mu, var, n_ports, n_draws, rng):
-    # every port of every row, the (n_draws, n_ports) matrix, each column
-    # from the counter's one-port helpers, in the same draw order
-    scale = math.sqrt(var / 2.0)
-    g0 = rng.standard_normal(2 * n_draws)
-    g0 *= scale
+    # the (n_draws, n_ports) port powers of the polar form; a single port
+    # is |g0|^2 = var E0
     if n_ports == 1:
-        return _powers(g0).reshape(n_draws, 1)
-    g0 *= mu
-    return np.column_stack([
-        _port_powers(rng.standard_normal(2 * n_draws), g0, scale, _mix_weight(mu))
-        for _ in range(n_ports)])
+        return var * rng.standard_exponential((n_draws, 1))
+    return _polar_powers(*_polar_draws(mu, var, n_ports, n_draws, rng))
 
 
 class TestSampling:
@@ -154,13 +152,28 @@ class TestSampling:
 
     @pytest.mark.parametrize("n_ports", [1, 2, 8, 16])
     def test_matches_complex_reference(self, n_ports):
-        rng_real = np.random.default_rng(4242)
+        # the polar powers are |mu g0 + w e_k|^2 of the complex model on the
+        # same stretch of the stream; the bound is a few ulps of
+        # (|mu g0| + |w e_k|)^2, as the sum cancels where the two terms do
+        mu, var, n = 0.6, 0.7, 1001
+        rng_polar = np.random.default_rng(4242)
         rng_complex = np.random.default_rng(4242)
-        powers = _sample_port_powers(0.6, 0.7, n_ports, 1001, rng_real)
-        ref = _complex_reference_powers(0.6, 0.7, n_ports, 1001, rng_complex)
-        np.testing.assert_allclose(powers, ref, rtol=1e-14, atol=0.0)
+        powers = _sample_port_powers(mu, var, n_ports, n, rng_polar)
+        g0 = np.sqrt(var * rng_complex.standard_exponential((n, 1)))
+        if n_ports == 1:
+            ref, scale = g0 * g0, g0 * g0
+        else:
+            e = np.empty((n, n_ports), dtype=complex)
+            for k in range(n_ports):
+                mag = np.sqrt(var * rng_complex.standard_exponential(n))
+                x, y = rng_complex.standard_normal((2, n))
+                e[:, k] = mag * (x + 1j * y) ** 2 / (x * x + y * y)
+            g = mu * g0 + _mix_weight(mu) * e
+            ref = np.abs(g) ** 2
+            scale = (mu * g0 + _mix_weight(mu) * np.abs(e)) ** 2
+        assert np.all(np.abs(powers - ref) <= 1e-14 * scale)
         # both consumed exactly the same stretch of the stream
-        assert rng_real.bit_generator.state == rng_complex.bit_generator.state
+        assert rng_polar.bit_generator.state == rng_complex.bit_generator.state
 
     def test_port_gain_moments(self):
         # E|g_k|^2 = sigma_g2, and for jointly complex Gaussian ports
@@ -197,6 +210,21 @@ class TestSampling:
             res = scipy.stats.kstest(mags, "rice", args=(b, 0.0, s))
             assert res.pvalue > 0.01
 
+    def test_polar_power_is_rician(self):
+        # given a = mu |g0|, here with |g0| = 1, a port power drawn as the
+        # counter draws it, r = w sqrt(var E) with its angle from a normal
+        # pair, is the Rician power: sqrt of it is Rician with shape
+        # b = a / s and scale s = w sqrt(var / 2)
+        rng = np.random.default_rng(59)
+        for mu in (0.3, 0.9):
+            var, n, a = 1.0, 100_000, mu
+            r = _mix_weight(mu) * np.sqrt(var * rng.standard_exponential(n))
+            x, y = rng.standard_normal((2, n))
+            s = _mix_weight(mu) * math.sqrt(var / 2.0)
+            res = scipy.stats.kstest(np.sqrt(_polar_powers(a, r, x, y)), "rice",
+                                     args=(a / s, 0.0, s))
+            assert res.pvalue > 0.01
+
     def test_single_port_column(self):
         rng = np.random.default_rng(8)
         p = _sample_port_powers(0.7, 2.0, 1, 50_000, rng)
@@ -216,32 +244,41 @@ class TestSampling:
 def _full_matrix_hits(mu, var, n_ports, g2_th, n_draws, rng, fill):
     # the counter's reference: each row block as a full (rows, n_ports)
     # matrix of port powers, drawn in the counter's order with a boolean
-    # mask over all rows in place of its compaction, with the same real
-    # operations; the ports the screen never draws are filled from fill,
-    # and the best port is the row maximum. Drawn or filled, a row's count
-    # is the same, because an undrawn port follows one at or above g2_th.
+    # mask over all rows in place of its compaction. A live row's port is
+    # decided by the complex |a + r e^{i phi}|^2 < g2_th, with
+    # e^{i phi} = (x + i y)^2 / (x^2 + y^2); the angles the screen never
+    # draws, and the ports of rows already out, are filled from fill, and
+    # the best port is the row maximum. Drawn or filled, a row's count is
+    # the same: an undrawn port follows one at or above g2_th, and an
+    # undrawn angle cannot move its port across g2_th.
     block_rows = fasmon.channel._SCREEN_ROWS
-    scale = math.sqrt(var / 2.0)
-    weight = _mix_weight(mu)
+    s = math.sqrt(g2_th)
+    a_scale = mu * math.sqrt(var)
+    r_scale = _mix_weight(mu) * math.sqrt(var)
     hits = 0
     for start in range(0, n_draws, block_rows):
         rows = min(block_rows, n_draws - start)
-        re = rng.standard_normal(rows) * scale
-        im = rng.standard_normal(rows) * scale
+        e0 = rng.standard_exponential(rows)
         if n_ports == 1:
-            hits += int(np.count_nonzero(re * re + im * im < g2_th))
+            hits += int(np.count_nonzero(var * e0 < g2_th))
             continue
-        re *= mu
-        im *= mu
+        a = a_scale * np.sqrt(e0)
         powers = fill.exponential(var, (rows, n_ports))
         live = np.ones(rows, dtype=bool)
         for k in range(n_ports):
             m = int(np.count_nonzero(live))
             if m == 0:
                 break
-            x = rng.standard_normal(m) * scale * weight + re[live]
-            y = rng.standard_normal(m) * scale * weight + im[live]
-            powers[live, k] = x * x + y * y
+            a_live = a[live]
+            r = r_scale * np.sqrt(rng.standard_exponential(m))
+            # the counter's screen, in its operations: only these rows
+            # draw their angles from rng
+            open_rows = (np.abs(a_live - r) < s) & (a_live + r >= s)
+            x, y = fill.standard_normal((2, m))
+            x[open_rows], y[open_rows] = rng.standard_normal(
+                (2, int(np.count_nonzero(open_rows))))
+            z = x + 1j * y
+            powers[live, k] = np.abs(a_live + r * (z * z / (x * x + y * y))) ** 2
             live &= powers[:, k] < g2_th
         hits += int(np.count_nonzero(powers.max(axis=1) < g2_th))
     return hits
@@ -259,10 +296,11 @@ def _assert_blocks_match_full_matrix(mu, n_ports, n_draws, seed):
                                          np.random.default_rng(seed + 1))
         assert rng_counter.bit_generator.state == rng_full.bit_generator.state
         if g2_th == 0.0 or g2_th == math.inf:
-            # g0 and then one port per row, or every port of every row
+            # E0 and then one port per row, or every port of every row, and
+            # no angle: the magnitudes alone decide every port
             ports = 0 if n_ports == 1 else (1 if g2_th == 0.0 else n_ports)
             rng_plain = np.random.default_rng(seed)
-            rng_plain.standard_normal(2 * n_draws * (1 + ports))
+            rng_plain.standard_exponential(n_draws * (1 + ports))
             assert rng_counter.bit_generator.state == rng_plain.bit_generator.state
             assert hits == (n_draws if g2_th == math.inf else 0)
 
@@ -293,6 +331,42 @@ class TestRowBlocks:
 @pytest.mark.parametrize("n_draws", [_SCREEN_ROWS - 1, _SCREEN_ROWS, _SCREEN_ROWS + 1])
 def test_module_block_size(n_ports, n_draws):
     _assert_blocks_match_full_matrix(0.4, n_ports, n_draws, seed=99)
+
+
+def _cartesian_hits(mu, var, n_ports, thresholds, n_draws, rng):
+    # plain complex Cartesian draws of the port model, g0 and every e_k
+    # CN(0, var) and g_k = mu g0 + w e_k (g0 alone for one port), 8192 rows
+    # at a time: the rows whose best |g_k|^2 is below each threshold
+    hits = np.zeros(len(thresholds), dtype=np.int64)
+    s = math.sqrt(var / 2.0)
+    for start in range(0, n_draws, 8192):
+        rows = min(8192, n_draws - start)
+        g = s * (rng.standard_normal((rows, 1)) + 1j * rng.standard_normal((rows, 1)))
+        if n_ports > 1:
+            e = s * (rng.standard_normal((rows, n_ports))
+                     + 1j * rng.standard_normal((rows, n_ports)))
+            g = mu * g + _mix_weight(mu) * e
+        best = np.max(np.abs(g) ** 2, axis=1)
+        hits += [np.count_nonzero(best < t) for t in thresholds]
+    return hits
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.4, 0.97])
+@pytest.mark.parametrize("n_ports", [1, 2, 8, 64])
+def test_counter_law_matches_cartesian_draws(mu, n_ports):
+    # the counter's hits against plain Cartesian counts from a generator
+    # that shares no draw with it, at the thresholds whose outage would be
+    # 0.05, 0.5 and 0.95 with independent ports. Two-sample bound: the
+    # pooled two-proportion z is at most 5, a false alarm of 5.7e-7 per
+    # comparison on a correct counter and about 2e-5 over these 36
+    var, n = 0.7, 100_000
+    thresholds = [-var * math.log1p(-q ** (1.0 / n_ports)) for q in (0.05, 0.5, 0.95)]
+    cartesian = _cartesian_hits(mu, var, n_ports, thresholds, n,
+                                np.random.default_rng([2031, 1]))
+    for g2_th, other in zip(thresholds, cartesian):
+        hits = _outage_hits(mu, var, n_ports, g2_th, n, np.random.default_rng([2031, 0]))
+        pooled = (hits + other) / (2 * n)
+        assert abs(hits - other) <= 5.0 * math.sqrt(2 * n * pooled * (1.0 - pooled))
 
 
 class TestCorrelationGuards:

@@ -52,8 +52,8 @@ class TestReproducibility:
     # generator; a change to the draw order, the row block or chunk size or
     # the (seed, chunk) keying moves them
     @pytest.mark.parametrize("seed, n_ports, hits", [
-        (7, 1, 180315), (7, 8, 13042), (7, 16, 701),
-        (2029, 1, 180062), (2029, 8, 13118), (2029, 16, 780),
+        (7, 1, 180214), (7, 8, 13203), (7, 16, 672),
+        (2029, 1, 179747), (2029, 8, 12896), (2029, 16, 674),
     ])
     def test_monitor_outage_stream_pinned(self, ref_params, ref_link, seed,
                                           n_ports, hits):
@@ -110,8 +110,8 @@ class TestWorkerCount:
 
 class TestMemory:
     def test_best_port_block_holds_one_row_block(self):
-        # a 2^17-draw block at 64 ports screens 12288 rows at a time: two
-        # arrays of one row block's parts, 384 KiB, not the 130 MiB that
+        # a 2^17-draw block at 64 ports screens 12288 rows at a time: four
+        # arrays of one row block's length, 384 KiB, not the 130 MiB that
         # every port of the whole block would take
         tracemalloc.start()
         try:

@@ -28,8 +28,8 @@ from fasmon import (ComputationError, DerivedLink, DomainError, FasmonError,
                     rate_bounds, rate_true, solve_bound_bisect,
                     solve_closed_form, solve_true_grid)
 from fasmon.optimize import (_COARSE_BLOCK, _COARSE_STEP, _FINE_STEP,
-                             _PRUNE_MARGIN, _REFINE_POINTS, _SCHEMES,
-                             _alone, _argmax_upward, _refine_steps)
+                             _PRUNE_MARGIN, _REFINE_POINTS, _SCHEMES, RateJob,
+                             _alone, _argmax_upward, _refine_steps, _round)
 from fasmon.outage import link_rates_true
 from fasmon.validation import _laguerre_outage
 
@@ -417,6 +417,30 @@ def _assert_points_in_the_band(params, schemes):
             continue
         assert r_min <= res.r_star <= r_max, scheme
         assert 0.0 <= res.rate_true <= res.r_star, scheme
+
+
+class TestRateRounds:
+    def test_stored_errors_keep_no_traceback(self, ref_link, monkeypatch):
+        # a failed request's error is stored without its traceback, whose
+        # frames hold the failed call's arrays: an invalid rate, a request
+        # that fails alone after its mu's group call failed, and a mu's
+        # only request
+        other = DerivedLink(mu=0.5, gamma_cap=ref_link.gamma_cap)
+        real_rates = fasmon.optimize.link_rates_true
+
+        def rates(link, rate_r, n_ports):
+            if np.any(np.asarray(rate_r) == 2.5):
+                raise ComputationError("synthetic failure")
+            return real_rates(link, rate_r, n_ports)
+
+        monkeypatch.setattr(fasmon.optimize, "link_rates_true", rates)
+        replies = _round([RateJob(ref_link, -1.0, 8), RateJob(ref_link, 1.5, 8),
+                          RateJob(ref_link, 2.5, 8), RateJob(other, 2.5, 8)])
+        assert np.array_equal(replies[1], real_rates(ref_link, [1.5], 8))
+        assert isinstance(replies[0], DomainError)
+        assert [str(reply) for reply in replies[2:]] == ["synthetic failure"] * 2
+        for reply in (replies[0], *replies[2:]):
+            assert reply.__traceback__ is None
 
 
 class TestEvaluateScheme:
