@@ -15,8 +15,11 @@ where mu g0 is real: one exponential for |g0|^2 per row and one for |e_k|^2
 per port, and an angle, from a pair of normals, only where the two
 magnitudes leave a port's outage open. It draws port k only for the rows
 whose ports so far are all below the outage threshold, since no other row
-can be in outage, one row block at a time, and holds four arrays of one row
-block's length, whatever the number of rows and ports.
+can be in outage, one row block of 44032 rows at a time. A block holds three
+arrays of doubles and two masks of its length, 1.09 MiB, and while a port
+is screened one index array and, where over half the block needs an angle,
+its own array of y values, under 1.8 MiB in all, whatever the number of
+rows and ports; the mcsim thread pool runs one block per worker.
 """
 
 from __future__ import annotations
@@ -133,13 +136,30 @@ def _mix_weight(mu: float) -> float:
     return math.sqrt(1.0 - mu * mu)
 
 
-# Rows per block of the screened best-port counter, which holds four
-# arrays of _SCREEN_ROWS doubles, 384 KiB here, whatever the port count.
-# Timed on fig1's Monte Carlo jobs (8 ports, one thread, best of 11),
-# blocks of 4096 rows took 32% longer than 12288 and 8192 5% longer, paying
-# numpy's per-call cost on the few rows still live at the last ports, while
-# 16384 was no faster; 24576 was 7% faster at twice the memory.
-_SCREEN_ROWS = 12288
+# Rows per block of the screened best-port counter; _outage_hits says what
+# a block holds, 1.09 MiB of arrays here and under 1.8 MiB in all. Longer
+# blocks make every numpy call longer, so the threads of mcsim._estimates
+# overlap instead of trading the GIL between short calls. fig1's 121 jobs
+# at 10^5 draws (2 vCPU; median of 15 timings over 5 interleaved rounds;
+# peak RSS of a whole fig1 run with its SVG, median of 5):
+#
+#   rows    2 threads  1 thread  peak RSS
+#   12288   1.34 s     1.21 s    38.6 MB
+#   24576   0.95 s     1.14 s    39.4 MB
+#   32768   0.81 s     1.10 s    39.9 MB
+#   40960   0.73 s     1.15 s    40.4 MB
+#   49152   0.72 s     1.17 s    41.0 MB
+#   57344   0.76 s     1.18 s    41.4 MB
+#   65536   0.69 s     1.21 s    42.1 MB
+#
+# One thread gains nothing from size; two gain up to about 40960 rows and
+# little after, while memory grows about 0.3 MB per 4096 rows. 44032 rows
+# (43 x 1024) split a 2^17-draw block into three near-equal row blocks. In
+# five more rounds they ran within the spread of their neighbours on two
+# threads (44032: 0.85 s, 40960: 0.88 s, 49152: 0.84 s) and on one (1.17,
+# 1.22, 1.25 s), at 40.6 MB. Holding x and y in one array of 2 x 44032
+# doubles and both index arrays at once took 42.2 MB (median of 5).
+_SCREEN_ROWS = 44032
 
 
 def _outage_hits(mu: float, sigma_g2: float, n_ports: int, g2_th: float,
@@ -163,14 +183,22 @@ def _outage_hits(mu: float, sigma_g2: float, n_ports: int, g2_th: float,
     Otherwise it screens: the live rows are those whose ports so far are
     all below g2_th, and for each port k in turn it draws E_k for its m live
     rows in one call, then, for the u of them that the magnitudes leave
-    undecided, the x then the y of their normal pairs in one call of 2u
-    normals, and keeps the rows whose port is below g2_th, stopping once no
-    row is live. Its hits are the rows live after the last port. A port at
-    or above g2_th ends its row's outage whatever the later ports are, so
-    those are simply not drawn, nor is an angle that cannot change a row's
-    count. This draw order is part of the Monte Carlo reproducibility
-    contract. The draws take only the generator and the correctly rounded
-    sqrt, abs, multiply, add, divide and compare.
+    undecided, the x of their normal pairs in one call of u normals and the
+    y in another (the same draws as one call of 2u), and keeps the rows
+    whose port is below g2_th, stopping once no row is live. Its hits are
+    the rows live after the last port. A port at or above g2_th ends its
+    row's outage whatever the later ports are, so those are simply not
+    drawn, nor is an angle that cannot change a row's count. This draw order
+    is part of the Monte Carlo reproducibility contract. The draws take only
+    the generator and the correctly rounded sqrt, abs, multiply, add, divide
+    and compare.
+
+    Memory: three arrays of doubles and two boolean masks of
+    min(n_draws, _SCREEN_ROWS) entries, 1118 KiB at the module's 44032
+    rows, for the whole call. While a port is screened it adds one int64
+    index array of at most that length and, where u is over half of it, an
+    array of the u y values, so a call never holds more than 1806 KiB,
+    whatever n_draws and n_ports are.
     """
     s = math.sqrt(g2_th)
     a_scale = mu * math.sqrt(sigma_g2)
@@ -178,9 +206,9 @@ def _outage_hits(mu: float, sigma_g2: float, n_ports: int, g2_th: float,
     size = min(n_draws, _SCREEN_ROWS)
     # the live rows' a, and a second array that is a port's scratch until it
     # takes the kept rows' a, the two trading places at every port; one
-    # port's r, whose buffer then takes the normal pairs; and the live rows'
+    # port's r, whose array then takes the normal pairs; and the live rows'
     # masks: may stay live, and needs an angle
-    live, spare, pairs = np.empty(size), np.empty(size), np.empty(2 * size)
+    live, spare, draws = np.empty(size), np.empty(size), np.empty(size)
     keep_buf, open_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     hits = 0
     for start in range(0, n_draws, _SCREEN_ROWS):
@@ -194,7 +222,7 @@ def _outage_hits(mu: float, sigma_g2: float, n_ports: int, g2_th: float,
         np.sqrt(a, out=a)
         a *= a_scale
         for _ in range(n_ports):
-            a, r, work = live[:m], pairs[:m], spare[:m]
+            a, r, work = live[:m], draws[:m], spare[:m]
             keep, needs_angle = keep_buf[:m], open_buf[:m]
             rng.standard_exponential(out=r)
             np.sqrt(r, out=r)
@@ -211,9 +239,12 @@ def _outage_hits(mu: float, sigma_g2: float, n_ports: int, g2_th: float,
                 # mode="clip" spares the copy of out that mode="raise"
                 # makes; flatnonzero's indices are all in range
                 r_open = np.take(r, open_rows, mode="clip", out=spare[:u])
-                xy = pairs[:2 * u]
-                rng.standard_normal(out=xy)
-                x, y = xy[:u], xy[u:]
+                # x and y share r's array where they fit; y takes an array
+                # of its own only where over half the block needs an angle
+                x = draws[:u]
+                y = draws[u:2 * u] if 2 * u <= size else np.empty(u)
+                rng.standard_normal(out=x)
+                rng.standard_normal(out=y)
                 x *= x
                 y *= y
                 y += x
@@ -227,10 +258,13 @@ def _outage_hits(mu: float, sigma_g2: float, n_ports: int, g2_th: float,
                 a_open += x  # |g_k|^2
                 np.less(a_open, g2_th, out=needs_angle[:u])
                 keep[open_rows] = needs_angle[:u]
+            # one index array at a time
+            del open_rows
             kept = np.flatnonzero(keep)
-            np.take(a, kept, mode="clip", out=spare[:kept.size])
-            live, spare = spare, live
             m = kept.size
+            np.take(a, kept, mode="clip", out=spare[:m])
+            del kept
+            live, spare = spare, live
             if m == 0:
                 break
         hits += m

@@ -13,15 +13,17 @@ BLAS. The blocks of a call, and of every job of
 pool of min(CPUs available to the process, 4) threads; each block returns
 an integer hit count, and the counts add exactly, so no value depends on the
 thread count or on the order the blocks finish in. Within a block the draw
-order is fixed too: the best-port estimator screens 12288 rows at a time,
+order is fixed too: the best-port estimator screens 44032 rows at a time,
 in polar form, and each such row block takes one exponential per row for
 |g0|^2, then for each port in turn one exponential for |e_k|^2 of each row
 whose earlier ports are all below the threshold, followed by the x then the
 y of a normal pair for each of those rows whose port the two magnitudes
 leave undecided, before the next row block draws (see
 :func:`fasmon.channel._outage_hits`). A block of 2^17 draws therefore holds
-four arrays of 12288 doubles, 384 KiB, while it runs, whatever the port
-count.
+three arrays of doubles and two masks of 44032 entries, 1.09 MiB, and
+under 1.8 MiB in all while it runs, whatever the port count; with one
+block per worker a call holds under 4 x 1.8 MiB, and under 3.6 MiB on two
+CPUs.
 
 Every argument is checked before any block runs, and a block only draws and
 counts, so a simulation has no failure of its own to report: an exception
@@ -45,9 +47,11 @@ from .outage import RatePoint
 # per-block generator keying is independent of execution order.
 _CHUNK = 1 << 17
 
-# Blocks in flight at once, at most; a best-port block holds four arrays of
-# 12288 doubles while it runs, 384 KiB at any port count, whatever the
-# block's size.
+# Blocks in flight at once, at most; a best-port block holds under 1.8 MiB
+# while it runs (three arrays of doubles and two masks of 44032 entries,
+# 1.09 MiB, plus one index array at a time and, where over half its rows
+# need an angle, their y), at any port count and whatever the block's size,
+# so the pool holds under 4 x 1.8 MiB.
 _MAX_WORKERS = 4
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile

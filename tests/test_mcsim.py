@@ -8,6 +8,7 @@ tolerances are multiples of the binomial standard error, not the reported
 """
 
 import dataclasses
+import functools
 import math
 import threading
 import tracemalloc
@@ -50,10 +51,11 @@ class TestReproducibility:
     # one partial), recorded with the full-matrix reference of
     # tests/test_channel.py (_full_matrix_hits) run on each chunk's
     # generator; a change to the draw order, the row block or chunk size or
-    # the (seed, chunk) keying moves them
+    # the (seed, chunk) keying moves them. A single-port block draws E0 row
+    # by row in order, so the row block size alone leaves N = 1 where it is
     @pytest.mark.parametrize("seed, n_ports, hits", [
-        (7, 1, 180214), (7, 8, 13203), (7, 16, 672),
-        (2029, 1, 179747), (2029, 8, 12896), (2029, 16, 674),
+        (7, 1, 180214), (7, 8, 13033), (7, 16, 673),
+        (2029, 1, 179747), (2029, 8, 12907), (2029, 16, 696),
     ])
     def test_monitor_outage_stream_pinned(self, ref_params, ref_link, seed,
                                           n_ports, hits):
@@ -110,8 +112,10 @@ class TestWorkerCount:
 
 class TestMemory:
     def test_best_port_block_holds_one_row_block(self):
-        # a 2^17-draw block at 64 ports screens 12288 rows at a time: four
-        # arrays of one row block's length, 384 KiB, not the 130 MiB that
+        # a 2^17-draw block at 64 ports screens 44032 rows at a time: three
+        # arrays of doubles and two masks of one row block's length,
+        # 1.09 MiB, plus one index array and, where over half the rows need
+        # an angle, as here, their y, under 1.8 MiB; not the 130 MiB that
         # every port of the whole block would take
         tracemalloc.start()
         try:
@@ -120,6 +124,26 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+    def test_pool_holds_one_row_block_per_worker(self, worker_cap):
+        # four 64-port jobs of three 2^17-draw blocks on two workers: at most
+        # two blocks run at once, each under 1.8 MiB, so the pool stays
+        # under a budget of 2 MiB per worker, where row blocks of a whole
+        # 2^17-draw block would take about 10 MiB
+        import concurrent.futures  # noqa: F401 (the pool's import, untraced)
+
+        worker_cap(2)
+        count = fasmon.mcsim._monitor_block_hits
+        jobs = [(functools.partial(count, 0.6, 1.0, 64, 0.5, seed), 3 << 17, seed)
+                for seed in range(4)]
+        jobs[0][0](0, 1)  # the generator's first-use imports, untraced too
+        tracemalloc.start()
+        try:
+            fasmon.mcsim._estimates(jobs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (2 << 20)
 
 
 class TestConfidenceInterval:
