@@ -21,7 +21,7 @@ from .optimize import (Scheme, OptResult, objective_terms, solve_bound_bisect,
 from .mcsim import (McEstimate, estimate_sd_outage, estimate_monitor_outage,
                     estimate_monitoring_rate)
 from .config import ExperimentSpec, parse_config, resolve_config, db_to_linear
-from .experiments import ResultRow, run_experiment, expected_row_count, row_seed
+from .experiments import ResultRow, run_experiment, expected_row_count
 from .reporting import CSV_HEADER, format_rows, emit_csv, parse_csv, emit_svg
 from .validation import run_validation
 
@@ -44,7 +44,7 @@ __all__ = [
     "McEstimate", "estimate_sd_outage", "estimate_monitor_outage",
     "estimate_monitoring_rate",
     "ExperimentSpec", "parse_config", "resolve_config", "db_to_linear",
-    "ResultRow", "run_experiment", "expected_row_count", "row_seed",
+    "ResultRow", "run_experiment", "expected_row_count",
     "CSV_HEADER", "format_rows", "emit_csv", "parse_csv", "emit_svg",
     "run_validation",
     "__version__",

@@ -103,13 +103,12 @@ _SWEEPS = {
     "n_ports": (_check_ports, lambda params, x: dataclasses.replace(params, n_ports=int(x))),
 }
 
-# experiment -> (row-seed id, sweep variable, default sweep values); custom
-# sets both
+# experiment -> (sweep variable, default sweep values); custom sets both
 _EXPERIMENTS = {
-    "fig1": (1, "p_m_db", tuple(30.0 * i / 120 for i in range(121))),
-    "fig2": (2, "ratio_db", tuple(float(v) for v in range(-20, 1, 2))),
-    "fig3": (3, "n_ports", tuple(float(n) for n in range(2, 17))),
-    "custom": (0, None, None),
+    "fig1": ("p_m_db", tuple(30.0 * i / 120 for i in range(121))),
+    "fig2": ("ratio_db", tuple(float(v) for v in range(-20, 1, 2))),
+    "fig3": ("n_ports", tuple(float(n) for n in range(2, 17))),
+    "custom": (None, None),
 }
 
 
@@ -218,7 +217,7 @@ def resolve_config(file_values: dict, overrides: dict | None = None) -> Experime
         if values[key] < 0:
             raise ConfigError(f"{key} must be >= 0", key)
 
-    _, var, default_values = _EXPERIMENTS[experiment]
+    var, default_values = _EXPERIMENTS[experiment]
     if var is None and not {"sweep_variable", "sweep_values"} <= values.keys():
         raise ConfigError(
             "custom experiment needs explicit sweep_variable and sweep_values",

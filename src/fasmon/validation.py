@@ -33,7 +33,7 @@ import numpy as np
 from .channel import DerivedLink, derive_link
 from .config import resolve_config
 from .experiments import run_experiment
-from .mcsim import estimate_monitor_outage, estimate_sd_outage
+from .mcsim import estimate_monitor_outages, estimate_sd_outage
 from .optimize import objective_terms, solve_bound_bisect, solve_closed_form
 from .outage import (RatePoint, monitor_outage_approx, monitor_outage_bound,
                      monitor_outage_true, pm_for_rate, rate_approx, rate_bound,
@@ -327,12 +327,17 @@ def _check_mc_sd_outage(rng, full):
     return z <= 4.0, f"simulation vs closed form {z:.2f} sigma at n={n}"
 
 
-def _monitor_outage_z(params, link, rp, n_ports, n_draws, seed):
+def _monitor_outage_zs(params, link, cases, n_draws):
     """|simulated - quadrature outage| in binomial standard errors at the
-    quadrature value."""
-    p = monitor_outage_true(link, rp, n_ports)
-    est = estimate_monitor_outage(params, link, rp, n_ports, n_draws, seed)
-    return abs(est.mean - p) / math.sqrt(p * (1.0 - p) / n_draws)
+    quadrature value, for each (rate point, port count, seed) case; the
+    cases that share a port count and a seed share their draws."""
+    estimates = estimate_monitor_outages(
+        [(params, link, rp, n_ports, n_draws, seed) for rp, n_ports, seed in cases])
+    zs = []
+    for (rp, n_ports, _), est in zip(cases, estimates):
+        p = monitor_outage_true(link, rp, n_ports)
+        zs.append(abs(est.mean - p) / math.sqrt(p * (1.0 - p) / n_draws))
+    return zs
 
 
 def _check_mc_monitor_outage(rng, full):
@@ -340,19 +345,20 @@ def _check_mc_monitor_outage(rng, full):
     link = derive_link(params)
     n = 10 ** 6 if full else 10 ** 5
     cases = ((1.0, 4), (1.5, 8), (2.2, 16)) if full else ((1.5, 8),)
-    z_max = max(_monitor_outage_z(params, link, RatePoint(r), n_ports, n,
-                                  int(rng.integers(2 ** 31)))
-                for r, n_ports in cases)
+    z_max = max(_monitor_outage_zs(
+        params, link, [(RatePoint(r), n_ports, int(rng.integers(2 ** 31)))
+                       for r, n_ports in cases], n))
     thresholds = (0.5, 1.0, 2.0, 4.0, 8.0)
     detail = f"simulation vs quadrature max |z| {z_max:.2f} at n={n}"
     if full:
-        grid_z = max(_monitor_outage_z(params, link, _threshold_point(g),
-                                       n_ports, n, 777000 + 5 * i + j)
-                     for i, g in enumerate(thresholds)
-                     for j, n_ports in enumerate((1, 2, 4, 8, 16)))
+        # each port count's five thresholds are one shared-draw group
+        grid_z = max(_monitor_outage_zs(
+            params, link, [(_threshold_point(g), n_ports, 777000 + j)
+                           for j, n_ports in enumerate((1, 2, 4, 8, 16))
+                           for g in thresholds], n))
         z_max = max(z_max, grid_z)
         detail += (f", {grid_z:.2f} over the 5x5 (threshold, ports) grid "
-                   f"under seeds 777000+5i+j")
+                   f"under seeds 777000+j")
     # monitor_outage_true takes the closed form at one port, so the
     # quadrature here is the Gauss-Laguerre route
     n1_err = max(abs(_laguerre_outage(link, g, 1, 2048) + math.expm1(-g / link.gamma_cap))

@@ -17,7 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 from fasmon import (ComputationError, DomainError, correlation_mu,
                     eta_factor)
 import fasmon.channel
-from fasmon.channel import _MAX_PORTS, _SCREEN_ROWS, _mix_weight, _outage_hits
+import fasmon.mcsim
+from fasmon.channel import _MAX_PORTS, _mix_weight
+from fasmon.mcsim import _best_port_powers
 
 # (W, mu(W)) multiprecision references
 MU_REFS = (
@@ -115,23 +117,40 @@ class TestSystemParams:
         assert dataclasses.replace(ref_params, n_ports=_MAX_PORTS).n_ports == _MAX_PORTS
 
 
+def _disc_points(rng, m):
+    # m uniform points (u, v) of the quarter disc as the sampler draws them:
+    # rounds of k + 3k // 10 + 32 points of the unit square, all u (as
+    # 1 - uniform) then all v, keeping the first k with u^2 + v^2 < 1
+    us, vs, filled = [], [], 0
+    while filled < m:
+        need = m - filled
+        n = need + 3 * need // 10 + 32
+        u = 1.0 - rng.random(n)
+        v = rng.random(n)
+        kept = np.flatnonzero(u * u + v * v < 1.0)[:need]
+        us.append(u[kept])
+        vs.append(v[kept])
+        filled += kept.size
+    return np.concatenate(us), np.concatenate(vs)
+
+
 def _polar_draws(mu, var, n_ports, n_draws, rng):
-    # every port of every row in the counter's polar form, in the frame
-    # where mu g0 is real: a = mu sqrt(var E0) per row and, per port,
-    # r = w sqrt(var E_k) with the normal pair (x, y) of its angle, drawn as
-    # E0, then for each port in turn E_k, all the x and all the y
+    # every port of every row of one row block in the sampler's polar form,
+    # in the frame where mu g0 is real: a = mu sqrt(var E0) per row and, per
+    # port, r = w sqrt(var E_k) with the quarter-disc point (u, v) of its
+    # angle, drawn as E0, then for each port in turn E_k and the points
     a = mu * math.sqrt(var) * np.sqrt(rng.standard_exponential((n_draws, 1)))
-    r, x, y = np.empty((3, n_draws, n_ports))
+    r, u, v = np.empty((3, n_draws, n_ports))
     for k in range(n_ports):
         r[:, k] = _mix_weight(mu) * math.sqrt(var) * np.sqrt(rng.standard_exponential(n_draws))
-        x[:, k], y[:, k] = rng.standard_normal((2, n_draws))
-    return a, r, x, y
+        u[:, k], v[:, k] = _disc_points(rng, n_draws)
+    return a, r, u, v
 
 
-def _polar_powers(a, r, x, y):
-    # the counter's form of |g_k|^2 = a^2 + r^2 + 2 a r cos(phi), where phi is
-    # twice the angle of the pair (x, y): (a - r)^2 + 4 a r cos^2(phi / 2)
-    return (a - r) ** 2 + 4.0 * a * r * (x * x / (x * x + y * y))
+def _polar_powers(a, r, u, v):
+    # the sampler's form of |g_k|^2 = a^2 + r (r + 2 a cos(phi)), where phi
+    # is twice the angle of the point (u, v)
+    return a * a + r * (r + 2.0 * a * ((u * u - v * v) / (u * u + v * v)))
 
 
 def _sample_port_powers(mu, var, n_ports, n_draws, rng):
@@ -153,8 +172,9 @@ class TestSampling:
     @pytest.mark.parametrize("n_ports", [1, 2, 8, 16])
     def test_matches_complex_reference(self, n_ports):
         # the polar powers are |mu g0 + w e_k|^2 of the complex model on the
-        # same stretch of the stream; the bound is a few ulps of
-        # (|mu g0| + |w e_k|)^2, as the sum cancels where the two terms do
+        # same stretch of the stream, with e^{i phi} = (u + i v)^2 / (u^2 +
+        # v^2); the bound is a few ulps of (|mu g0| + |w e_k|)^2, as the sum
+        # cancels where the two terms do
         mu, var, n = 0.6, 0.7, 1001
         rng_polar = np.random.default_rng(4242)
         rng_complex = np.random.default_rng(4242)
@@ -166,8 +186,8 @@ class TestSampling:
             e = np.empty((n, n_ports), dtype=complex)
             for k in range(n_ports):
                 mag = np.sqrt(var * rng_complex.standard_exponential(n))
-                x, y = rng_complex.standard_normal((2, n))
-                e[:, k] = mag * (x + 1j * y) ** 2 / (x * x + y * y)
+                u, v = _disc_points(rng_complex, n)
+                e[:, k] = mag * (u + 1j * v) ** 2 / (u * u + v * v)
             g = mu * g0 + _mix_weight(mu) * e
             ref = np.abs(g) ** 2
             scale = (mu * g0 + _mix_weight(mu) * np.abs(e)) ** 2
@@ -212,16 +232,16 @@ class TestSampling:
 
     def test_polar_power_is_rician(self):
         # given a = mu |g0|, here with |g0| = 1, a port power drawn as the
-        # counter draws it, r = w sqrt(var E) with its angle from a normal
-        # pair, is the Rician power: sqrt of it is Rician with shape
-        # b = a / s and scale s = w sqrt(var / 2)
+        # sampler draws it, r = w sqrt(var E) with its angle from a point of
+        # the quarter disc, is the Rician power: sqrt of it is Rician with
+        # shape b = a / s and scale s = w sqrt(var / 2)
         rng = np.random.default_rng(59)
         for mu in (0.3, 0.9):
             var, n, a = 1.0, 100_000, mu
             r = _mix_weight(mu) * np.sqrt(var * rng.standard_exponential(n))
-            x, y = rng.standard_normal((2, n))
+            u, v = _disc_points(rng, n)
             s = _mix_weight(mu) * math.sqrt(var / 2.0)
-            res = scipy.stats.kstest(np.sqrt(_polar_powers(a, r, x, y)), "rice",
+            res = scipy.stats.kstest(np.sqrt(_polar_powers(a, r, u, v)), "rice",
                                      args=(a / s, 0.0, s))
             assert res.pvalue > 0.01
 
@@ -241,76 +261,62 @@ class TestSampling:
         assert spread < 1e-3
 
 
-def _full_matrix_hits(mu, var, n_ports, g2_th, n_draws, rng, fill):
-    # the counter's reference: each row block as a full (rows, n_ports)
-    # matrix of port powers, drawn in the counter's order with a boolean
-    # mask over all rows in place of its compaction. A live row's port is
-    # decided by the complex |a + r e^{i phi}|^2 < g2_th, with
-    # e^{i phi} = (x + i y)^2 / (x^2 + y^2); the angles the screen never
-    # draws, and the ports of rows already out, are filled from fill, and
-    # the best port is the row maximum. Drawn or filled, a row's count is
-    # the same: an undrawn port follows one at or above g2_th, and an
-    # undrawn angle cannot move its port across g2_th.
-    block_rows = fasmon.channel._SCREEN_ROWS
-    s = math.sqrt(g2_th)
-    a_scale = mu * math.sqrt(var)
-    r_scale = _mix_weight(mu) * math.sqrt(var)
-    hits = 0
+def _full_matrix_best(mu, n_ports, n_draws, rng):
+    # the sampler's reference: each row block as a full (rows, n_ports)
+    # matrix of unit-variance port powers, drawn in the sampler's order, each
+    # power the complex |a + r e^{i phi}|^2 with e^{i phi} = (u + i v)^2 /
+    # (u^2 + v^2); the best power of a row is its maximum, and a single
+    # port is E0, the stream of n_draws exponentials. Returns the best
+    # powers and, per row, (a + max_k r_k)^2, which bounds every power of
+    # the row
+    if n_ports == 1:
+        e0 = rng.standard_exponential(n_draws)
+        return e0, e0
+    best, scale = np.empty((2, n_draws))
+    block_rows = fasmon.mcsim._ROW_BLOCK
     for start in range(0, n_draws, block_rows):
         rows = min(block_rows, n_draws - start)
-        e0 = rng.standard_exponential(rows)
-        if n_ports == 1:
-            hits += int(np.count_nonzero(var * e0 < g2_th))
-            continue
-        a = a_scale * np.sqrt(e0)
-        powers = fill.exponential(var, (rows, n_ports))
-        live = np.ones(rows, dtype=bool)
+        a = mu * np.sqrt(rng.standard_exponential(rows))
+        powers, r = np.empty((2, rows, n_ports))
         for k in range(n_ports):
-            m = int(np.count_nonzero(live))
-            if m == 0:
-                break
-            a_live = a[live]
-            r = r_scale * np.sqrt(rng.standard_exponential(m))
-            # the counter's screen, in its operations: only these rows
-            # draw their angles from rng
-            open_rows = (np.abs(a_live - r) < s) & (a_live + r >= s)
-            x, y = fill.standard_normal((2, m))
-            x[open_rows], y[open_rows] = rng.standard_normal(
-                (2, int(np.count_nonzero(open_rows))))
-            z = x + 1j * y
-            powers[live, k] = np.abs(a_live + r * (z * z / (x * x + y * y))) ** 2
-            live &= powers[:, k] < g2_th
-        hits += int(np.count_nonzero(powers.max(axis=1) < g2_th))
-    return hits
+            r[:, k] = _mix_weight(mu) * np.sqrt(rng.standard_exponential(rows))
+            u, v = _disc_points(rng, rows)
+            powers[:, k] = np.abs(a + r[:, k] * (u + 1j * v) ** 2 / (u * u + v * v)) ** 2
+        best[start:start + rows] = powers.max(axis=1)
+        scale[start:start + rows] = (a + r.max(axis=1)) ** 2
+    return best, scale
+
+
+def _sampled_best(mu, n_ports, n_draws, rng):
+    # the sampler's best powers of all rows, each row block copied before
+    # the next overwrites it
+    return np.concatenate([row_block.copy() for row_block in
+                           _best_port_powers(mu, n_ports, n_draws, rng)])
 
 
 def _assert_blocks_match_full_matrix(mu, n_ports, n_draws, seed):
-    # at g2_th = 0 each row stops at its first port, at the median of
-    # |g_k|^2 about half the rows go on at every port, and at inf all do
-    var = 0.7
-    for g2_th in (0.0, var * math.log(2.0), math.inf):
-        rng_counter = np.random.default_rng(seed)
-        rng_full = np.random.default_rng(seed)
-        hits = _outage_hits(mu, var, n_ports, g2_th, n_draws, rng_counter)
-        assert hits == _full_matrix_hits(mu, var, n_ports, g2_th, n_draws, rng_full,
-                                         np.random.default_rng(seed + 1))
-        assert rng_counter.bit_generator.state == rng_full.bit_generator.state
-        if g2_th == 0.0 or g2_th == math.inf:
-            # E0 and then one port per row, or every port of every row, and
-            # no angle: the magnitudes alone decide every port
-            ports = 0 if n_ports == 1 else (1 if g2_th == 0.0 else n_ports)
-            rng_plain = np.random.default_rng(seed)
-            rng_plain.standard_exponential(n_draws * (1 + ports))
-            assert rng_counter.bit_generator.state == rng_plain.bit_generator.state
-            assert hits == (n_draws if g2_th == math.inf else 0)
+    rng_sampler = np.random.default_rng(seed)
+    rng_full = np.random.default_rng(seed)
+    best = _sampled_best(mu, n_ports, n_draws, rng_sampler)
+    ref, scale = _full_matrix_best(mu, n_ports, n_draws, rng_full)
+    # the same draws, to rounding: a few ulps of the row's largest possible
+    # power, as a^2 + r (r + 2 a cos(phi)) cancels where its terms do
+    assert best.shape == (n_draws,)
+    assert np.all(np.abs(best - ref) <= 1e-14 * scale)
+    assert rng_sampler.bit_generator.state == rng_full.bit_generator.state
+    if n_ports == 1:
+        # E0 alone: the stream of n_draws plain exponentials
+        rng_plain = np.random.default_rng(seed)
+        rng_plain.standard_exponential(n_draws)
+        assert rng_sampler.bit_generator.state == rng_plain.bit_generator.state
 
 
 class TestRowBlocks:
-    # blocks of 2048 rows here, so that sizes across one or many block
+    # row blocks of 2048 rows here, so that sizes across one or many block
     # boundaries stay cheap; test_module_block_size runs the real size
     @pytest.fixture(autouse=True)
     def _blocks_of_2048(self, monkeypatch):
-        monkeypatch.setattr(fasmon.channel, "_SCREEN_ROWS", 2048)
+        monkeypatch.setattr(fasmon.mcsim, "_ROW_BLOCK", 2048)
 
     @pytest.mark.parametrize("mu", [0.0, 0.4, 0.97])
     @pytest.mark.parametrize("n_ports", [1, 2, 8, 16, 64])
@@ -327,10 +333,13 @@ class TestRowBlocks:
         _assert_blocks_match_full_matrix(mu, n_ports, n_draws, seed)
 
 
+# n_draws just below, at and just above the module's row block, named by the
+# offset so that the ids stay put when the row block is resized
 @pytest.mark.parametrize("n_ports", [1, 8, 64])
-@pytest.mark.parametrize("n_draws", [_SCREEN_ROWS - 1, _SCREEN_ROWS, _SCREEN_ROWS + 1])
-def test_module_block_size(n_ports, n_draws):
-    _assert_blocks_match_full_matrix(0.4, n_ports, n_draws, seed=99)
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_module_block_size(n_ports, offset):
+    _assert_blocks_match_full_matrix(0.4, n_ports, fasmon.mcsim._ROW_BLOCK + offset,
+                                     seed=99)
 
 
 def _cartesian_hits(mu, var, n_ports, thresholds, n_draws, rng):
@@ -354,17 +363,18 @@ def _cartesian_hits(mu, var, n_ports, thresholds, n_draws, rng):
 @pytest.mark.parametrize("mu", [0.0, 0.4, 0.97])
 @pytest.mark.parametrize("n_ports", [1, 2, 8, 64])
 def test_counter_law_matches_cartesian_draws(mu, n_ports):
-    # the counter's hits against plain Cartesian counts from a generator
+    # the sampler's hits against plain Cartesian counts from a generator
     # that shares no draw with it, at the thresholds whose outage would be
     # 0.05, 0.5 and 0.95 with independent ports. Two-sample bound: the
     # pooled two-proportion z is at most 5, a false alarm of 5.7e-7 per
-    # comparison on a correct counter and about 2e-5 over these 36
+    # comparison on a correct sampler and about 2e-5 over these 36
     var, n = 0.7, 100_000
     thresholds = [-var * math.log1p(-q ** (1.0 / n_ports)) for q in (0.05, 0.5, 0.95)]
     cartesian = _cartesian_hits(mu, var, n_ports, thresholds, n,
                                 np.random.default_rng([2031, 1]))
+    best = _sampled_best(mu, n_ports, n, np.random.default_rng([2031, 0]))
     for g2_th, other in zip(thresholds, cartesian):
-        hits = _outage_hits(mu, var, n_ports, g2_th, n, np.random.default_rng([2031, 0]))
+        hits = int(np.count_nonzero(best < g2_th / var))
         pooled = (hits + other) / (2 * n)
         assert abs(hits - other) <= 5.0 * math.sqrt(2 * n * pooled * (1.0 - pooled))
 

@@ -18,7 +18,7 @@ import fasmon.outage
 from fasmon import (ComputationError, DerivedLink, RatePoint, Scheme,
                     derive_link, estimate_monitoring_rate, evaluate_scheme,
                     expected_row_count, rate_bounds, rate_for_pm, rate_true,
-                    resolve_config, run_experiment, row_seed, solve_true_grid)
+                    resolve_config, run_experiment, solve_true_grid)
 from fasmon.config import parse_overrides
 
 
@@ -197,6 +197,21 @@ class TestMonteCarloWiring:
                                RatePoint(row.r_star_bits))
         assert abs(row.rate_mc_mean - full_array) > 20.0 * sigma
 
+    @pytest.mark.parametrize("pairs", [
+        ("experiment=fig1", "sweep_values=12.5"),
+        ("experiment=custom", "sweep_variable=p_m_db", "sweep_values=12.5,30"),
+    ], ids=["fig1-one-point", "custom"])
+    def test_part_of_a_sweep_gets_the_full_sweeps_cells(self, pairs):
+        # a row's Monte Carlo cells depend only on (seed, mu, N, mc_samples,
+        # its threshold), not on the other points of its sweep or on the
+        # experiment's name
+        full = run_experiment(_spec("experiment=fig1", "mc_samples=20000"))
+        spec = _spec(*pairs, "mc_samples=20000")
+        part = run_experiment(spec)
+        assert sum(row.rate_mc_mean is not None for row in part) == len(spec.sweep_values)
+        assert part == [dataclasses.replace(row, experiment=spec.experiment)
+                        for row in full if row.x_value in spec.sweep_values]
+
     def test_row_estimate_reproducible_in_isolation(self):
         spec = _tiny_fig2("mc_samples=50000", "seed=5")
         rows = run_experiment(spec)
@@ -207,7 +222,7 @@ class TestMonteCarloWiring:
         row = rows[3]  # sweep point -8, scheme index 1 (Passive)
         est = estimate_monitoring_rate(
             params, link, RatePoint(row.r_star_bits), params.n_ports,
-            50000, row_seed(5, "custom", 1, 1))
+            50000, 5)
         assert row.rate_mc_mean == est.mean
         assert row.rate_mc_ci95 == est.half_width_95
 
@@ -444,17 +459,6 @@ class TestExtremeInputs:
         assert all(": ComputationError: r_max overflows: " in line for line in err)
 
 
-class TestSeeding:
-    def test_row_seeds_distinct(self):
-        seeds = {row_seed(12345, exp, i, j)
-                 for exp in ("custom", "fig1", "fig2", "fig3")
-                 for i in range(6) for j in range(6)}
-        assert len(seeds) == 4 * 6 * 6
-
-    def test_row_seed_stable(self):
-        assert row_seed(12345, "fig2", 3, 2) == row_seed(12345, "fig2", 3, 2)
-
-
 class TestPartialFailure:
     def test_failed_scheme_skipped_with_diagnostic(self, monkeypatch, capsys):
         def flaky(params, link):
@@ -632,16 +636,21 @@ class TestPartialFailure:
 
     def test_worker_fault_propagates(self, monkeypatch, worker_cap):
         # a non-fasmon exception in one block ends the run with that
-        # exception once the blocks in flight finish; nothing is left running
+        # exception once the blocks in flight finish; nothing is left running.
+        # Two groups (N = 4 and 8) of three blocks each; only the N = 8
+        # group's first block fails, so good blocks run around it.
         worker_cap(3)
-        spec = _tiny_fig2("mc_samples=300000")
-        failing_seed = row_seed(spec.seed, "custom", 0, 1)
+        spec = _spec("experiment=custom", "sweep_variable=n_ports",
+                     "sweep_values=4,8", "schemes=Passive", "mc_samples=300000")
         real = fasmon.mcsim._monitor_block_hits
+        finished = []
 
-        def faulty(mu, sigma_g2, n_ports, g2_th, seed, idx, size):
-            if seed == failing_seed and idx == 0:
+        def faulty(mu, n_ports, thresholds, seed, idx, size):
+            if n_ports == 8 and idx == 0:
                 raise RuntimeError("synthetic worker fault")
-            return real(mu, sigma_g2, n_ports, g2_th, seed, idx, size)
+            hits = real(mu, n_ports, thresholds, seed, idx, size)
+            finished.append((n_ports, idx))
+            return hits
 
         monkeypatch.setattr(fasmon.mcsim, "_monitor_block_hits", faulty)
         threads = threading.active_count()
@@ -658,4 +667,5 @@ class TestPartialFailure:
         runner.join(timeout=120)
         assert not runner.is_alive()
         assert [str(exc) for exc in raised] == ["synthetic worker fault"]
+        assert (4, 0) in finished
         assert threading.active_count() == threads

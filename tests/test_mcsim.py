@@ -13,6 +13,7 @@ import math
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import fasmon.channel
@@ -49,13 +50,13 @@ class TestReproducibility:
 
     # best-port hit counts at RatePoint(1.5) over three chunks (two full,
     # one partial), recorded with the full-matrix reference of
-    # tests/test_channel.py (_full_matrix_hits) run on each chunk's
+    # tests/test_channel.py (_full_matrix_best) run on each chunk's
     # generator; a change to the draw order, the row block or chunk size or
     # the (seed, chunk) keying moves them. A single-port block draws E0 row
     # by row in order, so the row block size alone leaves N = 1 where it is
     @pytest.mark.parametrize("seed, n_ports, hits", [
-        (7, 1, 180214), (7, 8, 13033), (7, 16, 673),
-        (2029, 1, 179747), (2029, 8, 12907), (2029, 16, 696),
+        (7, 1, 180214), (7, 8, 12952), (7, 16, 712),
+        (2029, 1, 179747), (2029, 8, 12849), (2029, 16, 658),
     ])
     def test_monitor_outage_stream_pinned(self, ref_params, ref_link, seed,
                                           n_ports, hits):
@@ -63,6 +64,32 @@ class TestReproducibility:
         est = estimate_monitor_outage(ref_params, ref_link, RatePoint(1.5),
                                       n_ports, n, seed)
         assert est.mean == hits / n
+
+    def test_shared_draws_equal_each_job_alone(self, ref_params, ref_link):
+        # jobs on one (seed, mu, N, n_samples) at many thresholds, in shuffled
+        # order and mixed with jobs on another port count and another seed:
+        # each estimate is bitwise its job's alone, and the group's outages,
+        # counted on one set of draws, never fall as the threshold rises
+        rates = [1.0 + 0.002 * i for i in (7, 3, 11, 0, 19, 5, 14, 2, 17, 9)]
+        jobs = [(ref_params, ref_link, RatePoint(r), 8, 150_000, 41) for r in rates]
+        jobs[3:3] = [(ref_params, ref_link, RatePoint(1.2), 4, 150_000, 41),
+                     (ref_params, ref_link, RatePoint(1.2), 8, 150_000, 42)]
+        together = fasmon.mcsim.estimate_monitoring_rates(jobs)
+        assert together == [estimate_monitoring_rate(*job) for job in jobs]
+        hits = [round((1.0 - est.mean / rate_r) * 150_000) for rate_r, est in sorted(
+            (job[2].rate_r, est) for job, est in zip(jobs, together)
+            if job[3] == 8 and job[5] == 41)]
+        assert len(hits) == len(rates) and hits == sorted(hits)
+
+    def test_a_power_at_its_threshold_is_not_a_hit(self):
+        # the outage indicator is strict: with the block's own best powers
+        # as thresholds, the i-th smallest has exactly i powers below it
+        best = next(fasmon.mcsim._best_port_powers(0.4, 8, 1000,
+                                                   np.random.default_rng([5, 0])))
+        thresholds = np.sort(best)
+        hits = fasmon.mcsim._monitor_block_hits(0.4, 8, thresholds, 5, 0, 1000)
+        assert np.unique(best).size == 1000
+        assert hits.tolist() == list(range(1000))
 
     def test_chunking_invisible_in_metadata(self, ref_params):
         # n above one chunk boundary: fields still reflect the full run
@@ -112,14 +139,13 @@ class TestWorkerCount:
 
 class TestMemory:
     def test_best_port_block_holds_one_row_block(self):
-        # a 2^17-draw block at 64 ports screens 44032 rows at a time: three
-        # arrays of doubles and two masks of one row block's length,
-        # 1.09 MiB, plus one index array and, where over half the rows need
-        # an angle, as here, their y, under 1.8 MiB; not the 130 MiB that
-        # every port of the whole block would take
+        # a 2^17-draw block at 64 ports draws 16384 rows at a time and counts
+        # each row block before the next draws: five arrays of one row block
+        # (640 KiB) and an angle round's scratch, about 1.4 MiB; not the
+        # 64 MiB that every port of the whole block would take
         tracemalloc.start()
         try:
-            fasmon.mcsim._monitor_block_hits(0.6, 1.0, 64, 0.5, 7, 0, 1 << 17)
+            fasmon.mcsim._monitor_block_hits(0.6, 64, np.array([0.5]), 7, 0, 1 << 17)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -127,14 +153,14 @@ class TestMemory:
 
     def test_pool_holds_one_row_block_per_worker(self, worker_cap):
         # four 64-port jobs of three 2^17-draw blocks on two workers: at most
-        # two blocks run at once, each under 1.8 MiB, so the pool stays
+        # two blocks run at once, each about 1.4 MiB, so the pool stays
         # under a budget of 2 MiB per worker, where row blocks of a whole
-        # 2^17-draw block would take about 10 MiB
+        # 2^17-draw block would take about 20 MiB
         import concurrent.futures  # noqa: F401 (the pool's import, untraced)
 
         worker_cap(2)
         count = fasmon.mcsim._monitor_block_hits
-        jobs = [(functools.partial(count, 0.6, 1.0, 64, 0.5, seed), 3 << 17, seed)
+        jobs = [(functools.partial(count, 0.6, 64, np.array([0.5]), seed), 3 << 17, seed)
                 for seed in range(4)]
         jobs[0][0](0, 1)  # the generator's first-use imports, untraced too
         tracemalloc.start()
